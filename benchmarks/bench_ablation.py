@@ -86,10 +86,15 @@ def test_ablation_exclusiveness_off_produces_risky_vaccines(benign_programs):
     """Without exclusiveness analysis, shared resources become vaccines and
     the clinic catches the fallout — quantifying what the filter prevents."""
     from repro.core import clinic_test
+    from repro.core.stages import ExclusivenessStage, default_stages
 
     program = build_family("sality")  # loads the shared wmdrtc32-style dll
-    with_filter = AutoVac(exclusiveness_enabled=True).analyze(program)
-    without = AutoVac(exclusiveness_enabled=False).analyze(program)
+    no_filter = tuple(
+        ExclusivenessStage(enforce=False) if isinstance(s, ExclusivenessStage) else s
+        for s in default_stages()
+    )
+    with_filter = AutoVac().analyze(program)
+    without = AutoVac(stages=no_filter).analyze(program)
     extra = len(without.vaccines) - len(with_filter.vaccines)
     report = clinic_test(without.vaccines, benign_programs)
     write_artifact(

@@ -5,8 +5,8 @@ The dominant Phase-II cost is re-executing the sample once per candidate ×
 mechanism; snapshot-resume checkpoints the guest at each candidate's first
 interception site and replays only the divergent suffix.  This bench pins:
 
-* **equivalence** — snapshot and legacy paths produce identical outcomes on
-  a crafted sample whose compute preamble dwarfs its payload;
+* **equivalence** — snapshot-resume and full reruns produce identical
+  outcomes on a crafted sample whose compute preamble dwarfs its payload;
 * **speedup** — ≥2× end-to-end on a sample with ≥6 candidate-mechanism runs
   (the paper-shaped case: long unpack loop, several infection markers);
 * **interpreter** — the untainted fast path beats the recording interpreter
@@ -80,6 +80,13 @@ def _bench_sample():
     return b.build(family="bench", category="bench")
 
 
+def _full_rerun(program, candidates, natural):
+    """The full-rerun path (the restore-failure fallback) for every
+    candidate: a loop of :meth:`ImpactAnalyzer.analyze` calls."""
+    analyzer = ImpactAnalyzer()
+    return [o for c in candidates for o in analyzer.analyze(program, c, natural)]
+
+
 def _outcome_fingerprint(outcomes):
     return [
         (
@@ -95,7 +102,7 @@ def _outcome_fingerprint(outcomes):
     ]
 
 
-def test_snapshot_resume_speedup():
+def test_snapshot_speedup():
     program = _bench_sample()
     report = select_candidates(program)
     candidates = [
@@ -109,20 +116,18 @@ def test_snapshot_resume_speedup():
     # The combined number (both optimizations on) is recorded alongside.
     with obs.disabled(), vm_superblock.overridden(False):
         legacy_s, legacy = min_wall_seconds(
-            lambda: ImpactAnalyzer(snapshot_resume=False).analyze_candidates(
-                program, candidates, report.trace
-            ),
+            lambda: _full_rerun(program, candidates, report.trace),
             repeats=3,
         )
         snap_s, fast = min_wall_seconds(
-            lambda: ImpactAnalyzer(snapshot_resume=True).analyze_candidates(
+            lambda: ImpactAnalyzer().analyze_candidates(
                 program, candidates, report.trace
             ),
             repeats=3,
         )
     with obs.disabled():
         combined_s, combined = min_wall_seconds(
-            lambda: ImpactAnalyzer(snapshot_resume=True).analyze_candidates(
+            lambda: ImpactAnalyzer().analyze_candidates(
                 program, candidates, report.trace
             ),
             repeats=3,
@@ -144,8 +149,8 @@ def test_snapshot_resume_speedup():
         f"combined speedup vs full rerun:         {legacy_s / combined_s:8.2f}x",
         "",
     ]
-    test_snapshot_resume_speedup.lines = lines
-    test_snapshot_resume_speedup.numbers = {
+    test_snapshot_speedup.lines = lines
+    test_snapshot_speedup.numbers = {
         "candidates": len(candidates),
         "legacy_seconds": legacy_s,
         "snapshot_seconds": snap_s,
@@ -158,14 +163,11 @@ def test_snapshot_resume_speedup():
 def test_per_family_snapshot_speedup(family_analyses):
     """Snapshot-resume vs full rerun on the real corpus families.
 
-    Three-way equivalence first — structured restore, the legacy pickle
-    blob (``pickle_env_overridden(True)``), and the full rerun must yield
-    identical outcomes — then the wall-clock claim: the structured-restore
-    path beats full reruns by >=1.3x on at least two families (the crafted
-    sample above pins >=2x; real families carry more API-call payload per
-    step, so the floor is lower)."""
-    from repro.core.snapshot import pickle_env_overridden
-
+    Equivalence first — snapshot-resume and the full rerun must yield
+    identical outcomes — then the wall-clock claim: snapshot-resume beats
+    full reruns by >=1.3x on at least two families (the crafted sample
+    above pins >=2x; real families carry more API-call payload per step,
+    so the floor is lower)."""
     results = {}
     with obs.disabled(), vm_superblock.overridden(False):
         for family, (program, _analysis) in sorted(family_analyses.items()):
@@ -178,23 +180,16 @@ def test_per_family_snapshot_speedup(family_analyses):
             if not candidates:
                 continue
             legacy_s, legacy = min_wall_seconds(
-                lambda: ImpactAnalyzer(snapshot_resume=False).analyze_candidates(
-                    program, candidates, report.trace
-                ),
+                lambda: _full_rerun(program, candidates, report.trace),
                 repeats=3,
             )
             snap_s, structured = min_wall_seconds(
-                lambda: ImpactAnalyzer(snapshot_resume=True).analyze_candidates(
+                lambda: ImpactAnalyzer().analyze_candidates(
                     program, candidates, report.trace
                 ),
                 repeats=3,
             )
-            with pickle_env_overridden(True):
-                blob = ImpactAnalyzer(snapshot_resume=True).analyze_candidates(
-                    program, candidates, report.trace
-                )
             assert _outcome_fingerprint(structured) == _outcome_fingerprint(legacy)
-            assert _outcome_fingerprint(blob) == _outcome_fingerprint(legacy)
             results[family] = {
                 "legacy_seconds": legacy_s,
                 "snapshot_seconds": snap_s,
@@ -280,18 +275,6 @@ def test_interpreter_fast_path():
     }
 
 
-def _analysis_fingerprint(analysis) -> dict:
-    """Byte-identical view of a SampleAnalysis, modulo wall-clock spans,
-    the flight journal, and the hot-path profile (all three record *how*
-    the run executed by design — tier mix legitimately differs when
-    superblocks are off)."""
-    payload = serialize.analysis_to_dict(analysis)
-    payload.pop("span", None)
-    payload.pop("journal", None)
-    payload.pop("profile", None)
-    return payload
-
-
 def test_write_artifacts(family_analyses):
     """Render impact.txt + the per-sample latency baseline (runs last).
 
@@ -313,14 +296,17 @@ def test_write_artifacts(family_analyses):
                 lambda: AutoVac(superblock_vm=False).analyze(program), repeats=3
             )
             per_sample_nosb[family] = nosb_seconds
-            assert _analysis_fingerprint(analysis) == _analysis_fingerprint(nosb), (
+            # Spans, journal and profile are excluded from the fingerprint:
+            # the tier mix legitimately differs when superblocks are off.
+            fingerprint = serialize.analysis_fingerprint
+            assert fingerprint(analysis) == fingerprint(nosb), (
                 f"{family}: superblocks changed the analysis"
             )
 
-    snap = getattr(test_snapshot_resume_speedup, "numbers", {})
+    snap = getattr(test_snapshot_speedup, "numbers", {})
     per_family_snap = getattr(test_per_family_snapshot_speedup, "numbers", {})
     interp = getattr(test_interpreter_fast_path, "numbers", {})
-    lines = list(getattr(test_snapshot_resume_speedup, "lines", []))
+    lines = list(getattr(test_snapshot_speedup, "lines", []))
     lines += list(getattr(test_per_family_snapshot_speedup, "lines", []))
     lines += list(getattr(test_interpreter_fast_path, "lines", []))
     lines.append("Per-sample end-to-end pipeline latency (best of 3, obs off):")
@@ -360,8 +346,6 @@ def test_write_artifacts(family_analyses):
     ENV_PATHS = (
         "snapshot;capture;env_snapshot",
         "snapshot;resume;env_restore",
-        "snapshot;capture;env_pickle",
-        "snapshot;resume;env_unpickle",
     )
     env_self = {path: 0.0 for path in ENV_PATHS}
     grand_self = 0.0

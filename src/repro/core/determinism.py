@@ -96,10 +96,9 @@ def analyze_determinism(
     program: Program,
     run: RunResult,
     event: ApiCallEvent,
-    validate_replay: bool = True,
 ) -> DeterminismResult:
     """Classify ``event``'s identifier and build its deployable artifact."""
-    result = _classify_identifier(program, run, event, validate_replay)
+    result = _classify_identifier(program, run, event)
     flight = obs.flight
     if flight.enabled:
         result.flight_id = flight.record(
@@ -121,7 +120,6 @@ def _classify_identifier(
     program: Program,
     run: RunResult,
     event: ApiCallEvent,
-    validate_replay: bool,
 ) -> DeterminismResult:
     classes = byte_classes(event)
     if not classes:
@@ -166,23 +164,22 @@ def _classify_identifier(
         )
     slice_ = extract_slice(program, run.trace, backward, output_addr, target_event=event)
 
-    if validate_replay:
-        # Sanity: replaying on a clone of the analysis machine must
-        # regenerate the very identifier observed.
-        try:
-            regenerated = replay_slice(slice_, run.environment.clone(), program=program)
-        except SliceReplayError as exc:
-            return DeterminismResult(
-                kind=IdentifierKind.NON_DETERMINISTIC,
-                backward=backward,
-                notes=f"slice replay failed: {exc}",
-            )
-        if regenerated != event.identifier:
-            return DeterminismResult(
-                kind=IdentifierKind.NON_DETERMINISTIC,
-                backward=backward,
-                notes=f"slice replay mismatch: {regenerated!r}",
-            )
+    # Sanity: replaying on a clone of the analysis machine must
+    # regenerate the very identifier observed.
+    try:
+        regenerated = replay_slice(slice_, run.environment.clone(), program=program)
+    except SliceReplayError as exc:
+        return DeterminismResult(
+            kind=IdentifierKind.NON_DETERMINISTIC,
+            backward=backward,
+            notes=f"slice replay failed: {exc}",
+        )
+    if regenerated != event.identifier:
+        return DeterminismResult(
+            kind=IdentifierKind.NON_DETERMINISTIC,
+            backward=backward,
+            notes=f"slice replay mismatch: {regenerated!r}",
+        )
 
     return DeterminismResult(
         kind=IdentifierKind.ALGORITHM_DETERMINISTIC,

@@ -97,19 +97,12 @@ class PipelineConfig:
     """
 
     profile_budget: int = DEFAULT_BUDGET
-    validate_replay: bool = True
-    exclusiveness_enabled: bool = True
     explore_paths: bool = False
     aligner: str = "myers"
-    #: Phase-II impact analysis resumes mutated runs from per-candidate
-    #: checkpoints instead of re-executing the shared prefix.  Results are
-    #: identical either way (the snapshot-equivalence tests pin this); the
-    #: flag exists for the equivalence bench and as an escape hatch.
-    snapshot_impact: bool = True
     #: Compile hot straight-line/loop regions into single-dispatch Python
     #: closures (repro.vm.superblock).  Results are byte-identical either
-    #: way (the differential tests pin this); the flag mirrors
-    #: ``snapshot_impact`` as an escape hatch and for the parity bench.
+    #: way (the differential tests pin this); the flag is an escape hatch
+    #: and drives the parity bench.
     superblock_vm: bool = True
     #: Collect hot-path profiles (``obs.prof``) during analysis.  Part of
     #: the cache fingerprint — not an execution knob — because it changes
@@ -134,10 +127,7 @@ class PipelineConfig:
         return AutoVac(
             aligner=aligner,
             profile_budget=self.profile_budget,
-            validate_replay=self.validate_replay,
-            exclusiveness_enabled=self.exclusiveness_enabled,
             explore_paths=self.explore_paths,
-            snapshot_impact=self.snapshot_impact,
             superblock_vm=self.superblock_vm,
         )
 
@@ -172,26 +162,24 @@ def config_for(autovac: AutoVac) -> PipelineConfig:
             "cannot parallelize: custom aligner callable is not picklable; "
             "use aligner='lcs'/'linear' via PipelineConfig or run with jobs=1"
         )
-    if autovac.run_clinic or autovac.clinic_programs:
+    if autovac.clinic_programs:
         raise ValueError(
             "cannot parallelize: the clinic test shares benign programs "
             "across samples; run with jobs=1"
         )
     from .stages import default_stages
 
-    defaults = default_stages(exclusiveness_enabled=autovac.exclusiveness_enabled)
-    if tuple(type(s) for s in autovac.stages) != tuple(type(s) for s in defaults):
+    # Stages compare by value: a default-typed list with a reparameterized
+    # stage (e.g. ExclusivenessStage(enforce=False)) is custom too.
+    if autovac.stages != default_stages():
         raise ValueError(
             "cannot parallelize: custom stage lists do not ship to workers; "
             "run with jobs=1"
         )
     return PipelineConfig(
         profile_budget=autovac.profile_budget,
-        validate_replay=autovac.validate_replay,
-        exclusiveness_enabled=autovac.exclusiveness_enabled,
         explore_paths=autovac.explore_paths,
         aligner=aligner_name,
-        snapshot_impact=autovac.impact.snapshot_resume,
         superblock_vm=autovac.superblock_vm,
         profile=obs.prof.enabled,
     )

@@ -100,13 +100,13 @@ def _candidate_flight_id(candidate: CandidateResource) -> Optional[int]:
 class ImpactAnalyzer:
     """Runs mutated executions and classifies the behavioural difference.
 
-    ``snapshot_resume`` (default on) runs the natural trace once more with a
+    :meth:`analyze_candidates` runs the natural trace once more with a
     :class:`~repro.core.snapshot.SnapshotRecorder` attached, checkpoints the
     guest at each candidate's first interception site, and resumes every
     mutated run from its checkpoint — identical outcomes, a fraction of the
-    re-executed instructions.  ``snapshot_resume=False`` keeps the legacy
-    full-rerun path (the equivalence bench and tests pin both to the same
-    results).
+    re-executed instructions.  :meth:`analyze` is the full-rerun path: one
+    complete re-execution per candidate and mechanism, used per
+    candidate-mechanism when a capture or a restore fails.
     """
 
     def __init__(
@@ -114,12 +114,10 @@ class ImpactAnalyzer:
         environment: Optional[SystemEnvironment] = None,
         aligner: Aligner = align_myers,
         max_steps: int = DEFAULT_BUDGET,
-        snapshot_resume: bool = True,
     ) -> None:
         self.environment = environment
         self.aligner = aligner
         self.max_steps = max_steps
-        self.snapshot_resume = snapshot_resume
 
     def analyze(
         self,
@@ -140,7 +138,7 @@ class ImpactAnalyzer:
         natural: Trace,
         mechanism: Mechanism,
     ) -> ImpactOutcome:
-        """Legacy path: one full re-execution per candidate x mechanism."""
+        """Full-rerun path: one complete re-execution of the sample."""
         mutation = ResourceMutation(candidate, mechanism)
         flight = obs.flight
         if flight.enabled:
@@ -177,18 +175,13 @@ class ImpactAnalyzer:
     ) -> List[ImpactOutcome]:
         """Analyze every candidate, sharing prefix execution when possible.
 
-        Outcome order matches the legacy loop exactly: candidate-major,
-        mechanism-minor.
+        Outcome order matches a loop of :meth:`analyze` calls exactly:
+        candidate-major, mechanism-minor.
         """
         candidates = list(candidates)
         mechanisms = tuple(mechanisms)
         if not candidates:
             return []
-        if not self.snapshot_resume:
-            outcomes: List[ImpactOutcome] = []
-            for candidate in candidates:
-                outcomes.extend(self.analyze(program, candidate, natural, mechanisms))
-            return outcomes
 
         recorder = SnapshotRecorder(candidates)
         capture_run = run_sample(
@@ -200,12 +193,12 @@ class ImpactAnalyzer:
             on_cpu=recorder.bind,
         )
 
-        outcomes = []
+        outcomes: List[ImpactOutcome] = []
         for candidate in candidates:
             snapshot = recorder.snapshots.get(candidate.key, _UNMATCHED)
             for mechanism in mechanisms:
                 if snapshot is None:
-                    # Capture failed (unpicklable state): full rerun.
+                    # Capture failed: full rerun.
                     outcomes.append(
                         self.analyze_mechanism(program, candidate, natural, mechanism)
                     )
@@ -253,7 +246,7 @@ class ImpactAnalyzer:
                     )
                 except Exception as exc:
                     # A failing restore degrades this one candidate-mechanism
-                    # to the legacy full rerun — the survey never aborts.
+                    # to the full rerun — the survey never aborts.
                     _log.warning(
                         "snapshot resume failed; falling back to full rerun",
                         identifier=candidate.identifier,

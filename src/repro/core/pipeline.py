@@ -267,13 +267,14 @@ class AutoVac:
 
     Parameters mirror the paper's setup: a pristine analysis machine, the
     search engine for exclusiveness, the trace aligner, and the profiling
-    budget (1-minute analogue).  ``exclusiveness_enabled`` and
-    ``run_clinic`` exist for the ablation benches.
+    budget (1-minute analogue).  The clinic test runs when
+    ``clinic_programs`` is non-empty.
 
     ``stages`` makes the pipeline order explicit and reorderable: pass a
     sequence of :class:`~repro.core.stages.Stage` objects to replace the
-    default Figure-1 order (the boolean flags above remain as shims that
-    parameterize :func:`~repro.core.stages.default_stages`).
+    default Figure-1 order (:func:`~repro.core.stages.default_stages`) —
+    e.g. with ``ExclusivenessStage(enforce=False)`` for the exclusiveness
+    ablation.
     """
 
     def __init__(
@@ -283,12 +284,8 @@ class AutoVac:
         aligner: Aligner = align_myers,
         profile_budget: int = DEFAULT_BUDGET,
         clinic_programs: Sequence[Program] = (),
-        validate_replay: bool = True,
-        exclusiveness_enabled: bool = True,
-        run_clinic: bool = False,
         explore_paths: bool = False,
         stages: Optional[Sequence[Stage]] = None,
-        snapshot_impact: bool = True,
         superblock_vm: Optional[bool] = None,
     ) -> None:
         self.environment = environment if environment is not None else SystemEnvironment()
@@ -297,13 +294,9 @@ class AutoVac:
             environment=self.environment,
             aligner=aligner,
             max_steps=profile_budget,
-            snapshot_resume=snapshot_impact,
         )
         self.profile_budget = profile_budget
         self.clinic_programs = list(clinic_programs)
-        self.validate_replay = validate_replay
-        self.exclusiveness_enabled = exclusiveness_enabled
-        self.run_clinic = run_clinic
         #: Superblock tier for every CPU this pipeline runs (fresh runs and
         #: snapshot resumes alike — ``analyze`` scopes the override).
         #: ``None`` inherits the process default (``REPRO_SUPERBLOCKS``).
@@ -314,9 +307,7 @@ class AutoVac:
         #: candidates on dormant paths before Phase II.
         self.explore_paths = explore_paths
         self.stages: Tuple[Stage, ...] = (
-            tuple(stages)
-            if stages is not None
-            else default_stages(exclusiveness_enabled=exclusiveness_enabled)
+            tuple(stages) if stages is not None else default_stages()
         )
 
     # ------------------------------------------------------------------
@@ -385,9 +376,7 @@ class AutoVac:
         det_key = f"{candidate.resource_type.value}:{candidate.identifier}"
         det = analysis.determinism.get(det_key)
         if det is None:
-            det = analyze_determinism(
-                program, phase1.run, event, validate_replay=self.validate_replay
-            )
+            det = analyze_determinism(program, phase1.run, event)
             analysis.determinism[det_key] = det
 
         flight = obs.flight

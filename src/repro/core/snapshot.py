@@ -30,26 +30,16 @@ State is split two ways:
   be used here: it reseeds the RNG and drops handle tables, both of which
   only reset correctly at process spawn, not mid-run.
 
-The legacy one-blob ``pickle.dumps((environment, process))`` capture is
-kept behind a config flag (``REPRO_SNAPSHOT_PICKLE=1`` or
-:func:`pickle_env_overridden`) as a fallback and an equivalence oracle —
-``tests/test_env_snapshot.py`` pins that both paths and the legacy full
-rerun produce byte-identical analyses.
-
-A capture that fails (e.g. an unpicklable global interceptor on the
-fallback path) degrades to the legacy full-rerun path per candidate —
-never to a wrong answer.
+A capture that fails degrades to the full-rerun path per candidate, and
+so does a resume whose restore raises — never to a wrong answer.
 """
 
 from __future__ import annotations
 
 import itertools
-import os
-import pickle
 import time
-from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from .. import obs
 from ..taint.labels import TagSet
@@ -66,43 +56,6 @@ if TYPE_CHECKING:  # pragma: no cover - annotations only
     from .candidate import CandidateResource
 
 _log = obs.get_logger("snapshot")
-
-# -- pickle-fallback flag (mirrors vm.superblock's env/override plumbing) ----
-
-#: Environment default: set REPRO_SNAPSHOT_PICKLE=1 to capture the guest
-#: environment as the legacy pickle blob instead of the structured rows.
-_ENV_DEFAULT = os.environ.get("REPRO_SNAPSHOT_PICKLE", "0").lower() not in (
-    "0",
-    "",
-    "false",
-)
-_override: Optional[bool] = None
-
-
-def pickle_env_default() -> bool:
-    """Is the legacy pickle-blob environment capture currently selected?"""
-    return _ENV_DEFAULT if _override is None else _override
-
-
-@contextmanager
-def pickle_env_overridden(enabled: Optional[bool]) -> Iterator[None]:
-    """Force the environment-capture strategy within a scope.
-
-    ``True`` selects the legacy pickle blob, ``False`` the structured
-    restore, ``None`` leaves the ambient default alone (so callers can
-    thread an optional config value through unconditionally).
-    """
-    global _override
-    if enabled is None:
-        yield
-        return
-    previous = _override
-    _override = enabled
-    try:
-        yield
-    finally:
-        _override = previous
-
 
 def mutation_matches(candidate: "CandidateResource", event: ApiCallEvent) -> bool:
     """Does this API call touch the candidate resource?
@@ -141,12 +94,9 @@ class VmSnapshot:
     mem_readonly: List[Tuple[int, int]]
     api_calls: List[ApiCallEvent]
     predicates: List[TaintedPredicateEvent]
-    #: Structured environment capture (the default path): plain-data rows
-    #: with handle->resource identity carried by an explicit id-map.
-    env_state: Optional[EnvSnapshot] = None
-    #: Legacy fallback — ``pickle.dumps((environment, process))``: one blob,
-    #: one memo, selected via ``REPRO_SNAPSHOT_PICKLE``/``pickle_env_overridden``.
-    env_blob: Optional[bytes] = None
+    #: Structured environment capture: plain-data rows with
+    #: handle->resource identity carried by an explicit id-map.
+    env_state: EnvSnapshot
 
     @classmethod
     def capture(cls, cpu: CPU, event: ApiCallEvent) -> "VmSnapshot":
@@ -160,20 +110,7 @@ class VmSnapshot:
         memory = cpu.memory
         prof = obs.prof if obs.prof.enabled else None
         t_start = time.perf_counter() if prof is not None else 0.0
-        env_state: Optional[EnvSnapshot] = None
-        env_blob: Optional[bytes] = None
-        if pickle_env_default():
-            if prof is not None:
-                t0 = time.perf_counter()
-                env_blob = pickle.dumps(
-                    (cpu.environment, cpu.process), pickle.HIGHEST_PROTOCOL
-                )
-                prof.add("snapshot;capture;env_pickle", time.perf_counter() - t0)
-            else:
-                env_blob = pickle.dumps(
-                    (cpu.environment, cpu.process), pickle.HIGHEST_PROTOCOL
-                )
-        elif prof is not None:
+        if prof is not None:
             t0 = time.perf_counter()
             env_state = EnvSnapshot.capture(cpu.environment, cpu.process)
             prof.add("snapshot;capture;env_snapshot", time.perf_counter() - t0)
@@ -196,7 +133,6 @@ class VmSnapshot:
             api_calls=list(cpu.trace.api_calls),
             predicates=list(cpu.trace.predicates),
             env_state=env_state,
-            env_blob=env_blob,
         )
         if prof is not None:
             prof.add("snapshot;capture", time.perf_counter() - t_start)
@@ -212,9 +148,8 @@ class VmSnapshot:
     ) -> CPU:
         """Reconstruct a runnable CPU from this checkpoint.
 
-        Each call restores an independent environment (structured rows are
-        rebuilt fresh; on the fallback path the blob is unpickled fresh),
-        so one snapshot can seed both mutation mechanisms without
+        Each call restores an independent environment (the structured rows
+        are rebuilt fresh), so one snapshot can seed both mutation mechanisms without
         cross-contamination.
 
         Superblock mode re-arms naturally: :meth:`CPU.resume` rebuilds the
@@ -227,19 +162,12 @@ class VmSnapshot:
 
         prof = obs.prof if obs.prof.enabled else None
         t_start = time.perf_counter() if prof is not None else 0.0
-        if self.env_state is not None:
-            if prof is not None:
-                t0 = time.perf_counter()
-                environment, process = self.env_state.restore()
-                prof.add("snapshot;resume;env_restore", time.perf_counter() - t0)
-            else:
-                environment, process = self.env_state.restore()
-        elif prof is not None:
+        if prof is not None:
             t0 = time.perf_counter()
-            environment, process = pickle.loads(self.env_blob)
-            prof.add("snapshot;resume;env_unpickle", time.perf_counter() - t0)
+            environment, process = self.env_state.restore()
+            prof.add("snapshot;resume;env_restore", time.perf_counter() - t0)
         else:
-            environment, process = pickle.loads(self.env_blob)
+            environment, process = self.env_state.restore()
         all_interceptors = list(environment.global_interceptors)
         all_interceptors.extend(interceptors or [])
         dispatcher = Dispatcher(environment, process, interceptors=all_interceptors)
@@ -295,7 +223,7 @@ class SnapshotRecorder:
         self.pending: Dict[tuple, "CandidateResource"] = {
             c.key: c for c in candidates
         }
-        #: candidate.key -> VmSnapshot (None: capture failed, use legacy).
+        #: candidate.key -> VmSnapshot (None: capture failed, rerun in full).
         self.snapshots: Dict[tuple, Optional[VmSnapshot]] = {}
         self.cpu: Optional[CPU] = None
 
@@ -343,6 +271,4 @@ __all__ = [
     "SnapshotRecorder",
     "VmSnapshot",
     "mutation_matches",
-    "pickle_env_default",
-    "pickle_env_overridden",
 ]

@@ -11,8 +11,9 @@ method.  Each stage decides:
 * :meth:`Stage.run` — the actual work, reading and writing the context.
 
 The default order reproduces the paper's pipeline exactly; ablation benches
-can now pass a reduced or reordered stage list instead of boolean flags
-(the flags remain as thin shims that parameterize the default stages).
+pass a reduced, reordered or reparameterized stage list.  Stages compare
+by value (type and attributes), so a pipeline can tell whether its list is
+the default one.
 """
 
 from __future__ import annotations
@@ -64,6 +65,12 @@ class Stage:
 
     def run(self, ctx: AnalysisContext, span: "Span") -> None:
         raise NotImplementedError
+
+    def __eq__(self, other: object) -> bool:
+        return type(self) is type(other) and vars(self) == vars(other)
+
+    def __hash__(self) -> int:
+        return hash(type(self))
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"{type(self).__name__}({self.name!r})"
@@ -125,8 +132,7 @@ class ExclusivenessStage(Stage):
     """Phase II step I — drop candidates benign software also uses.
 
     ``enforce=False`` keeps the span (with its ``kept`` attribute) but lets
-    every candidate through — the ablation shim for
-    ``exclusiveness_enabled=False``."""
+    every candidate through — the exclusiveness ablation."""
 
     name = "exclusiveness"
 
@@ -220,15 +226,14 @@ class PolicyStage(Stage):
 
 class ClinicStage(Stage):
     """Phase II step IV — benign-interference test; discards implicated
-    vaccines and clinic-certifies the temporal policy.  Skipped unless
-    ``run_clinic`` is on and there is something to test."""
+    vaccines and clinic-certifies the temporal policy.  Skipped unless the
+    pipeline has clinic programs and there is something to test."""
 
     name = "clinic"
 
     def ready(self, ctx: AnalysisContext) -> bool:
         return (
             not ctx.done
-            and ctx.pipeline.run_clinic
             and bool(ctx.analysis.vaccines or ctx.analysis.policy)
             and bool(ctx.pipeline.clinic_programs)
         )
@@ -254,13 +259,13 @@ class ClinicStage(Stage):
             )
 
 
-def default_stages(exclusiveness_enabled: bool = True) -> Tuple[Stage, ...]:
+def default_stages() -> Tuple[Stage, ...]:
     """The paper's pipeline order (Figure 1), plus policy synthesis after
     determinism — both deliverables come out of one pass."""
     return (
         Phase1Stage(),
         ExplorationStage(),
-        ExclusivenessStage(enforce=exclusiveness_enabled),
+        ExclusivenessStage(),
         ImpactStage(),
         DeterminismStage(),
         PolicyStage(),

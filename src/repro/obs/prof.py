@@ -14,8 +14,7 @@ without ad-hoc cProfile runs:
   so body time is the handler node's *self* time;
 * **snapshot capture/resume** — ``snapshot;capture`` /
   ``snapshot;resume`` with the structured environment walk as
-  ``env_snapshot`` / ``env_restore`` child nodes (``env_pickle`` /
-  ``env_unpickle`` on the legacy blob fallback);
+  ``env_snapshot`` / ``env_restore`` child nodes;
 * **rule matching** — ``rules;daemon`` / ``rules;clinic`` /
   ``rules;campaign``, one node per :class:`~repro.delivery.engine.RuleEngine`
   consumer.

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import enum
 import time
+from functools import partial
 from typing import Callable, Dict, List, Optional, Tuple
 
 from .. import obs
@@ -91,26 +92,55 @@ _VM_FLUSH_CACHE = _VmFlushCache()
 
 
 class _ProfAcc:
-    """Per-run tier-time accumulator for the profiled execution loop.
+    """Per-run tier-time accumulator, present only while ``obs.prof`` is on.
 
-    Plain attributes only — the profiled loops accumulate locally and flush
-    once into ``obs.prof`` when the run ends (same once-per-run discipline
-    as ``_flush_obs``), so even profiling-on overhead stays at segment
-    granularity, not per instruction.
+    The execution loops test ``acc is not None`` only at region dispatch,
+    at slow steps and at tier transitions — never on the fast loop's
+    per-instruction path — accumulate into plain attributes, and flush once
+    into ``obs.prof`` when the run ends (same once-per-run discipline as
+    ``_flush_obs``), so even profiling-on overhead stays at segment
+    granularity.
     """
 
-    __slots__ = ("slow_s", "slow_n", "fast_s", "fast_n", "regions", "guard_exits")
+    __slots__ = ("slow_s", "slow_n", "fast_s", "fast_n", "region_s", "region_n", "regions")
 
     def __init__(self) -> None:
         self.slow_s = 0.0
         self.slow_n = 0
         self.fast_s = 0.0
         self.fast_n = 0
+        #: Time and steps spent in region dispatches; the fast loop
+        #: subtracts what accrued during its segment from its own node.
+        self.region_s = 0.0
+        self.region_n = 0
         #: region entry idx -> [entries, seconds] (one profile node each).
         self.regions: Dict[int, list] = {}
-        self.guard_exits = 0
 
-    def flush(self, prof) -> None:
+    def step(self, cpu: "CPU") -> None:
+        """One exact slow step, timed into ``vm;slow``."""
+        t0 = time.perf_counter()
+        cpu.step()
+        self.slow_s += time.perf_counter() - t0
+        self.slow_n += 1
+
+    def dispatch(self, cpu: "CPU", entry: int, fn: Callable):
+        """One compiled-region dispatch, timed into the region's node (a
+        refused dispatch adds its time but no entry)."""
+        cell = self.regions.get(entry)
+        if cell is None:
+            cell = self.regions[entry] = [0, 0.0]
+        before = cpu.steps
+        t0 = time.perf_counter()
+        r = fn(cpu)
+        dt = time.perf_counter() - t0
+        cell[1] += dt
+        self.region_s += dt
+        self.region_n += cpu.steps - before
+        if r:
+            cell[0] += 1
+        return r
+
+    def flush(self, prof, guard_exits: int) -> None:
         if self.slow_n:
             prof.add("vm;slow", self.slow_s, self.slow_n)
         if self.fast_n:
@@ -118,10 +148,10 @@ class _ProfAcc:
         for idx in sorted(self.regions):
             entries, seconds = self.regions[idx]
             prof.add(f"vm;superblock;region@0x{TEXT_BASE + idx:08x}", seconds, entries)
-        if self.guard_exits:
+        if guard_exits:
             # Count-only: the refused dispatch's time is already attributed
             # to its region node.
-            prof.add("vm;superblock;guard_exit", 0.0, self.guard_exits)
+            prof.add("vm;superblock;guard_exit", 0.0, guard_exits)
 
 
 class CPU:
@@ -513,38 +543,53 @@ class CPU:
         3. compiled superblocks — one dispatch per hot region, entered from
            the fast loop *and*, behind taint guards, from ``_run_superblocks``
            while taint is live.
+
+        With ``obs.prof`` enabled the same loops attribute wall time per
+        tier through a :class:`_ProfAcc`: contiguous slow steps batch
+        behind one timer pair, the fast loop is timed per invocation, and
+        compiled regions per dispatch.
         """
         if self._allow_fast:
             # Callers may have injected taint by hand before run().
             self._fast_mode = not self._taint_live()
         prof = obs.prof
-        if prof.enabled:
-            # Profiling is opt-in: the normal loop below stays untouched
-            # (zero added branches) and the profiled twin pays for its
-            # tier-segment timers only when somebody asked for attribution.
-            self._run_loop_profiled(prof)
-        else:
-            guarded = self._allow_fast and self._superblocks is not None
-            entries = self._superblocks.entries if guarded else None
+        acc = _ProfAcc() if prof.enabled else None
+        guard_exits0 = self._sb_guard_exits
+        step = self.step if acc is None else partial(acc.step, self)
+        guarded = self._allow_fast and self._superblocks is not None
+        entries = self._superblocks.entries if guarded else None
+        try:
             while self.status is ExitStatus.RUNNING:
                 if self._fast_mode:
-                    self._run_fast()
+                    self._run_fast(acc)
                     if self.status is not ExitStatus.RUNNING:
                         break
                     # The instruction the fast loop bailed on (an API
                     # call, typically) needs one full slow step.
-                    self.step()
+                    step()
                 elif entries is not None:
                     # Taint is live: dispatch guarded superblocks, chain
                     # between them, and take exact slow steps internally
                     # between regions.  Control only comes back here when
                     # the run ended, the fast path became legal again, or
                     # the pc left .text (the step below raises the fault).
-                    self._run_superblocks()
+                    self._run_superblocks(acc)
                     if self.status is ExitStatus.RUNNING and not self._fast_mode:
-                        self.step()
+                        step()
                 else:
-                    self.step()
+                    # Pure slow tier: contiguous slow steps batch behind
+                    # one timer pair.
+                    if acc is not None:
+                        t0 = time.perf_counter()
+                        steps0 = self.steps
+                    while self.status is ExitStatus.RUNNING and not self._fast_mode:
+                        self.step()
+                    if acc is not None:
+                        acc.slow_s += time.perf_counter() - t0
+                        acc.slow_n += self.steps - steps0
+        finally:
+            if acc is not None:
+                acc.flush(prof, self._sb_guard_exits - guard_exits0)
         self.trace.exit_status = self.status.value
         self.trace.steps = self.steps
         if self.process is not None and self.process.exit_code is not None:
@@ -552,7 +597,7 @@ class CPU:
         self._flush_obs()
         return self.trace
 
-    def _run_fast(self) -> None:
+    def _run_fast(self, acc: Optional[_ProfAcc]) -> None:
         """Inner interpreter loop while no live taint exists.
 
         Executes predecoded untainted handlers back to back — no def/use
@@ -560,7 +605,8 @@ class CPU:
         returns to the full loop at the first instruction without a fast
         form (an API call, or any terminal condition).  Hot region entries
         dispatch once into a compiled superblock instead of once per
-        instruction."""
+        instruction.  Under profiling the whole segment is timed once and
+        region dispatches individually; the difference is ``vm;fast``."""
         decoded = self._decoded
         n = len(decoded)
         base = TEXT_BASE
@@ -568,6 +614,11 @@ class CPU:
         sb = self._superblocks
         entries = sb.entries if sb is not None else None
         entered = guards = 0
+        if acc is not None:
+            steps0 = self.steps
+            region_s0 = acc.region_s
+            region_n0 = acc.region_n
+            t_start = time.perf_counter()
         try:
             while True:
                 if self.steps >= max_steps:
@@ -585,7 +636,7 @@ class CPU:
                         if fn is None:
                             fn = region.warm()
                         if fn is not None:
-                            r = fn(self)
+                            r = fn(self) if acc is None else acc.dispatch(self, idx, fn)
                             if r:
                                 entered += 1
                                 if self.status is not ExitStatus.RUNNING:
@@ -602,7 +653,10 @@ class CPU:
                                     nfn = r.fn
                                     if nfn is None:
                                         break  # cold successor: probe warms it
-                                    r2 = nfn(self)
+                                    if acc is None:
+                                        r2 = nfn(self)
+                                    else:
+                                        r2 = acc.dispatch(self, r.entry, nfn)
                                     if not r2:
                                         break  # refusal: probe re-counts it
                                     entered += 1
@@ -633,8 +687,12 @@ class CPU:
             if sb is not None:
                 self._sb_entries += entered
                 self._sb_guard_exits += guards
+            if acc is not None:
+                elapsed = time.perf_counter() - t_start
+                acc.fast_s += elapsed - (acc.region_s - region_s0)
+                acc.fast_n += (self.steps - steps0) - (acc.region_n - region_n0)
 
-    def _run_superblocks(self) -> None:
+    def _run_superblocks(self, acc: Optional[_ProfAcc]) -> None:
         """Dispatch compiled regions while live taint exists (tier 3).
 
         Each region's closure re-checks its own guards (untainted
@@ -647,11 +705,13 @@ class CPU:
         a cold, futile, or refused region — is executed with exact slow
         steps *here*, re-probing after each, so control returns to
         ``run()`` only when the run ended, the fast path became legal
-        again, or the pc left .text."""
+        again, or the pc left .text.  Under profiling each dispatch and
+        each slow step is timed."""
         entries = self._superblocks.entries
         n = len(entries)
         base = TEXT_BASE
         futile_limit = superblock_mod.FUTILE_LIMIT
+        step = self.step if acc is None else partial(acc.step, self)
         entered = guards = 0
         region = None
         try:
@@ -665,7 +725,7 @@ class CPU:
                     # No region at this pc, or one persistently tainted:
                     # one exact slow step, then re-probe.
                     region = None
-                    self.step()
+                    step()
                     if self.status is not ExitStatus.RUNNING or self._fast_mode:
                         return
                     continue
@@ -675,18 +735,18 @@ class CPU:
                     if fn is None:
                         # Still cold: step through it per-instruction.
                         region = None
-                        self.step()
+                        step()
                         if self.status is not ExitStatus.RUNNING or self._fast_mode:
                             return
                         continue
                 before = self.steps
-                r = fn(self)
+                r = fn(self) if acc is None else acc.dispatch(self, region.entry, fn)
                 if not r:
                     # Guard refusal: replay the guarded instruction exactly.
                     region.futile += 1
                     guards += 1
                     region = None
-                    self.step()
+                    step()
                     if self.status is not ExitStatus.RUNNING or self._fast_mode:
                         return
                     continue
@@ -697,239 +757,6 @@ class CPU:
                     region.futile += 1
                 else:
                     region.futile = 0
-                entered += 1
-                if self.status is not ExitStatus.RUNNING:
-                    return
-                region = r if r is not True else None
-        finally:
-            self._sb_entries += entered
-            self._sb_guard_exits += guards
-
-    # ------------------------------------------------------------------
-    # profiled execution loop (obs.prof enabled)
-    # ------------------------------------------------------------------
-
-    def _run_loop_profiled(self, prof) -> None:
-        """Profiled twin of the ``run()`` loop: identical control flow and
-        machine semantics, plus per-tier wall-time attribution.
-
-        Timers wrap tier *segments*, never single instructions: contiguous
-        slow steps batch behind one ``perf_counter`` pair, the fast loop is
-        timed per invocation, and compiled regions per dispatch — so the
-        profiled trees stay deterministic in structure/counts while the
-        timing overhead stays a few percent even with profiling on.
-        """
-        perf = time.perf_counter
-        acc = _ProfAcc()
-        guarded = self._allow_fast and self._superblocks is not None
-        entries = self._superblocks.entries if guarded else None
-        try:
-            while self.status is ExitStatus.RUNNING:
-                if self._fast_mode:
-                    self._run_fast_profiled(acc)
-                    if self.status is not ExitStatus.RUNNING:
-                        break
-                    # The instruction the fast loop bailed on (an API call,
-                    # typically) needs one full slow step.
-                    t0 = perf()
-                    self.step()
-                    acc.slow_s += perf() - t0
-                    acc.slow_n += 1
-                elif entries is not None:
-                    # Taint tier: region dispatches, chains and the exact
-                    # slow steps between regions all happen (and are
-                    # attributed) inside the twin; the trailing slow step
-                    # here only fires for an out-of-text pc (mirrors run()).
-                    self._run_superblocks_profiled(acc)
-                    if self.status is ExitStatus.RUNNING and not self._fast_mode:
-                        t0 = perf()
-                        self.step()
-                        acc.slow_s += perf() - t0
-                        acc.slow_n += 1
-                else:
-                    # Pure slow tier: batch contiguous slow steps behind
-                    # one timer pair.
-                    t0 = perf()
-                    steps0 = self.steps
-                    while self.status is ExitStatus.RUNNING and not self._fast_mode:
-                        self.step()
-                    acc.slow_s += perf() - t0
-                    acc.slow_n += self.steps - steps0
-        finally:
-            acc.flush(prof)
-
-    def _run_fast_profiled(self, acc: "_ProfAcc") -> None:
-        """Profiled twin of ``_run_fast``: one timer pair around the whole
-        segment, one per compiled-region dispatch; the difference is
-        attributed to the predecoded fast loop (``vm;fast``)."""
-        perf = time.perf_counter
-        decoded = self._decoded
-        n = len(decoded)
-        base = TEXT_BASE
-        max_steps = self.max_steps
-        sb = self._superblocks
-        entries = sb.entries if sb is not None else None
-        entered = guards = 0
-        regions = acc.regions
-        steps0 = self.steps
-        sb_steps = 0
-        sb_s = 0.0
-        t_start = perf()
-        try:
-            while True:
-                if self.steps >= max_steps:
-                    self.status = ExitStatus.BUDGET
-                    return
-                idx = self.pc - base
-                if not 0 <= idx < n:
-                    self.status = ExitStatus.FAULT
-                    self.fault_reason = f"pc 0x{self.pc:08x} outside .text"
-                    return
-                if entries is not None:
-                    region = entries[idx]
-                    if region is not None:
-                        fn = region.fn
-                        if fn is None:
-                            fn = region.warm()
-                        if fn is not None:
-                            cell = regions.get(idx)
-                            if cell is None:
-                                cell = regions[idx] = [0, 0.0]
-                            before = self.steps
-                            t0 = perf()
-                            r = fn(self)
-                            dt = perf() - t0
-                            sb_s += dt
-                            cell[1] += dt
-                            sb_steps += self.steps - before
-                            if r:
-                                cell[0] += 1
-                                entered += 1
-                                if self.status is not ExitStatus.RUNNING:
-                                    return
-                                # Region chaining (mirrors _run_fast): a
-                                # returned Region dispatches directly, timed
-                                # into its own node; a refusal or a cold
-                                # successor falls back to the probe.
-                                while r is not True:
-                                    nfn = r.fn
-                                    if nfn is None:
-                                        break  # cold successor: probe warms it
-                                    cell = regions.get(r.entry)
-                                    if cell is None:
-                                        cell = regions[r.entry] = [0, 0.0]
-                                    before = self.steps
-                                    t0 = perf()
-                                    r2 = nfn(self)
-                                    dt = perf() - t0
-                                    sb_s += dt
-                                    cell[1] += dt
-                                    sb_steps += self.steps - before
-                                    if not r2:
-                                        break  # refusal: probe re-counts it
-                                    cell[0] += 1
-                                    entered += 1
-                                    if self.status is not ExitStatus.RUNNING:
-                                        return
-                                    r = r2
-                                continue
-                            # Guard refused (chunked budget here; taint
-                            # guards cannot fire in fast mode): execute the
-                            # region per-instruction instead.
-                            guards += 1
-                            acc.guard_exits += 1
-                fast = decoded[idx][1]
-                if fast is None:
-                    return
-                pc = self.pc
-                self.steps += 1
-                self.pc = pc + 1  # default fallthrough; jumps overwrite
-                try:
-                    fast(self)
-                except (MemoryFault, CpuFault) as exc:
-                    self.status = ExitStatus.FAULT
-                    # pc has already advanced; name the faulting instruction.
-                    self.fault_reason = f"{exc} (pc 0x{pc:08x})"
-                    return
-                if self.status is not ExitStatus.RUNNING:
-                    return
-        finally:
-            if sb is not None:
-                self._sb_entries += entered
-                self._sb_guard_exits += guards
-            acc.fast_s += (perf() - t_start) - sb_s
-            acc.fast_n += (self.steps - steps0) - sb_steps
-
-    def _run_superblocks_profiled(self, acc: "_ProfAcc") -> None:
-        """Profiled twin of ``_run_superblocks``: identical control flow
-        (chaining, internal exact slow steps between regions), with
-        per-dispatch timing keyed by region entry pc and the internal slow
-        steps attributed to ``vm;slow``."""
-        perf = time.perf_counter
-        entries = self._superblocks.entries
-        n = len(entries)
-        base = TEXT_BASE
-        futile_limit = superblock_mod.FUTILE_LIMIT
-        entered = guards = 0
-        regions = acc.regions
-        region = None
-        try:
-            while True:
-                if region is None:
-                    idx = self.pc - base
-                    if not 0 <= idx < n:
-                        return  # the trailing slow step raises the fault
-                    region = entries[idx]
-                if region is None or region.futile >= futile_limit:
-                    region = None
-                    t0 = perf()
-                    self.step()
-                    acc.slow_s += perf() - t0
-                    acc.slow_n += 1
-                    if self.status is not ExitStatus.RUNNING or self._fast_mode:
-                        return
-                    continue
-                fn = region.fn
-                if fn is None:
-                    fn = region.warm()
-                    if fn is None:
-                        # Still cold: step through it per-instruction.
-                        region = None
-                        t0 = perf()
-                        self.step()
-                        acc.slow_s += perf() - t0
-                        acc.slow_n += 1
-                        if self.status is not ExitStatus.RUNNING or self._fast_mode:
-                            return
-                        continue
-                cell = regions.get(region.entry)
-                if cell is None:
-                    cell = regions[region.entry] = [0, 0.0]
-                before = self.steps
-                t0 = perf()
-                r = fn(self)
-                cell[1] += perf() - t0
-                if not r:
-                    # Guard refusal: replay the guarded instruction exactly.
-                    region.futile += 1
-                    guards += 1
-                    acc.guard_exits += 1
-                    region = None
-                    t0 = perf()
-                    self.step()
-                    acc.slow_s += perf() - t0
-                    acc.slow_n += 1
-                    if self.status is not ExitStatus.RUNNING or self._fast_mode:
-                        return
-                    continue
-                if self.steps - before <= 1:
-                    # Bailed after a single step: an entry that keeps paying
-                    # the exception for one instruction of progress is
-                    # futile too.
-                    region.futile += 1
-                else:
-                    region.futile = 0
-                cell[0] += 1
                 entered += 1
                 if self.status is not ExitStatus.RUNNING:
                     return

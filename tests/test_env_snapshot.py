@@ -1,21 +1,16 @@
 """Structured environment snapshots (``repro.winenv.snapshot``, PR 10).
 
-Covers the restore semantics the pickle blob used to get for free — handle
-identity, deleted-but-open orphans, phantom handles, the RNG mid-sequence —
-plus the legacy-blob equivalence oracle, ``Memory.restore`` completeness,
-and chaos degradation (an injected restore fault must cost a full rerun for
-that candidate, never the survey).
+Covers the restore semantics a pickle round-trip would get for free —
+handle identity, deleted-but-open orphans, phantom handles, the RNG
+mid-sequence — plus ``Memory.restore`` completeness and chaos degradation
+(an injected restore fault must cost a full rerun for that candidate, never
+the survey).
 """
 
 from __future__ import annotations
 
-import pytest
-
 from repro.core.candidate import select_candidates
 from repro.core.impact import ImpactAnalyzer
-from repro.core.pipeline import AutoVac
-from repro.core.snapshot import pickle_env_default, pickle_env_overridden
-from repro.tracing import serialize
 from repro.vm.memory import Memory
 from repro.winenv import IntegrityLevel, ResourceType, SystemEnvironment
 from repro.winenv.objects import HandleKind, Resource
@@ -235,33 +230,6 @@ class TestLazyNamespaces:
         assert env3.services.lookup("svc").name == "svc"
 
 
-class TestPickleFallbackOracle:
-    """The legacy blob is kept as an equivalence oracle behind a flag."""
-
-    def test_default_is_structured(self):
-        assert pickle_env_default() is False
-
-    def test_override_scopes_and_restores(self):
-        with pickle_env_overridden(True):
-            assert pickle_env_default() is True
-            with pickle_env_overridden(None):  # None leaves ambient alone
-                assert pickle_env_default() is True
-        assert pickle_env_default() is False
-
-    @pytest.mark.parametrize("family", ["conficker", "zeus"])
-    def test_blob_and_structured_analyses_identical(self, family, family_programs):
-        program = family_programs[family]
-        structured = AutoVac(snapshot_impact=True).analyze(program)
-        with pickle_env_overridden(True):
-            blob = AutoVac(snapshot_impact=True).analyze(program)
-        enc_s = serialize.analysis_to_dict(structured)
-        enc_b = serialize.analysis_to_dict(blob)
-        for enc in (enc_s, enc_b):
-            enc.pop("span", None)
-            enc.pop("journal", None)
-        assert enc_s == enc_b
-
-
 class TestMemoryRestore:
     def test_restores_every_memory_attribute(self):
         """``Memory.restore`` must account for every attribute ``__init__``
@@ -286,7 +254,7 @@ class TestMemoryRestore:
 
 class TestChaosDegradation:
     """An injected restore fault degrades one candidate-mechanism to the
-    legacy full rerun; outcomes stay identical and the survey completes."""
+    full rerun; outcomes stay identical and the survey completes."""
 
     def _candidates(self, program):
         report = select_candidates(program)
@@ -303,14 +271,13 @@ class TestChaosDegradation:
         report, candidates = self._candidates(program)
         assert candidates
 
-        legacy = ImpactAnalyzer(snapshot_resume=False).analyze_candidates(
-            program, candidates, report.trace
-        )
+        analyzer = ImpactAnalyzer()
+        legacy = [
+            o for c in candidates for o in analyzer.analyze(program, c, report.trace)
+        ]
         monkeypatch.setattr(env_snapshot_mod, "_FAULT_EVERY", 1)
         monkeypatch.setattr(env_snapshot_mod, "_restore_count", 0)
-        degraded = ImpactAnalyzer(snapshot_resume=True).analyze_candidates(
-            program, candidates, report.trace
-        )
+        degraded = analyzer.analyze_candidates(program, candidates, report.trace)
         assert env_snapshot_mod._restore_count > 0  # faults actually fired
         def verdicts(outcomes):
             return {
@@ -337,7 +304,7 @@ class TestChaosDegradation:
         monkeypatch.setattr(env_snapshot_mod, "_FAULT_EVERY", 2)
         monkeypatch.setattr(env_snapshot_mod, "_restore_count", 0)
         obs.reset()
-        outcomes = ImpactAnalyzer(snapshot_resume=True).analyze_candidates(
+        outcomes = ImpactAnalyzer().analyze_candidates(
             program, candidates, report.trace
         )
         assert outcomes  # survey completed despite every-other restore failing

@@ -24,6 +24,7 @@ from repro.core.executor import (
     config_for,
 )
 from repro.core.pipeline import PopulationResult
+from repro.core.stages import ExclusivenessStage, default_stages
 from repro.corpus import GeneratorConfig, build_family, generate_population
 from repro.obs.metrics import MetricsRegistry
 
@@ -305,7 +306,7 @@ class TestConfigPlumbing:
         assert vaccine_bytes(result) == vaccine_bytes(reference)
 
     def test_config_for_rejects_clinic(self):
-        autovac = AutoVac(run_clinic=True, clinic_programs=[build_family("zeus")])
+        autovac = AutoVac(clinic_programs=[build_family("zeus")])
         with pytest.raises(ValueError, match="clinic"):
             config_for(autovac)
 
@@ -314,16 +315,22 @@ class TestConfigPlumbing:
         with pytest.raises(ValueError, match="aligner"):
             config_for(autovac)
 
-    def test_config_for_round_trips_flags(self):
-        autovac = AutoVac(explore_paths=True, exclusiveness_enabled=False,
-                          profile_budget=12_345, validate_replay=False)
-        cfg = config_for(autovac)
-        assert cfg == PipelineConfig(
-            profile_budget=12_345,
-            validate_replay=False,
-            exclusiveness_enabled=False,
-            explore_paths=True,
+    def test_config_for_rejects_reparameterized_stage(self):
+        """Stage lists compare by value: a default-typed list whose
+        exclusiveness stage lets everything through must not ship the
+        filtering default to workers."""
+        stages = tuple(
+            ExclusivenessStage(enforce=False) if isinstance(s, ExclusivenessStage) else s
+            for s in default_stages()
         )
+        programs = [build_family("sality"), build_family("zeus")]
+        with pytest.raises(ValueError, match="custom stage lists"):
+            AutoVac(stages=stages).analyze_population(programs, jobs=2)
+
+    def test_config_for_round_trips_flags(self):
+        autovac = AutoVac(explore_paths=True, profile_budget=12_345)
+        cfg = config_for(autovac)
+        assert cfg == PipelineConfig(profile_budget=12_345, explore_paths=True)
 
     def test_unknown_aligner_name_raises(self):
         with pytest.raises(ValueError, match="unknown aligner"):

@@ -44,15 +44,6 @@ def fast_config(**kw) -> PipelineConfig:
     return PipelineConfig(**kw)
 
 
-def semantic_payload(analysis) -> str:
-    """Encoded analysis minus the wall-clock fields (span durations,
-    phase timings) that differ between *any* two runs."""
-    payload = serialize.analysis_to_dict(analysis)
-    payload.pop("span", None)
-    payload.pop("timings", None)
-    return json.dumps(payload, sort_keys=True, default=repr)
-
-
 def failure_table(result):
     return [(f.sample, f.kind, f.attempts) for f in result.failed()]
 
@@ -182,11 +173,11 @@ class TestParallelFailures:
         ]
         failed_names = {f.sample for f in result.failed()}
         expected = [
-            semantic_payload(a)
+            serialize.analysis_fingerprint(a)
             for a in baseline.analyses
             if a.program.name not in failed_names
         ]
-        assert [semantic_payload(a) for a in result.analyses] == expected
+        assert [serialize.analysis_fingerprint(a) for a in result.analyses] == expected
 
     def test_retry_succeeds_on_attempt_two(self, programs):
         obs.reset()

@@ -4,6 +4,7 @@ import pytest
 
 from repro import AutoVac, SystemEnvironment, VaccinePackage, deploy
 from repro.core import DeliveryKind, IdentifierKind, Immunization, Mechanism, run_sample
+from repro.core.stages import ExclusivenessStage, default_stages
 from repro.corpus import (
     benign_suite,
     build_control_dependence_evader,
@@ -120,12 +121,16 @@ class TestImmunizationEndToEnd:
 class TestPipelineControls:
     def test_exclusiveness_disabled_yields_more_candidates(self, family_programs):
         program = build_family("sality")
-        with_excl = AutoVac(exclusiveness_enabled=True).analyze(program)
-        without = AutoVac(exclusiveness_enabled=False).analyze(program)
+        no_filter = tuple(
+            ExclusivenessStage(enforce=False) if isinstance(s, ExclusivenessStage) else s
+            for s in default_stages()
+        )
+        with_excl = AutoVac().analyze(program)
+        without = AutoVac(stages=no_filter).analyze(program)
         assert len(without.vaccines) >= len(with_excl.vaccines)
 
     def test_clinic_integration(self, family_programs, benign_programs):
-        av = AutoVac(clinic_programs=benign_programs, run_clinic=True)
+        av = AutoVac(clinic_programs=benign_programs)
         analysis = av.analyze(family_programs["zeus"])
         assert analysis.clinic is not None
         assert analysis.clinic.clean
