@@ -1,23 +1,11 @@
-"""Hot-path profiler (``repro.obs.prof``) performance: the cheap-hook
-contract, and the profiler's own latency baseline.
+"""Hot-path profiler (``repro.obs.prof``) latency baseline.
 
-Two claims are pinned (PR 9):
-
-* **off-path overhead** — the cheap-hook contract from PR 1/4/6: with the
-  profiler merged but *disabled* (the default), every hook site (API
-  dispatch, the VM run loop, snapshot capture/resume, rule matching) pays
-  a cached ``None``/``enabled`` test and nothing else, so the default
-  pipeline stays within 5% of ``obs.disabled()``.  The *enabled* cost is
-  reported alongside with a loose pathology bound: attribution mode is
-  opt-in diagnostics, and its timers wrap tier segments (one
-  ``perf_counter`` pair per contiguous slow run, fast-loop entry, region
-  dispatch, API call) — a regression to per-instruction timing shows up
-  as a multiple of the bound, not a few percent.
-* **latency baseline** — per-case batch times for the profiled pipeline
-  and the export path (merge + tree + folded + table over a realistic
-  profile) land in ``prof_baseline.json`` under the shared
-  ``per_sample_seconds`` schema, gated by ``check_bench_regression.py``
-  (→ ``BENCH_prof.json``).
+Per-case batch times for the profiled pipeline and the export path (merge
++ tree + folded + table over a realistic profile) land in
+``prof_baseline.json`` under the shared ``per_sample_seconds`` schema,
+gated by ``check_bench_regression.py`` (→ ``BENCH_prof.json``).  The
+profiler's overhead, off and on, is a case of
+``bench_perf_overhead.py::test_instrumentation_overhead``.
 
 Artifacts: ``_artifacts/prof.txt``, ``_artifacts/prof_baseline.json``.
 """
@@ -31,97 +19,6 @@ from repro.corpus import build_family
 from repro.obs.prof import merge_profiles, render_table, to_folded, to_tree
 
 from benchutil import min_wall_seconds, write_artifact
-
-
-def _paired_overhead(side_a, side_b, pairs=11, side_repeats=2):
-    """Median of paired alternating-order a/b wall-time ratios (the
-    ``test_run_telemetry_overhead`` estimator, hardened with min-of-2 per
-    side per pair so one scheduler tail cannot poison a ratio)."""
-    import gc
-    import statistics
-
-    ratios = []
-    a_best = b_best = float("inf")
-    last = None
-    for i in range(pairs):
-        gc.collect()
-        gc.disable()
-        try:
-            if i % 2:
-                b, _ = min_wall_seconds(side_b, repeats=side_repeats)
-                a, last = min_wall_seconds(side_a, repeats=side_repeats)
-            else:
-                a, last = min_wall_seconds(side_a, repeats=side_repeats)
-                b, _ = min_wall_seconds(side_b, repeats=side_repeats)
-        finally:
-            gc.enable()
-        ratios.append(a / b)
-        a_best = min(a_best, a)
-        b_best = min(b_best, b)
-    return statistics.median(ratios) - 1.0, a_best, b_best, last
-
-
-def test_profiler_off_overhead():
-    """Mirror of ``test_run_telemetry_overhead`` for the off path: the
-    default pipeline (profiler merged, disabled) vs ``obs.disabled()``,
-    paired alternating-order timings, budget <=5% — the same comparison
-    PR 1/4/6 pinned for spans/metrics/flight, now crossing every profiler
-    hook site.  The *enabled* cost is measured the same way against the
-    default pipeline and reported in the artifact; its bound is loose
-    (<=25%) because attribution mode is opt-in — the bound exists to catch
-    a regression to per-instruction timing, which measures far above it.
-    """
-    program = build_family("zeus")
-    reps = 4
-
-    def run_default():
-        obs.reset()  # steady-state cost, not unbounded span accumulation
-        obs.flight.enabled = False  # has its own budget and bench
-        try:
-            for _ in range(reps):
-                result = AutoVac().analyze(program)
-        finally:
-            obs.flight.enabled = True
-        return result
-
-    def run_disabled():
-        with obs.disabled():
-            for _ in range(reps):
-                result = AutoVac().analyze(program)
-        return result
-
-    def run_prof_on():
-        obs.reset()
-        obs.flight.enabled = False
-        obs.prof.enabled = True
-        try:
-            for _ in range(reps):
-                result = AutoVac().analyze(program)
-        finally:
-            obs.prof.enabled = False
-            obs.flight.enabled = True
-        return result
-
-    run_default(), run_disabled(), run_prof_on()  # warm-up all paths
-    off_overhead, off_s, base_s, result = _paired_overhead(
-        run_default, run_disabled
-    )
-    assert result.vaccines
-    on_overhead, on_s, _, on_result = _paired_overhead(run_prof_on, run_default)
-    assert on_result.profile, "profiled mode must actually collect"
-    write_artifact(
-        "prof_overhead.txt",
-        "hot-path profiler overhead on the full pipeline (zeus)\n"
-        f"obs.disabled() baseline:       {base_s * 1000:.2f} ms\n"
-        f"default (profiler off):        {off_s * 1000:.2f} ms "
-        f"-> {off_overhead:+.2%} vs disabled (budget: <=5%)\n"
-        f"profiler collecting:           {on_s * 1000:.2f} ms "
-        f"-> {on_overhead:+.2%} vs default (bound: <=25%)\n"
-        f"profile nodes collected: {len(on_result.profile)}\n"
-        "(medians of 11 paired alternating-order ratios, min-of-2 per side)\n",
-    )
-    assert off_overhead <= 0.05
-    assert on_overhead <= 0.25
 
 
 def _synthetic_profile(n_handlers: int = 40, n_regions: int = 30) -> dict:

@@ -47,6 +47,38 @@ def min_wall_seconds(fn, repeats: int = 5):
     return best, result
 
 
+def paired_overhead(side_a, side_b, pairs: int = 11, side_repeats: int = 2):
+    """Relative cost of ``side_a`` over ``side_b``: the median of ``pairs``
+    paired a/b wall-time ratios.  Pairs alternate which side runs first
+    (cancelling CPU-frequency drift), each side is the best of
+    ``side_repeats`` runs (one scheduler tail cannot poison a ratio), and
+    the collector is off inside a pair so its pauses never land on one
+    side.  Returns (overhead, best a seconds, best b seconds, last result
+    of ``side_a``)."""
+    import gc
+    import statistics
+
+    ratios = []
+    a_best = b_best = float("inf")
+    last = None
+    for i in range(pairs):
+        gc.collect()
+        gc.disable()
+        try:
+            if i % 2:
+                b, _ = min_wall_seconds(side_b, repeats=side_repeats)
+                a, last = min_wall_seconds(side_a, repeats=side_repeats)
+            else:
+                a, last = min_wall_seconds(side_a, repeats=side_repeats)
+                b, _ = min_wall_seconds(side_b, repeats=side_repeats)
+        finally:
+            gc.enable()
+        ratios.append(a / b)
+        a_best = min(a_best, a)
+        b_best = min(b_best, b)
+    return statistics.median(ratios) - 1.0, a_best, b_best, last
+
+
 def render_table(title: str, table: dict, total_label: str = "total") -> str:
     columns = sorted({c for row in table.values() for c in row})
     lines = [title, "resource".ljust(12) + "".join(c[:18].rjust(20) for c in columns)

@@ -10,7 +10,7 @@ Subcommands::
                              [--timeout S] [--retries N] [--failures-json f.json]
                              [--metrics m.json] [--run-dir DIR] [--progress]
                              [--profile]
-    python -m repro stats    <m.json> [--prom] [--flame-depth N] [--top N]
+    python -m repro stats    <m.json> [--prom] [--depth N] [--top N]
     python -m repro profile  <family|asm-file> [--json|--folded] [--top N]
     python -m repro explain  <family|asm-file> [--vaccine SUBSTR] [--json FILE]
     python -m repro policy   <family|asm-file> [--json FILE] [--enforce]
@@ -24,9 +24,10 @@ prints the population-scale tables — ``--jobs N`` fans the analysis out to
 worker processes and ``--cache DIR`` makes an interrupted survey resumable
 (already-analyzed samples are served from the content-addressed result
 cache).  ``--metrics`` captures the run's
-observability snapshot (``repro.obs``: per-phase spans, per-API counters, VM
-instruction counts) to a JSON file; ``stats`` pretty-prints such a file or
-re-emits it as Prometheus text.  ``explain`` re-analyzes one sample with the
+observability snapshot (``repro.obs``: the timing tree rooted at
+``pipeline.analyze`` and its stages, per-API counters, VM instruction
+counts) to a JSON file; ``stats`` pretty-prints such a file or re-emits it
+as Prometheus text.  ``explain`` re-analyzes one sample with the
 flight recorder on and prints, per vaccine, the causal chain of journal
 events that led to it (mutation, divergence, verdicts, back to the original
 API interception).  ``policy`` synthesizes a sample's temporal API policy
@@ -44,9 +45,9 @@ period); ``runs`` lists the run directories under a parent directory with
 their outcomes.
 
 ``profile`` analyzes one sample with the hot-path profiler (``obs.prof``)
-on and prints the self-time attribution table: VM time per tier
-(slow/fast/superblock region), API dispatch per handler with the
-``read_stack_args`` cost split out, snapshot pickle/unpickle, and rule
+on and prints the self-time attribution table, per pipeline stage: VM time
+per tier (slow/fast/superblock region), API dispatch per handler with the
+``read_stack_args`` cost split out, snapshot capture/restore, and rule
 matching.  ``--json`` emits the nested tree, ``--folded`` collapsed stacks
 for flamegraph tooling.  ``survey --profile`` collects the same attribution
 population-wide (merged across workers; with ``--run-dir`` the per-sample
@@ -287,8 +288,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
     if args.prom:
         sys.stdout.write(obs.render_prometheus(data))
     else:
-        depth = args.flame_depth if args.flame_depth is not None else args.depth
-        sys.stdout.write(obs.render_stats(data, max_depth=depth, top=args.top))
+        sys.stdout.write(obs.render_stats(data, max_depth=args.depth, top=args.top))
     return 0
 
 
@@ -300,10 +300,7 @@ def cmd_profile(args: argparse.Namespace) -> int:
     program = _load_program(args.sample)
     with obs.profiled():
         analysis = AutoVac().analyze(program)
-    profile = analysis.profile or {}
-    if not profile:
-        print(f"{program.name}: no profile data collected", file=sys.stderr)
-        return 1
+    profile = analysis.profile
     if args.json:
         doc = {"sample": program.name, "tree": to_tree(profile)}
         sys.stdout.write(_json.dumps(doc, indent=2) + "\n")
@@ -552,11 +549,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--prom", action="store_true",
                    help="emit Prometheus text format instead of the summary")
     p.add_argument("--depth", type=int, default=6,
-                   help="max span-tree depth in the summary (default 6)")
-    p.add_argument("--flame-depth", type=int, default=None,
-                   help="alias for --depth (wins when both are given)")
+                   help="max profile-tree depth in the summary (default 6)")
     p.add_argument("--top", type=int, default=None,
-                   help="keep only the N widest entries per flame level")
+                   help="keep only the N widest profile-tree nodes per level")
     p.set_defaults(func=cmd_stats)
 
     p = sub.add_parser("profile",

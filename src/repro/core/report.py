@@ -10,6 +10,7 @@ from __future__ import annotations
 from typing import List, Optional
 
 from ..obs import render_chain
+from ..obs.prof import SEP
 from ..obs.prof import render_table as _prof_table
 from .pipeline import SampleAnalysis, SampleFailure
 from .vaccine import DeliveryKind, IdentifierKind
@@ -155,7 +156,8 @@ def render_report(analysis: SampleAnalysis, title: Optional[str] = None) -> str:
             push(f"* {phase}: {seconds * 1000:.1f} ms")
         push("")
 
-    if analysis.profile:
+    # Hot-path cells sit below the stage cells; only a profiled run has them.
+    if any(path.count(SEP) > 1 for path in analysis.profile):
         push("## Hot paths")
         push("")
         push("```")

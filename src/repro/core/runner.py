@@ -85,11 +85,8 @@ def run_sample(
     if on_cpu is not None:
         on_cpu(cpu)
     trace = cpu.run()
-    if obs.metrics.enabled:
-        obs.metrics.counter("runner.runs", status=cpu.status.value).inc()
-        obs.metrics.counter("runner.instructions").inc(cpu.steps)
-        if cpu.status is ExitStatus.BUDGET:
-            obs.metrics.counter("runner.budget_exhausted").inc()
+    if obs.metrics.enabled and cpu.status is ExitStatus.BUDGET:
+        obs.metrics.counter("runner.budget_exhausted").inc()
     return RunResult(trace=trace, cpu=cpu, environment=env)
 
 
@@ -118,9 +115,7 @@ def resume_sample(
     )
     trace = cpu.run()
     if obs.metrics.enabled:
-        obs.metrics.counter("runner.runs", status=cpu.status.value).inc()
         obs.metrics.counter("runner.resumes").inc()
-        obs.metrics.counter("runner.instructions").inc(cpu.steps - snapshot.steps)
         obs.metrics.counter("runner.instructions_skipped").inc(snapshot.steps)
         if cpu.status is ExitStatus.BUDGET:
             obs.metrics.counter("runner.budget_exhausted").inc()

@@ -1,4 +1,4 @@
-"""``repro.obs`` — structured tracing, metrics, and logging for the pipeline.
+"""``repro.obs`` — metrics, the timing tree, and logging for the pipeline.
 
 The paper's §VI-F evaluation is entirely *measured* behaviour (per-sample
 generation time, per-identifier slicing time, daemon hook overhead <4.5%);
@@ -6,18 +6,18 @@ this package is the instrumentation substrate those measurements come from:
 
 * :data:`metrics` — process-local registry of counters/gauges/histograms
   with labels; JSON + Prometheus text exporters (:mod:`repro.obs.metrics`);
-* :data:`trace` — span-based tracer (``with trace.span("impact"):``)
-  producing a nestable span tree with a flame-style text summary
-  (:mod:`repro.obs.tracer`);
 * :func:`get_logger` — structured key=value stdlib logging, enabled via the
   ``REPRO_LOG`` environment variable (:mod:`repro.obs.log`);
 * :data:`flight` — bounded flight recorder journaling analysis-causal
   events into a per-sample provenance DAG (:mod:`repro.obs.flight`),
   rendered by ``repro explain``;
-* :data:`prof` — deterministic hot-path profiler (:mod:`repro.obs.prof`):
-  opt-in wall-time/count attribution per VM tier, API handler, snapshot
-  pickle/unpickle, and rule-engine consumer, rendered by ``repro profile``
-  and exportable as a JSON tree or folded stacks for flamegraph tooling;
+* :data:`prof` — the one timing tree (:mod:`repro.obs.prof`): wall time
+  and counts per path, rooted at ``pipeline.analyze`` and its stages
+  (always recorded; ``SampleAnalysis.timings`` reads them), refined by
+  opt-in hot-path attribution per VM tier, API handler, snapshot
+  capture/restore, and rule-engine consumer; rendered by ``repro profile``
+  and ``repro stats`` and exportable as a JSON tree or folded stacks for
+  flamegraph tooling;
 * :mod:`~repro.obs.stream` / :mod:`~repro.obs.ledger` — cross-process run
   telemetry: workers spool per-sample lifecycle events as JSONL, the
   executor parent folds them into a persistent run ledger (``--run-dir``),
@@ -27,7 +27,7 @@ this package is the instrumentation substrate those measurements come from:
 Instrumented code must stay cheap when observability is off::
 
     with obs.disabled():
-        AutoVac().analyze(program)   # null spans, null counters
+        AutoVac().analyze(program)   # null counters, no journal, no hot paths
 
 ``benchmarks/bench_perf_overhead.py`` holds the enabled-vs-disabled pipeline
 overhead to <=5% (artifact ``obs_overhead.txt``).
@@ -52,33 +52,31 @@ from .ledger import LedgerFold, ProgressView, RunTelemetry
 from .log import configure as configure_logging
 from .log import get_logger
 from .metrics import DEFAULT_BUCKETS, MAX_LABEL_SETS, Counter, Gauge, Histogram, MetricsRegistry, Timer
-from .prof import Profiler, merge_profiles, render_table, to_folded, to_tree
-from .tracer import Span, Tracer, render_flame
+from .prof import Profiler, merge_profiles, render_table, render_tree, to_folded, to_tree
 
-#: The process-global registry, tracer, flight recorder, and profiler every
-#: layer reports into.
+#: The process-global registry, flight recorder, and profiler every layer
+#: reports into.
 metrics = MetricsRegistry()
-trace = Tracer()
 flight = FlightRecorder()
 prof = Profiler()
 
 
 def is_enabled() -> bool:
-    return metrics.enabled and trace.enabled
+    return metrics.enabled
 
 
 @contextmanager
 def disabled() -> Iterator[None]:
-    """Turn all instrumentation off inside the block (overhead baseline)."""
-    saved = (metrics.enabled, trace.enabled, flight.enabled, prof.enabled)
+    """Turn all instrumentation off inside the block (overhead baseline).
+    The pipeline's stage cells are part of its result and stay on."""
+    saved = (metrics.enabled, flight.enabled, prof.enabled)
     metrics.enabled = False
-    trace.enabled = False
     flight.enabled = False
     prof.enabled = False
     try:
         yield
     finally:
-        metrics.enabled, trace.enabled, flight.enabled, prof.enabled = saved
+        metrics.enabled, flight.enabled, prof.enabled = saved
 
 
 @contextmanager
@@ -94,24 +92,23 @@ def profiled() -> Iterator[None]:
 
 
 def reset() -> None:
-    """Drop all collected metrics, spans, flight events, and profile data
+    """Drop all collected metrics, flight events, and profile data
     and detach any run-telemetry emitter (tests / between CLI runs / worker
     start)."""
     metrics.reset()
-    trace.reset()
     flight.reset()
     prof.reset()
     stream.uninstall()
 
 
 def export_snapshot() -> Dict[str, object]:
-    """JSON-safe dump of the global registry + tracer + profiler."""
-    return snapshot(metrics, trace, prof)
+    """JSON-safe dump of the global registry + profiler."""
+    return snapshot(metrics, prof)
 
 
 def export_json(path) -> Dict[str, object]:
     """Write the global snapshot to ``path``; returns the written dict."""
-    return write_json(path, metrics, trace, prof)
+    return write_json(path, metrics, prof)
 
 
 __all__ = [
@@ -129,9 +126,7 @@ __all__ = [
     "Profiler",
     "ProgressView",
     "RunTelemetry",
-    "Span",
     "Timer",
-    "Tracer",
     "configure_logging",
     "disabled",
     "export_json",
@@ -146,16 +141,15 @@ __all__ = [
     "prof",
     "profiled",
     "render_chain",
-    "render_flame",
     "render_prometheus",
     "render_stats",
     "render_table",
+    "render_tree",
     "reset",
     "snapshot",
     "stream",
     "summarize_event",
     "to_folded",
     "to_tree",
-    "trace",
     "write_json",
 ]

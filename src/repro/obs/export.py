@@ -1,9 +1,9 @@
-"""Combined metrics + span snapshot: JSON file format and text renderers.
+"""Combined metrics + profile snapshot: JSON file format and text renderers.
 
 One captured file round-trips through the CLI::
 
     python -m repro analyze conficker --metrics m.json
-    python -m repro stats m.json            # pretty text
+    python -m repro stats m.json            # metric tables + profile tree
     python -m repro stats m.json --prom     # Prometheus exposition text
 """
 
@@ -15,31 +15,26 @@ from pathlib import Path
 from typing import Dict, List, Optional
 
 from .metrics import MetricsRegistry, prometheus_text
-from .prof import Profiler, render_table
-from .tracer import Tracer, render_flame
+from .prof import Profiler, render_tree
 
 SNAPSHOT_VERSION = 1
 
 
 def snapshot(
-    registry: MetricsRegistry, tracer: Tracer, profiler: Optional[Profiler] = None
+    registry: MetricsRegistry, profiler: Optional[Profiler] = None
 ) -> Dict[str, object]:
     return {
         "version": SNAPSHOT_VERSION,
         "generated_unix": time.time(),
         "metrics": registry.snapshot(),
-        "spans": tracer.to_dicts(),
         "profile": profiler.snapshot() if profiler is not None else {},
     }
 
 
 def write_json(
-    path,
-    registry: MetricsRegistry,
-    tracer: Tracer,
-    profiler: Optional[Profiler] = None,
+    path, registry: MetricsRegistry, profiler: Optional[Profiler] = None
 ) -> Dict[str, object]:
-    data = snapshot(registry, tracer, profiler)
+    data = snapshot(registry, profiler)
     Path(path).write_text(json.dumps(data, indent=2, sort_keys=True))
     return data
 
@@ -70,8 +65,8 @@ def render_stats(
     data: Dict[str, object], max_depth: int = 6, top: Optional[int] = None
 ) -> str:
     """Human-readable summary of a snapshot: counters/gauges table, a VM
-    execution-tier digest, histogram summaries, hot-path profile table (when
-    the snapshot carries one), then the aggregated span flame tree."""
+    execution-tier digest, histogram summaries, then the profile tree
+    (``max_depth`` frames deep, ``top`` widest nodes per level)."""
     metrics: Dict[str, Dict] = data.get("metrics", {})  # type: ignore[assignment]
     lines: List[str] = []
 
@@ -107,14 +102,8 @@ def render_stats(
     profile = data.get("profile") or {}
     if profile:
         lines.append("")
-        lines.append("== hot paths ==")
-        lines.append(render_table(profile, top=top or 20).rstrip("\n"))
-
-    spans = data.get("spans", [])
-    if spans:
-        lines.append("")
-        lines.append("== spans ==")
-        lines.append(render_flame(spans, max_depth=max_depth, top=top).rstrip("\n"))
+        lines.append("== profile ==")
+        lines.append(render_tree(profile, max_depth=max_depth, top=top).rstrip("\n"))
     return "\n".join(lines) + "\n"
 
 
@@ -148,52 +137,25 @@ def _render_vm_tiers(metrics: Dict[str, Dict]) -> List[str]:
     return lines
 
 
-#: Quantiles emitted for span-derived phase latencies (summary convention).
-SPAN_QUANTILES = (0.5, 0.9, 0.99)
-
-
-def _span_durations(spans: List[dict]) -> Dict[str, List[float]]:
-    """Aggregate wall seconds per span name across the whole forest."""
-    durations: Dict[str, List[float]] = {}
-    stack = list(spans)
-    while stack:
-        span = stack.pop()
-        name = span.get("name")
-        seconds = span.get("duration")
-        if name and seconds is not None:
-            durations.setdefault(name, []).append(float(seconds))
-        stack.extend(span.get("children", []))
-    return durations
-
-
-def _quantile(sorted_values: List[float], q: float) -> float:
-    """Nearest-rank quantile over raw durations (exact, not bucketed)."""
-    if not sorted_values:
-        return 0.0
-    rank = max(0, min(len(sorted_values) - 1, int(round(q * (len(sorted_values) - 1)))))
-    return sorted_values[rank]
-
-
 def render_prometheus(data: Dict[str, object]) -> str:
-    """Prometheus exposition text: the metric families, then summary-style
-    quantile lines for span-derived phase latencies (``repro_span_seconds``)
-    so phase timing is scrapable without shipping raw span trees."""
+    """Prometheus exposition text: the metric families, then the profile
+    tree as two counters per recorded path, ``repro_profile_seconds_total``
+    (total wall seconds, children included) and
+    ``repro_profile_calls_total``.  Per-sample latency quantiles come from
+    the ``pipeline.analyze_seconds`` histogram."""
     text = prometheus_text(data.get("metrics", {}))  # type: ignore[arg-type]
-    durations = _span_durations(data.get("spans", []))  # type: ignore[arg-type]
-    if not durations:
+    profile: Dict[str, List] = data.get("profile") or {}  # type: ignore[assignment]
+    if not profile:
         return text
     lines = [text.rstrip("\n")] if text.strip() else []
-    lines.append("# HELP repro_span_seconds wall seconds per span name (from the snapshot's span forest)")
-    lines.append("# TYPE repro_span_seconds summary")
-    for name in sorted(durations):
-        values = sorted(durations[name])
-        for q in SPAN_QUANTILES:
-            lines.append(
-                f'repro_span_seconds{{span="{name}",quantile="{q}"}} '
-                f"{_quantile(values, q):.9g}"
-            )
-        lines.append(f'repro_span_seconds_sum{{span="{name}"}} {sum(values):.9g}')
-        lines.append(f'repro_span_seconds_count{{span="{name}"}} {len(values)}')
+    for metric, column, what in (
+        ("repro_profile_calls_total", 0, "events"),
+        ("repro_profile_seconds_total", 1, "wall seconds (children included)"),
+    ):
+        lines.append(f"# HELP {metric} {what} per profile path")
+        lines.append(f"# TYPE {metric} counter")
+        for path in sorted(profile):
+            lines.append(f'{metric}{{path="{path}"}} {profile[path][column]:.9g}')
     return "\n".join(lines) + "\n"
 
 

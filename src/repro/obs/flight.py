@@ -1,9 +1,9 @@
 """Flight recorder: a bounded journal of analysis-causal events.
 
-``repro.obs`` answers *how fast* (metrics, spans); this module answers
-*why* — which API interception seeded the taint that reached which branch,
-which mutation produced which trace divergence, why an identifier was
-classed algorithm-deterministic.  Every pipeline decision point records a
+``repro.obs`` answers *how fast* (metrics, the timing tree); this module
+answers *why* — which API interception seeded the taint that reached which
+branch, which mutation produced which trace divergence, why an identifier
+was classed algorithm-deterministic.  Every pipeline decision point records a
 :class:`FlightEvent` carrying the ids of the events that caused it, so each
 sample's journal forms a provenance DAG walkable from a vaccine back to the
 originating API call (``repro explain``).
@@ -27,7 +27,7 @@ Design constraints (mirroring the rest of ``repro.obs``):
   event id, so the first binding is the right one;
 * worker journals ship inside the versioned ``SampleAnalysis`` codec and
   are re-filed into the parent recorder via :meth:`FlightRecorder.adopt`
-  (id-remapped), the same pattern ``Tracer.adopt`` uses for spans.
+  (id-remapped), as ``Profiler.absorb`` folds their profiles.
 """
 
 from __future__ import annotations

@@ -7,7 +7,7 @@ intentionally omitted: they are bulky and only consumed in-process).
 
 It also provides the **analysis codec**: a versioned JSON encoding of a
 whole :class:`~repro.core.pipeline.SampleAnalysis` (candidates, impacts,
-determinism, vaccines, span-derived timings).  This is what crosses the
+determinism, vaccines, the per-sample timing tree).  This is what crosses the
 process boundary in the parallel executor and what the content-addressed
 result cache stores on disk.  Hermeticity rule: anything holding live VM
 state (``RunResult``, alignments, mutated runs, backward-slice raw output)
@@ -21,7 +21,7 @@ import hashlib
 import json
 from typing import TYPE_CHECKING, Dict, List, Optional
 
-from ..obs import Journal, Span
+from ..obs import Journal
 from ..taint.labels import TaintClass, TaintTag
 from ..winenv.objects import Operation, ResourceType
 from .events import ApiCallEvent, TaintedPredicateEvent
@@ -358,7 +358,6 @@ def analysis_to_dict(analysis: "SampleAnalysis") -> dict:
         "clinic": clinic_to_dict(analysis.clinic) if analysis.clinic else None,
         "policy": analysis.policy.to_dict() if analysis.policy is not None else None,
         "filtered_reason": analysis.filtered_reason,
-        "span": analysis.span.to_dict() if analysis.span is not None else None,
         "journal": analysis.journal.to_dict() if analysis.journal is not None else None,
         "profile": analysis.profile,
     }
@@ -366,12 +365,12 @@ def analysis_to_dict(analysis: "SampleAnalysis") -> dict:
 
 def analysis_fingerprint(analysis: "SampleAnalysis") -> str:
     """sha256 of the analysis result: the :func:`analysis_to_dict` payload
-    without ``span``, ``journal`` and ``profile`` (wall-clock timings and
+    without ``journal`` and ``profile`` (wall-clock timings and
     records of *how* the run executed), as ``sort_keys`` JSON.  Two runs
     that reached the same candidates, impacts, determinism verdicts and
     vaccines share a fingerprint."""
     payload = analysis_to_dict(analysis)
-    for key in ("span", "journal", "profile"):
+    for key in ("journal", "profile"):
         del payload[key]
     text = json.dumps(payload, sort_keys=True)
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
@@ -390,7 +389,6 @@ def analysis_from_dict(data: dict) -> "SampleAnalysis":
             f"(supported: {ANALYSIS_FORMAT_VERSION})"
         )
     program = data.get("program", {})
-    span = data.get("span")
     journal = data.get("journal")
     policy = data.get("policy")
     return SampleAnalysis(
@@ -411,9 +409,8 @@ def analysis_from_dict(data: dict) -> "SampleAnalysis":
         clinic=clinic_from_dict(data["clinic"]) if data.get("clinic") else None,
         policy=TemporalApiPolicy.from_dict(policy) if policy is not None else None,
         filtered_reason=data.get("filtered_reason"),
-        span=Span.from_dict(span) if span is not None else None,
         journal=Journal.from_dict(journal) if journal is not None else None,
-        profile=data.get("profile"),
+        profile=data.get("profile") or {},
     )
 
 

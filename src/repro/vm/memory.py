@@ -142,8 +142,8 @@ class Memory:
                     for i in range(size):
                         value |= data.get(a0 + i, 0) << (8 * i)
                     return value
-        # Span wraps 2^32 or straddles a region boundary: per-byte walk so
-        # the first unmapped byte faults, exactly like the write_byte loop.
+        # The access wraps 2^32 or straddles a region boundary: per-byte walk
+        # so the first unmapped byte faults, exactly like the write_byte loop.
         value = 0
         data = self._bytes
         for i in range(size):

@@ -2,7 +2,7 @@
 
 This is the payload that crosses the worker-process boundary and lives in
 the result cache, so the round-trip has to preserve everything the
-population tables, vaccine deployment, and span-derived timings consume —
+population tables, vaccine deployment, and profile-derived timings consume —
 while dropping live VM state (runs, alignments, backward-slice raw output).
 """
 
@@ -87,12 +87,11 @@ class TestRoundTrip:
             assert det.kind is zeus_analysis.determinism[key].kind
             assert det.pattern == zeus_analysis.determinism[key].pattern
 
-    def test_span_tree_and_timings_survive(self, zeus_analysis):
+    def test_profile_and_timings_survive(self, zeus_analysis):
         decoded = serialize.analysis_from_json(
             serialize.analysis_to_json(zeus_analysis)
         )
-        assert decoded.span is not None
-        assert decoded.span.to_dict() == zeus_analysis.span.to_dict()
+        assert decoded.profile == zeus_analysis.profile
         assert decoded.timings == zeus_analysis.timings
         assert "phase1" in decoded.timings and "impact" in decoded.timings
 
@@ -103,11 +102,8 @@ class TestRoundTrip:
         assert decoded.filtered_reason == filtered_analysis.filtered_reason
         assert decoded.vaccines == []
         assert decoded.phase1 is not None
-        # Skipped stage spans keep their marker, so timings stay empty of them.
-        skipped = [
-            c.name for c in decoded.span.children if c.attrs.get("skipped")
-        ]
-        assert "impact" in skipped and "determinism" in skipped
+        # Skipped stages record no cell, so timings stay empty of them.
+        assert list(decoded.timings) == ["phase1"]
 
     def test_encoding_is_stable(self, zeus_analysis):
         text = serialize.analysis_to_json(zeus_analysis)

@@ -297,7 +297,12 @@ class TestExplainCli:
     def test_stats_flame_flags(self, capsys, tmp_path):
         snap = tmp_path / "m.json"
         assert main(["analyze", "ibank", "--metrics", str(snap)]) == 0
-        assert main(["stats", str(snap), "--flame-depth", "2", "--top", "1"]) == 0
+        capsys.readouterr()
+        assert main(["stats", str(snap), "--depth", "2", "--top", "1"]) == 0
+        tree = capsys.readouterr().out.split("== profile ==\n", 1)[1].splitlines()
+        assert tree[0].startswith("pipeline.analyze ")
+        assert tree[1].startswith("  ") and not tree[1].startswith("   ")
+        assert tree[2].strip().startswith("... +")
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,5 @@
-"""``repro.obs`` — metrics registry, span tracer, structured logging,
-exporters, and the pipeline/CLI integration."""
+"""``repro.obs`` — metrics registry, structured logging, exporters, the
+pipeline's timing tree, and the pipeline/CLI integration."""
 
 import json
 import logging
@@ -9,16 +9,14 @@ import pytest
 from repro import AutoVac, obs
 from repro.corpus import build_family
 from repro.obs.metrics import MAX_LABEL_SETS, Histogram, MetricsRegistry
-from repro.obs.tracer import Tracer
 from repro.core.pipeline import STAGES
 
 
 @pytest.fixture(autouse=True)
 def clean_obs():
-    """Each test sees an empty global registry/tracer and leaves it enabled."""
+    """Each test sees an empty global registry/profiler and leaves it enabled."""
     obs.reset()
     obs.metrics.enabled = True
-    obs.trace.enabled = True
     yield
     obs.reset()
 
@@ -112,66 +110,10 @@ class TestDisabled:
         with obs.disabled():
             assert not obs.is_enabled()
             obs.metrics.counter("hidden").inc()
-            with obs.trace.span("invisible"):
-                pass
+            obs.prof.add("invisible", 1.0)
         assert obs.is_enabled()
         assert obs.metrics.total("hidden") == 0
-        assert obs.trace.roots == []
-
-
-# ----------------------------------------------------------------------
-# tracer
-# ----------------------------------------------------------------------
-
-
-class TestTracer:
-    def test_nesting_builds_a_tree(self):
-        tracer = Tracer()
-        with tracer.span("root", sample="x") as root:
-            with tracer.span("child1"):
-                with tracer.span("grandchild"):
-                    pass
-            with tracer.span("child2") as c2:
-                c2.set(items=3)
-        assert [c.name for c in root.children] == ["child1", "child2"]
-        assert root.children[0].children[0].name == "grandchild"
-        assert root.attrs == {"sample": "x"}
-        assert root.children[1].attrs == {"items": 3}
-        assert tracer.roots == [root]
-        assert root.duration is not None and root.duration >= 0
-
-    def test_exception_marks_span_and_reraises(self):
-        tracer = Tracer()
-        with pytest.raises(ValueError, match="boom"):
-            with tracer.span("outer"):
-                with tracer.span("inner"):
-                    raise ValueError("boom")
-        (root,) = tracer.roots
-        assert root.status == "error" and "boom" in root.error
-        inner = root.children[0]
-        assert inner.status == "error" and inner.duration is not None
-        # The tracer fully unwound: a new span is a fresh root.
-        assert tracer.current() is None
-        with tracer.span("next"):
-            pass
-        assert [s.name for s in tracer.roots] == ["outer", "next"]
-
-    def test_self_seconds_excludes_children(self):
-        tracer = Tracer()
-        with tracer.span("root") as root:
-            with tracer.span("child"):
-                pass
-        assert root.self_seconds() <= root.total_seconds()
-
-    def test_flame_rendering_aggregates(self):
-        tracer = Tracer()
-        for _ in range(3):
-            with tracer.span("pipeline.analyze"):
-                with tracer.span("phase1"):
-                    pass
-        text = tracer.flame()
-        assert "pipeline.analyze  n=3" in text
-        assert "phase1" in text and "n=3" in text
+        assert len(obs.prof) == 0
 
 
 # ----------------------------------------------------------------------
@@ -213,9 +155,8 @@ class TestExporters:
         obs.metrics.counter("winapi.calls", api="OpenMutexA", outcome="success").inc(7)
         obs.metrics.gauge("campaign.infected").set(3)
         obs.metrics.histogram("pipeline.analyze_seconds").observe(0.02)
-        with obs.trace.span("pipeline.analyze", sample="t"):
-            with obs.trace.span("phase1"):
-                pass
+        obs.prof.record("pipeline.analyze", 0.02)
+        obs.prof.record("pipeline.analyze;phase1", 0.015)
 
     def test_json_roundtrip(self, tmp_path):
         self._populate()
@@ -226,9 +167,10 @@ class TestExporters:
         calls = loaded["metrics"]["winapi.calls"]
         assert calls["kind"] == "counter"
         assert calls["series"][0]["value"] == 7
-        (root,) = loaded["spans"]
-        assert root["name"] == "pipeline.analyze"
-        assert root["children"][0]["name"] == "phase1"
+        assert loaded["profile"] == {
+            "pipeline.analyze": [1, 0.02],
+            "pipeline.analyze;phase1": [1, 0.015],
+        }
 
     def test_load_rejects_non_snapshot(self, tmp_path):
         bad = tmp_path / "bad.json"
@@ -258,7 +200,12 @@ class TestExporters:
         self._populate()
         text = obs.render_stats(obs.export_snapshot())
         assert "winapi.calls{api=OpenMutexA,outcome=success}" in text
-        assert "== spans ==" in text and "phase1" in text
+        assert "== profile ==" in text
+        (phase1,) = [line for line in text.splitlines() if "phase1" in line]
+        assert phase1.startswith("  phase1")  # one level below the root
+        assert phase1.split()[1:] == [
+            "n=1", "total=", "15.00ms", "self=", "15.00ms", "75.0%"
+        ]
 
 
 # ----------------------------------------------------------------------
@@ -267,33 +214,39 @@ class TestExporters:
 
 
 class TestPipelineIntegration:
-    def test_every_stage_emits_exactly_one_span_per_sample(self):
+    def test_every_executed_stage_records_one_cell_per_sample(self):
         for family in ("zeus", "conficker"):
             analysis = AutoVac().analyze(build_family(family))
-            names = [c.name for c in analysis.span.children]
-            for stage in ("phase1", "exclusiveness", "impact", "determinism", "clinic"):
-                assert names.count(stage) == 1, (family, stage, names)
-            assert set(names) <= set(STAGES)
+            profile = analysis.profile
+            assert profile["pipeline.analyze"][0] == 1
+            stages = {
+                path.split(";")[1]: cell
+                for path, cell in profile.items()
+                if path.startswith("pipeline.analyze;")
+            }
+            assert set(stages) == {
+                "phase1", "exclusiveness", "impact", "determinism", "policy"
+            }, family  # clinic is skipped: no clinic programs
+            assert set(stages) <= set(STAGES)
+            assert all(count == 1 for count, _ in stages.values())
+            # Stages run inside analyze, one after another.
+            assert sum(s for _, s in stages.values()) <= profile["pipeline.analyze"][1]
 
-    def test_filtered_sample_still_emits_all_stage_spans(self):
+    def test_filtered_sample_records_only_phase1(self):
         from repro.vm.assembler import assemble
 
         inert = assemble("main:\n    nop\n    halt\n", name="inert")
         analysis = AutoVac().analyze(inert)
         assert analysis.filtered_reason
-        by_name = {c.name: c for c in analysis.span.children}
-        assert by_name["phase1"].attrs.get("skipped") is None
-        for stage in ("exclusiveness", "impact", "determinism", "clinic"):
-            assert by_name[stage].attrs.get("skipped") is True
+        assert set(analysis.profile) == {"pipeline.analyze", "pipeline.analyze;phase1"}
+        assert list(analysis.timings) == ["phase1"]
 
-    def test_timings_property_derives_from_spans(self):
+    def test_timings_property_derives_from_profile(self):
         analysis = AutoVac().analyze(build_family("zeus"))
         timings = analysis.timings
-        assert {"phase1", "exclusiveness", "impact", "determinism"} <= set(timings)
-        assert "clinic" not in timings  # skipped stage omitted
+        assert list(timings) == ["phase1", "exclusiveness", "impact", "determinism", "policy"]
         for stage, seconds in timings.items():
-            span = analysis.span.child(stage)
-            assert seconds == span.total_seconds() > 0 or seconds == 0
+            assert seconds == analysis.profile[f"pipeline.analyze;{stage}"][1] > 0
 
     def test_dispatcher_and_vm_counters_populate(self):
         AutoVac().analyze(build_family("conficker"))
@@ -313,8 +266,10 @@ class TestPipelineIntegration:
         with obs.disabled():
             analysis = AutoVac().analyze(program)
         assert analysis.vaccines  # behaviour unchanged
-        assert analysis.span is None and analysis.timings == {}
-        assert obs.trace.roots == []
+        assert analysis.journal is None
+        # The stage cells are part of the result; no hot-path cell is.
+        assert all(path.count(";") <= 1 for path in analysis.profile)
+        assert "impact" in analysis.timings
         assert obs.metrics.total("vm.instructions") == 0
 
     def test_campaign_gauges(self):
@@ -354,11 +309,12 @@ class TestCliMetrics:
         path = tmp_path / "m.json"
         assert main(["analyze", "conficker", "--metrics", str(path)]) == 0
         data = obs.load(path)
-        # Acceptance: per-phase spans, per-API counters, VM instruction counts.
-        root = next(s for s in data["spans"] if s["name"] == "pipeline.analyze")
-        child_names = [c["name"] for c in root["children"]]
-        for stage in ("phase1", "exclusiveness", "impact", "determinism", "clinic"):
-            assert stage in child_names
+        # Acceptance: per-stage cells, per-API counters, VM instruction counts.
+        profile = data["profile"]
+        assert profile["pipeline.analyze"][0] == 1
+        for stage in ("phase1", "exclusiveness", "impact", "determinism", "policy"):
+            assert profile[f"pipeline.analyze;{stage}"][0] == 1
+        assert "pipeline.analyze;clinic" not in profile  # no clinic programs
         assert any(k.startswith("winapi.calls") for k in data["metrics"])
         assert data["metrics"]["vm.instructions"]["series"][0]["value"] > 0
 
@@ -376,8 +332,7 @@ class TestCliMetrics:
         assert main(["survey", "--size", "6", "--seed", "3",
                      "--metrics", str(path)]) == 0
         data = obs.load(path)
-        roots = [s for s in data["spans"] if s["name"] == "pipeline.analyze"]
-        assert len(roots) == 6
+        assert data["profile"]["pipeline.analyze"][0] == 6
         assert data["metrics"]["pipeline.samples"]["series"][0]["value"] == 6
 
     def test_stats_on_garbage_path_errors(self):
