@@ -9,7 +9,6 @@ cost >> deployment cost; static injection ~ negligible; daemon overhead a
 small multiplier.
 """
 
-import os
 import time
 from contextlib import contextmanager
 
@@ -20,7 +19,6 @@ from repro.core import run_sample, select_candidates
 from repro.core.determinism import analyze_determinism
 from repro.corpus import benign_suite, build_family
 from repro.delivery import DirectInjector
-from repro.obs import stream
 from repro.taint.backward import backward_slice
 from repro.taint.replay import replay_slice
 
@@ -243,23 +241,22 @@ def test_perf_rule_engine_matching():
     assert per_case["exact_hit"] < per_case["pattern_hit"] * 3
 
 
-# Instrumentation modes for the overhead cases.  Each takes the test's
-# scratch directory, so the spooling mode has somewhere to write.
+# Instrumentation modes for the overhead cases.
 
 
 @contextmanager
-def _default(tmp):
+def _default():
     yield
 
 
 @contextmanager
-def _disabled(tmp):
+def _disabled():
     with obs.disabled():
         yield
 
 
 @contextmanager
-def _flight_off(tmp):
+def _flight_off():
     obs.flight.enabled = False
     try:
         yield
@@ -268,18 +265,9 @@ def _flight_off(tmp):
 
 
 @contextmanager
-def _profiling(tmp):
-    with _flight_off(tmp), obs.profiled():
+def _profiling():
+    with _flight_off(), obs.profiled():
         yield
-
-
-@contextmanager
-def _spooling(tmp):
-    stream.install(tmp / "spool")
-    try:
-        yield
-    finally:
-        stream.uninstall()
 
 
 #: case -> (artifact, title, instrumented side, its baseline, budget); a
@@ -292,10 +280,6 @@ def _spooling(tmp):
 #: * ``flight`` — the journal alone (metrics on in both sides).  Known to be
 #:   noisy: on a shared 2-vCPU guest it reads 2-8% from run to run, at the
 #:   5% budget, because the effect it resolves is small.
-#: * ``telemetry`` — a run-telemetry spool emitter installed (every
-#:   lifecycle event written and flushed) against none, where the hooks in
-#:   ``analyze``/``run_stages`` reduce to one global load and an ``is
-#:   None`` test.
 #: * ``profiler`` — hot-path attribution on against the default (flight off
 #:   in both).  Attribution is opt-in diagnostics timed per tier segment,
 #:   API call and region dispatch; the loose bound catches a regression to
@@ -315,13 +299,6 @@ OVERHEAD_CASES = {
         ("journal off", _flight_off),
         0.05,
     ),
-    "telemetry": (
-        "telemetry_overhead.txt",
-        "run-telemetry spool overhead on the full pipeline (zeus)",
-        ("emitter installed", _spooling),
-        ("telemetry off", _default),
-        0.05,
-    ),
     "profiler": (
         "prof_overhead.txt",
         "hot-path profiler overhead on the full pipeline (zeus)",
@@ -333,10 +310,10 @@ OVERHEAD_CASES = {
 
 
 @pytest.mark.parametrize("case", sorted(OVERHEAD_CASES))
-def test_instrumentation_overhead(case, tmp_path):
+def test_instrumentation_overhead(case):
     """An instrumentation layer's cost on the full pipeline stays within its
-    budget: 5% for the always-on layers and the telemetry spool, 25% for
-    opt-in hot-path profiling (see :data:`OVERHEAD_CASES`)."""
+    budget: 5% for the always-on layers, 25% for opt-in hot-path profiling
+    (see :data:`OVERHEAD_CASES`)."""
     artifact, title, (a_label, a_mode), (b_label, b_mode), budget = OVERHEAD_CASES[case]
     program = build_family("zeus")
     reps = 6  # analyses per timed side (amortizes timer granularity)
@@ -344,7 +321,7 @@ def test_instrumentation_overhead(case, tmp_path):
     def side(mode):
         def run():
             obs.reset()  # steady state, not accumulated data
-            with mode(tmp_path):
+            with mode():
                 for _ in range(reps):
                     result = AutoVac().analyze(program)
             return result
@@ -357,10 +334,6 @@ def test_instrumentation_overhead(case, tmp_path):
     assert result.vaccines
     if case == "flight":
         assert result.journal is not None and len(result.journal) > 0
-    elif case == "telemetry":
-        spool = tmp_path / "spool" / f"events-{os.getpid()}.jsonl"
-        spooled = sum(1 for _ in spool.open())
-        assert spooled > 0  # the instrumented side really spooled events
     elif case == "profiler":
         assert any(path.count(";") > 1 for path in result.profile)
     write_artifact(

@@ -44,13 +44,14 @@ The ``pipeline.population_analyzed`` gauge tracks *completed* samples
 (healthy or quarantined; a monotone count, final value == population size)
 regardless of worker completion order.
 
-``run_dir`` adds cross-process run telemetry (DESIGN.md §11): workers
-spool per-sample lifecycle events (:mod:`repro.obs.stream`), the parent
-tails and folds them into a persistent ledger + manifest
-(:mod:`repro.obs.ledger`) that ``repro tail`` / ``repro runs`` read and
-``survey --progress`` renders live.  Terminal completed/failed events are
-emitted only by the parent, inside the same ``finish``/``quarantine``
-choke points that build :class:`PopulationResult`, so ledger and result
+``run_dir`` adds run telemetry (DESIGN.md §12): the parent is the only
+writer of a persistent ledger + manifest (:mod:`repro.obs.ledger`) that
+``repro tail`` / ``repro runs`` read and ``survey --progress`` renders
+live.  Workers emit nothing.  ``sample.started`` marks each attempt the
+parent starts or submits; a sample's ``sample.phase`` events are its
+stage cells (``SampleAnalysis.timings``), emitted with its terminal
+``sample.completed`` inside the same ``finish``/``quarantine`` choke points
+that build :class:`PopulationResult` — so ledger, timing tree and result
 can never disagree.
 """
 
@@ -70,7 +71,6 @@ from typing import Deque, Dict, Iterable, List, Optional, Set, Tuple, Union
 
 from .. import obs
 from ..analysis.alignment import align_lcs, align_linear, align_myers
-from ..obs import stream
 from ..obs.ledger import ProgressView, RunTelemetry
 from ..tracing import serialize
 from ..vm.program import Program
@@ -332,7 +332,6 @@ def _analyze_worker(
     index: int = 0,
     attempt: int = 1,
     plan: Optional[FaultPlan] = None,
-    spool_dir: Optional[str] = None,
 ) -> Tuple[dict, Dict[str, object]]:
     """Runs in a worker process: fresh obs state, fresh AutoVac, one sample.
 
@@ -340,9 +339,7 @@ def _analyze_worker(
     registry is reset first so a forked worker never re-reports inherited
     parent counts.  ``plan`` (ships explicitly from the parent, never read
     from the environment here) injects the planned fault for this
-    (sample, attempt), if any.  ``spool_dir`` (set when the survey has a
-    ``--run-dir``) points the worker's telemetry emitter at the run's spool
-    so ``sample.started`` / ``sample.phase`` events stream out live.
+    (sample, attempt), if any.
     """
     obs.reset()
     if config.profile:
@@ -350,8 +347,6 @@ def _analyze_worker(
         # payload; the parent absorbs it, so jobs=N merges like
         # MetricsRegistry.
         obs.prof.enabled = True
-    if spool_dir is not None:
-        stream.install(spool_dir).set_context(index=index, attempt=attempt)
     if plan is not None:
         plan.enact_in_worker(index, program.name, attempt)
     autovac = config.build()
@@ -361,6 +356,10 @@ def _analyze_worker(
         cache = ResultCache(cache_root, sweep=False)
         cache.store_payload(cache.key(program, config), payload)
     return payload, obs.metrics.snapshot()
+
+
+def _no_emit(kind: str, **attrs: object) -> None:
+    """The event sink of a survey without ``run_dir``."""
 
 
 def _tb_summary(exc: BaseException, limit: int = 8) -> str:
@@ -417,13 +416,14 @@ def analyze_population(
     ``faults`` (default: parsed from ``REPRO_FAULT_PLAN``) injects
     deterministic failures for testing the machinery.
 
-    ``run_dir`` turns on run telemetry (:mod:`repro.obs.ledger`): workers
-    spool per-sample lifecycle events, the parent folds them into a
-    persistent ledger + manifest under ``run_dir``, watchable live with
-    ``repro tail`` and summarized by ``repro runs``.  The parent is the
-    only emitter of terminal ``sample.completed``/``sample.failed`` events,
-    so the ledger's terminal set always matches the returned
-    :class:`PopulationResult` — even when workers die mid-sample.
+    ``run_dir`` turns on run telemetry (:mod:`repro.obs.ledger`): the
+    parent writes every per-sample lifecycle event into a persistent
+    ledger + manifest under ``run_dir``, watchable live with ``repro
+    tail`` and summarized by ``repro runs``.  Terminal
+    ``sample.completed``/``sample.failed`` events come from the same choke
+    points that fill the returned :class:`PopulationResult`, so the
+    ledger's terminal set always matches it — even when workers die
+    mid-sample.
     ``progress`` (a :class:`~repro.obs.ledger.ProgressView`) additionally
     renders the fold live; it requires ``run_dir``.
     """
@@ -449,6 +449,7 @@ def analyze_population(
             config_fingerprint=policy.fingerprint(),
             progress=progress,
         )
+    emit = telemetry.emit if telemetry is not None else _no_emit
     results: List[Optional[SampleAnalysis]] = [None] * n
     failures_by_index: Dict[int, SampleFailure] = {}
     gauge = obs.metrics.gauge(
@@ -456,23 +457,38 @@ def analyze_population(
     )
     done = 0
 
-    def finish(index: int, analysis: SampleAnalysis, cached: bool = False) -> None:
+    def finish(
+        index: int, analysis: SampleAnalysis, attempt: Optional[int] = None
+    ) -> None:
+        """Record a healthy result; ``attempt`` is ``None`` for a cache hit."""
         nonlocal done
         results[index] = analysis
         done += 1  # completion count: monotone even when workers finish out of order
         gauge.set(done)
-        stream.emit(
+        name = programs[index].name
+        if attempt is not None:
+            # The stage cells the tree holds, so ledger and tree agree.
+            for phase, seconds in analysis.timings.items():
+                emit(
+                    "sample.phase",
+                    sample=name,
+                    index=index,
+                    attempt=attempt,
+                    phase=phase,
+                    seconds=seconds,
+                )
+        emit(
             "sample.completed",
-            sample=programs[index].name,
+            sample=name,
             index=index,
             vaccines=len(analysis.vaccines),
-            cached=cached,
+            cached=attempt is None,
         )
         if telemetry is not None and policy.profile:
             telemetry.record_profile(
                 {
                     "kind": "sample.profile",
-                    "sample": programs[index].name,
+                    "sample": name,
                     "index": index,
                     "profile": analysis.profile,
                 }
@@ -484,7 +500,7 @@ def analyze_population(
         done += 1
         gauge.set(done)
         obs.metrics.counter("pipeline.sample_failures").inc()
-        stream.emit(
+        emit(
             "sample.failed",
             sample=failure.sample,
             index=index,
@@ -502,6 +518,43 @@ def analyze_population(
         )
         if store_negative and store is not None:
             store.store_failure(store.key(programs[index], config), failure)
+
+    def attempt_failed(
+        index: int, attempt: int, kind: str, error_type: str, message: str, tb: str
+    ) -> bool:
+        """Account one failed attempt: quarantine the sample when its retry
+        budget is spent, else count the retry and back off.  True when the
+        sample gets another attempt."""
+        name = programs[index].name
+        if kind == "timeout":
+            emit("sample.timeout", sample=name, index=index, attempt=attempt)
+        if attempt > retries:
+            quarantine(
+                index,
+                SampleFailure(
+                    sample=name,
+                    index=index,
+                    kind=kind,
+                    error_type=error_type,
+                    message=message,
+                    traceback=tb,
+                    attempts=attempt,
+                ),
+            )
+            return False
+        obs.metrics.counter("pipeline.sample_retries").inc()
+        emit(
+            "sample.retry",
+            sample=name,
+            index=index,
+            attempt=attempt,
+            failure_kind=kind,
+            error=error_type,
+        )
+        _log.warning("sample retry", sample=name, attempt=attempt, kind=kind, error=error_type)
+        if backoff:
+            time.sleep(backoff * (2 ** (attempt - 1)))
+        return True
 
     # Decoded analyses (cache hits, worker payloads) carry journals recorded
     # in another process/run; their events are re-recorded into this
@@ -549,8 +602,8 @@ def analyze_population(
     for i, program in enumerate(programs):
         entry = store.load_entry(store.key(program, config)) if store is not None else None
         if isinstance(entry, SampleAnalysis):
-            stream.emit("cache.hit", sample=program.name, index=i, negative=False)
-            finish(i, entry, cached=True)
+            emit("cache.hit", sample=program.name, index=i, negative=False)
+            finish(i, entry)
             adopt_indices.append(i)
             # Cached profiles were collected in another run/process; fold
             # them in like worker payloads (the jobs=1 in-process path never
@@ -559,14 +612,14 @@ def analyze_population(
         elif isinstance(entry, SampleFailure):
             # Negative entry from an earlier run: report the quarantine
             # again instead of hot re-crashing on the sample.
-            stream.emit("cache.hit", sample=program.name, index=i, negative=True)
+            emit("cache.hit", sample=program.name, index=i, negative=True)
             quarantine(i, replace(entry, index=i), store_negative=False)
         else:
             pending.append(i)
     if store is not None and pending:
         _log.info("cache", hits=n - len(pending), misses=len(pending))
     if telemetry is not None:
-        telemetry.drain()
+        telemetry.refresh()
 
     if jobs == 1 or len(pending) <= 1:
         local = autovac if autovac is not None else config.build() if config else AutoVac()
@@ -574,7 +627,7 @@ def analyze_population(
             program = programs[i]
             attempt = 1
             while True:
-                stream.set_context(index=i, attempt=attempt)
+                emit("sample.started", sample=program.name, index=i, attempt=attempt)
                 prof_mark = obs.prof.mark()
                 try:
                     if plan:
@@ -587,51 +640,23 @@ def analyze_population(
                     # the failed worker's payload: same tree for any jobs.
                     obs.prof.restore(prof_mark)
                     kind = "timeout" if isinstance(exc, InjectedHang) else "crash"
-                    if kind == "timeout":
-                        stream.emit(
-                            "sample.timeout",
-                            sample=program.name,
-                            index=i,
-                            attempt=attempt,
-                        )
-                    if attempt > retries:
-                        quarantine(
-                            i,
-                            SampleFailure(
-                                sample=program.name,
-                                index=i,
-                                kind=kind,
-                                error_type=type(exc).__name__,
-                                message=str(exc),
-                                traceback=_tb_summary(exc),
-                                attempts=attempt,
-                            ),
-                        )
+                    # Retried in place, so the live flight journal stays in
+                    # input order.
+                    if not attempt_failed(
+                        i, attempt, kind, type(exc).__name__, str(exc), _tb_summary(exc)
+                    ):
                         break
-                    obs.metrics.counter("pipeline.sample_retries").inc()
-                    stream.emit(
-                        "sample.retry",
-                        sample=program.name,
-                        index=i,
-                        attempt=attempt,
-                        failure_kind=kind,
-                        error=type(exc).__name__,
-                    )
-                    if backoff:
-                        time.sleep(backoff * (2 ** (attempt - 1)))
                     attempt += 1
                 else:
                     if store is not None:
                         store.store(store.key(program, config), analysis)
-                    finish(i, analysis)
+                    finish(i, analysis, attempt)
                     break
             if telemetry is not None:
-                telemetry.drain()
-        stream.clear_context()
+                telemetry.refresh()
         return assemble()
 
     cache_root = str(store.root) if store is not None else None
-    spool_dir = str(telemetry.spool_dir) if telemetry is not None else None
     n_workers = min(jobs, len(pending))
     # Bounded submit window: keep ≈2×jobs futures in flight instead of
     # pickling every pending program up front.
@@ -658,7 +683,6 @@ def analyze_population(
                     index=index,
                     attempt=attempt,
                     plan=plan if plan else None,
-                    spool_dir=spool_dir,
                 )
             except BrokenProcessPool:
                 # A worker died after the last wait(): nothing was
@@ -671,51 +695,15 @@ def analyze_population(
                 pool = _respawn_pool(pool, n_workers)
                 continue
             in_flight[future] = _Task(index, attempt, deadline)
+            emit("sample.started", sample=programs[index].name, index=index, attempt=attempt)
 
     def handle_attempt_failure(
         task: _Task, kind: str, error_type: str, message: str, tb: str
     ) -> None:
         suspects.discard(task.index)
-        if kind == "timeout":
-            stream.emit(
-                "sample.timeout",
-                sample=programs[task.index].name,
-                index=task.index,
-                attempt=task.attempt,
-            )
-        if task.attempt > retries:
-            quarantine(
-                task.index,
-                SampleFailure(
-                    sample=programs[task.index].name,
-                    index=task.index,
-                    kind=kind,
-                    error_type=error_type,
-                    message=message,
-                    traceback=tb,
-                    attempts=task.attempt,
-                ),
-            )
-            return
-        obs.metrics.counter("pipeline.sample_retries").inc()
-        stream.emit(
-            "sample.retry",
-            sample=programs[task.index].name,
-            index=task.index,
-            attempt=task.attempt,
-            failure_kind=kind,
-            error=error_type,
-        )
-        _log.warning(
-            "sample retry",
-            sample=programs[task.index].name,
-            attempt=task.attempt,
-            kind=kind,
-            error=error_type,
-        )
-        if backoff:
-            time.sleep(backoff * (2 ** (task.attempt - 1)))
-        queue.append((task.index, task.attempt + 1))
+        if attempt_failed(task.index, task.attempt, kind, error_type, message, tb):
+            # Requeued at the tail: the other samples keep their turn.
+            queue.append((task.index, task.attempt + 1))
 
     try:
         while in_flight or queue:
@@ -727,11 +715,9 @@ def analyze_population(
                     0.0, min(t.deadline for t in in_flight.values()) - now
                 )
             if telemetry is not None:
-                # Fold whatever the workers have spooled so far — this is
-                # what makes `repro tail` / `--progress` live rather than
-                # post-hoc.  Bound the wait so a long-running sample does
-                # not freeze the view.
-                telemetry.drain()
+                # Bound the wait so the status line and the metrics rows
+                # keep ticking while a sample runs long.
+                telemetry.refresh()
                 if wait_timeout is None or wait_timeout > 0.5:
                     wait_timeout = 0.5
             done_set, _ = wait(
@@ -758,7 +744,7 @@ def analyze_population(
                     analysis = serialize.analysis_from_dict(payload)
                     obs.metrics.merge(snapshot)
                     obs.prof.absorb(analysis.profile)
-                    finish(task.index, analysis)
+                    finish(task.index, analysis, task.attempt)
                     adopt_indices.append(task.index)
                     suspects.discard(task.index)
 

@@ -308,7 +308,6 @@ class AutoVac:
     # ------------------------------------------------------------------
 
     def analyze(self, program: Program) -> SampleAnalysis:
-        obs.stream.emit("sample.started", sample=program.name)
         journal_token = obs.flight.begin_sample(program.name)
         prof_mark = obs.prof.mark()
         started = time.perf_counter()

@@ -270,11 +270,7 @@ def default_stages() -> Tuple[Stage, ...]:
 def run_stages(stages: Sequence[Stage], ctx: AnalysisContext) -> None:
     """Execute a stage sequence.  Each executed stage records its wall time
     as one ``pipeline.analyze;<stage>`` profile cell, and hot-path cells
-    recorded while it runs land under that path.  When a run-telemetry
-    emitter is installed (``survey --run-dir``), each executed stage also
-    spools a ``sample.phase`` event with the same seconds — the
-    ``stream.enabled()`` guard keeps the telemetry-off path within the
-    cheap-hook budget."""
+    recorded while it runs land under that path."""
     prof = obs.prof
     outer = prof.prefix
     clock = time.perf_counter
@@ -288,15 +284,7 @@ def run_stages(stages: Sequence[Stage], ctx: AnalysisContext) -> None:
             stage.run(ctx)
         finally:
             prof.prefix = outer
-            seconds = clock() - started
-            prof.record(path, seconds)
-        if obs.stream.enabled():
-            obs.stream.emit(
-                "sample.phase",
-                sample=ctx.program.name,
-                phase=stage.name,
-                seconds=seconds,
-            )
+            prof.record(path, clock() - started)
 
 
 __all__ = [

@@ -18,11 +18,10 @@ this package is the instrumentation substrate those measurements come from:
   capture/restore, and rule-engine consumer; rendered by ``repro profile``
   and ``repro stats`` and exportable as a JSON tree or folded stacks for
   flamegraph tooling;
-* :mod:`~repro.obs.stream` / :mod:`~repro.obs.ledger` — cross-process run
-  telemetry: workers spool per-sample lifecycle events as JSONL, the
-  executor parent folds them into a persistent run ledger (``--run-dir``),
-  watched live via ``survey --progress`` / ``repro tail`` and listed by
-  ``repro runs``.
+* :mod:`~repro.obs.ledger` — run telemetry: the executor parent writes
+  every per-sample lifecycle event into a persistent JSONL run ledger
+  (``--run-dir``), watched live via ``survey --progress`` / ``repro tail``
+  and listed by ``repro runs``.
 
 Instrumented code must stay cheap when observability is off::
 
@@ -38,7 +37,7 @@ from __future__ import annotations
 from contextlib import contextmanager
 from typing import Dict, Iterator
 
-from . import ledger, stream
+from . import ledger
 from .export import load, render_prometheus, render_stats, snapshot, write_json
 from .flight import (
     MAX_FLIGHT_EVENTS,
@@ -51,7 +50,7 @@ from .flight import (
 from .ledger import LedgerFold, ProgressView, RunTelemetry
 from .log import configure as configure_logging
 from .log import get_logger
-from .metrics import DEFAULT_BUCKETS, MAX_LABEL_SETS, Counter, Gauge, Histogram, MetricsRegistry, Timer
+from .metrics import DEFAULT_BUCKETS, MAX_LABEL_SETS, Counter, Gauge, Histogram, MetricsRegistry
 from .prof import Profiler, merge_profiles, render_table, render_tree, to_folded, to_tree
 
 #: The process-global registry, flight recorder, and profiler every layer
@@ -92,13 +91,11 @@ def profiled() -> Iterator[None]:
 
 
 def reset() -> None:
-    """Drop all collected metrics, flight events, and profile data
-    and detach any run-telemetry emitter (tests / between CLI runs / worker
-    start)."""
+    """Drop all collected metrics, flight events, and profile data (tests /
+    between CLI runs / worker start)."""
     metrics.reset()
     flight.reset()
     prof.reset()
-    stream.uninstall()
 
 
 def export_snapshot() -> Dict[str, object]:
@@ -126,7 +123,6 @@ __all__ = [
     "Profiler",
     "ProgressView",
     "RunTelemetry",
-    "Timer",
     "configure_logging",
     "disabled",
     "export_json",
@@ -147,7 +143,6 @@ __all__ = [
     "render_tree",
     "reset",
     "snapshot",
-    "stream",
     "summarize_event",
     "to_folded",
     "to_tree",

@@ -1,18 +1,26 @@
-"""Persistent run ledger: spool collector, live fold, and tail/list readers.
+"""Persistent run ledger: the parent's event writer, live fold, and
+tail/list readers.
 
-The folding half of the run-telemetry layer (:mod:`repro.obs.stream` is the
-emission half).  A *run directory* holds everything one survey invocation
-produced, readable while the run is still in flight:
+A *run directory* holds everything one survey invocation produced,
+readable while the run is still in flight:
 
-* ``spool/events-<pid>.jsonl`` — per-process append-only event spools;
-* ``ledger.jsonl`` — the folded, time-ordered event log the collector
-  builds by tailing the spools (what ``repro tail`` replays);
+* ``ledger.jsonl`` — the time-ordered event log (what ``repro tail``
+  replays).  :class:`RunTelemetry`, owned by the executor parent, is its
+  only writer: one JSON object per line, flushed per event;
 * ``metrics.jsonl`` — periodic progress rows (throughput time-series);
+* ``profile.jsonl`` — per-sample hot-path profiles (``survey --profile``);
 * ``manifest.json`` — run id, config fingerprint, population size, status
   (``running`` → ``finished``) and final outcome counts; rewritten
   atomically so concurrent readers never see a torn file.
 
-All readers tolerate a partial trailing line (a crashed writer's last
+Event grammar (DESIGN.md §12): ``run.started`` / ``run.finished`` bracket
+the run; per sample the lifecycle is ``cache.hit`` *or* one
+``sample.started`` per attempt, optionally ``sample.timeout`` /
+``sample.retry`` between attempts, and exactly one terminal
+``sample.completed`` (preceded by the sample's ``sample.phase`` events,
+one per executed stage) or ``sample.failed``.
+
+All readers tolerate a partial trailing line (a killed writer's last
 event): only bytes up to the final newline are consumed, the remainder is
 re-read on the next poll.
 """
@@ -26,15 +34,13 @@ import time
 from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Set, TextIO, Tuple, Union
 
-from .stream import SPOOL_GLOB
-from . import stream
-
 LEDGER_NAME = "ledger.jsonl"
 MANIFEST_NAME = "manifest.json"
 METRICS_NAME = "metrics.jsonl"
 PROFILE_NAME = "profile.jsonl"
-SPOOL_DIR = "spool"
 MANIFEST_VERSION = 1
+#: Minimum seconds between two ``metrics.jsonl`` rows.
+METRICS_INTERVAL = 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -61,11 +67,10 @@ def _read_complete_lines(path: Path, offset: int) -> Tuple[List[bytes], int]:
     return complete.splitlines(), offset + len(complete)
 
 
-def _parse_events(lines: List[bytes]) -> Tuple[List[dict], int]:
-    """Decode JSONL lines; malformed *complete* lines are dropped and
-    counted (a torn write from a process killed mid-line)."""
+def _parse_events(lines: List[bytes]) -> List[dict]:
+    """Decode JSONL lines; malformed *complete* lines are dropped (a torn
+    write from a process killed mid-line)."""
     events: List[dict] = []
-    malformed = 0
     for line in lines:
         line = line.strip()
         if not line:
@@ -73,13 +78,10 @@ def _parse_events(lines: List[bytes]) -> Tuple[List[dict], int]:
         try:
             event = json.loads(line.decode("utf-8", "replace"))
         except ValueError:
-            malformed += 1
             continue
         if isinstance(event, dict):
             events.append(event)
-        else:
-            malformed += 1
-    return events, malformed
+    return events
 
 
 def _write_atomic(path: Path, payload: dict) -> None:
@@ -185,7 +187,6 @@ class LedgerFold:
         self.timeouts = 0
         self.cache_hits = 0
         self.events_seen = 0
-        self.malformed = 0
         self.active: Set[object] = set()
         self.retrying: Set[object] = set()
         self._terminal: Set[object] = set()
@@ -353,70 +354,27 @@ class ProgressView:
 
 
 # ---------------------------------------------------------------------------
-# collector + run telemetry
+# run telemetry: the ledger's writer
 # ---------------------------------------------------------------------------
 
 
-class Collector:
-    """Tails the spool files and folds their events into ``ledger.jsonl``.
-
-    Per-file byte offsets persist across :meth:`drain` calls; each drain
-    batch is merged across spools by ``(t, pid, seq)`` so a sample's
-    worker-side events land before the parent's terminal verdict."""
-
-    def __init__(self, run_dir: Path, fold: LedgerFold) -> None:
-        self.run_dir = run_dir
-        self.spool_dir = run_dir / SPOOL_DIR
-        self.fold = fold
-        self._offsets: Dict[Path, int] = {}
-        self._ledger_fh = open(run_dir / LEDGER_NAME, "a", encoding="utf-8")
-
-    def drain(self) -> List[dict]:
-        batch: List[dict] = []
-        for path in sorted(self.spool_dir.glob(SPOOL_GLOB)):
-            lines, offset = _read_complete_lines(path, self._offsets.get(path, 0))
-            self._offsets[path] = offset
-            events, malformed = _parse_events(lines)
-            self.fold.malformed += malformed
-            batch.extend(events)
-        if not batch:
-            return batch
-        batch.sort(
-            key=lambda e: (e.get("t", 0.0), e.get("pid", 0), e.get("seq", 0))
-        )
-        for event in batch:
-            self._ledger_fh.write(json.dumps(event, default=repr) + "\n")
-            self.fold.apply(event)
-        self._ledger_fh.flush()
-        return batch
-
-    def close(self) -> None:
-        try:
-            self._ledger_fh.close()
-        except OSError:  # pragma: no cover - best effort by contract
-            pass
-
-
 class RunTelemetry:
-    """One run's telemetry session, owned by the executor parent: installs
-    the parent's spool emitter, drains worker spools into the ledger, keeps
-    the metrics time-series, and finalizes the manifest."""
+    """One run's telemetry session, owned by the executor parent: the only
+    writer of the ledger, the metrics time-series and the manifest."""
 
     def __init__(
         self,
         run_dir: Path,
         manifest: dict,
-        collector: Collector,
+        fold: LedgerFold,
         progress: Optional[ProgressView] = None,
-        metrics_interval: float = 1.0,
         clock=time.monotonic,
     ) -> None:
         self.run_dir = run_dir
         self.manifest = manifest
-        self.collector = collector
-        self.fold = collector.fold
+        self.fold = fold
         self.progress = progress
-        self.metrics_interval = metrics_interval
+        self._ledger_fh = open(run_dir / LEDGER_NAME, "a", encoding="utf-8")
         # Pacing and the final duration run on the monotonic clock; the
         # manifest's started/finished timestamps stay wall-clock.
         self._clock = clock
@@ -432,10 +390,9 @@ class RunTelemetry:
         config_fingerprint: str = "",
         run_id: Optional[str] = None,
         progress: Optional[ProgressView] = None,
-        metrics_interval: float = 1.0,
     ) -> "RunTelemetry":
         run_dir = Path(run_dir)
-        (run_dir / SPOOL_DIR).mkdir(parents=True, exist_ok=True)
+        run_dir.mkdir(parents=True, exist_ok=True)
         started = time.time()
         run_id = run_id or time.strftime("run-%Y%m%d-%H%M%S-") + str(os.getpid())
         manifest = {
@@ -449,25 +406,28 @@ class RunTelemetry:
         }
         _write_atomic(run_dir / MANIFEST_NAME, manifest)
         fold = LedgerFold(population=population, started_unix=started)
-        telemetry = cls(
-            run_dir,
-            manifest,
-            Collector(run_dir, fold),
-            progress=progress,
-            metrics_interval=metrics_interval,
-        )
-        stream.install(run_dir / SPOOL_DIR)
-        stream.emit("run.started", run_id=run_id, population=population)
+        telemetry = cls(run_dir, manifest, fold, progress=progress)
+        telemetry.emit("run.started", run_id=run_id, population=population)
         return telemetry
 
-    @property
-    def spool_dir(self) -> Path:
-        return self.run_dir / SPOOL_DIR
+    def emit(self, kind: str, **attrs: object) -> None:
+        """Append one event to the ledger and fold it.  One write + flush
+        per event, so a killed survey leaves at most one partial line."""
+        event: Dict[str, object] = {"t": time.time(), "kind": kind}
+        event.update(attrs)
+        try:
+            self._ledger_fh.write(json.dumps(event, default=repr) + "\n")
+            self._ledger_fh.flush()
+        except (OSError, ValueError):
+            # Telemetry must never kill a survey (full disk, closed fd).
+            pass
+        self.fold.apply(event)
 
-    def drain(self) -> None:
-        self.collector.drain()
+    def refresh(self) -> None:
+        """Append a metrics row (at most every :data:`METRICS_INTERVAL`
+        seconds) and redraw the progress view."""
         now = self._clock()
-        if now - self._metrics_last >= self.metrics_interval:
+        if now - self._metrics_last >= METRICS_INTERVAL:
             self._metrics_last = now
             self._append_metrics_row()
         if self.progress is not None:
@@ -492,21 +452,23 @@ class RunTelemetry:
             pass
 
     def finish(self, outcomes: Optional[Dict[str, int]] = None) -> dict:
-        """Final drain, manifest flip to ``finished``, emitter teardown.
-        Idempotent — a second call returns the finished manifest."""
+        """Final event and metrics row, ledger close, manifest flip to
+        ``finished``.  Idempotent — a second call returns the finished
+        manifest."""
         if self._finished:
             return self.manifest
         self._finished = True
-        stream.emit(
+        self.emit(
             "run.finished",
             run_id=self.manifest["run_id"],
             completed=self.fold.completed if outcomes is None else outcomes.get("completed"),
             failed=self.fold.failed if outcomes is None else outcomes.get("failed"),
         )
-        stream.uninstall()
-        self.collector.drain()
         self._append_metrics_row()
-        self.collector.close()
+        try:
+            self._ledger_fh.close()
+        except OSError:  # pragma: no cover - best effort by contract
+            pass
         finished = time.time()
         self.manifest.update(
             status="finished",
@@ -521,7 +483,6 @@ class RunTelemetry:
                 "timeouts": self.fold.timeouts,
                 "cache_hits": self.fold.cache_hits,
                 "events": self.fold.events_seen,
-                "malformed_lines": self.fold.malformed,
             },
         )
         if outcomes:
@@ -562,7 +523,7 @@ def iter_ledger(
     deadline = time.monotonic() + timeout if timeout is not None else None
     while True:
         lines, offset = _read_complete_lines(path, offset)
-        events, _malformed = _parse_events(lines)
+        events = _parse_events(lines)
         for event in events:
             yield event
         if not follow:
@@ -575,7 +536,7 @@ def iter_ledger(
             # One final sweep: the writer may have flushed between our read
             # and the manifest flip.
             lines, offset = _read_complete_lines(path, offset)
-            events, _malformed = _parse_events(lines)
+            events = _parse_events(lines)
             for event in events:
                 yield event
             return
@@ -624,7 +585,7 @@ def render_event(event: dict, started_unix: Optional[float] = None) -> str:
         detail = " ".join(
             f"{k}={v}"
             for k, v in sorted(event.items())
-            if k not in ("t", "pid", "seq", "kind")
+            if k not in ("t", "kind")
         )
     return f"{offset}  {kind:<17s} {detail}".rstrip()
 
@@ -652,15 +613,14 @@ def describe_manifest(manifest: dict) -> str:
 
 
 __all__ = [
-    "Collector",
     "LEDGER_NAME",
     "LedgerFold",
     "MANIFEST_NAME",
+    "METRICS_INTERVAL",
     "METRICS_NAME",
     "PROFILE_NAME",
     "ProgressView",
     "RunTelemetry",
-    "SPOOL_DIR",
     "describe_manifest",
     "iter_ledger",
     "list_runs",

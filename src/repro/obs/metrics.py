@@ -1,4 +1,4 @@
-"""Process-local metrics registry (counters, gauges, histograms, timers).
+"""Process-local metrics registry (counters, gauges, histograms).
 
 Zero-dependency analogue of a Prometheus client: metric *families* are
 registered by name, each family holds one instrument per label set, and the
@@ -22,7 +22,6 @@ family/child *creation*, never the increment fast path.
 from __future__ import annotations
 
 import threading
-import time
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .log import get_logger
@@ -152,25 +151,6 @@ class Histogram:
         self.bucket_counts[-1] += counts[-1]
 
 
-class Timer:
-    """Context manager observing elapsed monotonic seconds into a histogram."""
-
-    __slots__ = ("histogram", "_started", "elapsed")
-
-    def __init__(self, histogram: Histogram) -> None:
-        self.histogram = histogram
-        self._started = 0.0
-        self.elapsed = 0.0
-
-    def __enter__(self) -> "Timer":
-        self._started = time.perf_counter()
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.elapsed = time.perf_counter() - self._started
-        self.histogram.observe(self.elapsed)
-
-
 class _NullInstrument:
     """Absorbs every instrument operation; handed out when disabled or when
     a family overflowed its label-set cap."""
@@ -180,7 +160,6 @@ class _NullInstrument:
     count = 0
     sum = 0.0
     mean = 0.0
-    elapsed = 0.0
 
     def inc(self, amount: float = 1.0) -> None:
         pass
@@ -192,12 +171,6 @@ class _NullInstrument:
         pass
 
     def observe(self, value: float) -> None:
-        pass
-
-    def __enter__(self) -> "_NullInstrument":
-        return self
-
-    def __exit__(self, *exc) -> None:
         pass
 
 
@@ -274,11 +247,6 @@ class MetricsRegistry:
             return NULL  # type: ignore[return-value]
         family = self._family(name, "histogram", help, lambda: Histogram(buckets))
         return family.get(labels, self)
-
-    def timer(self, name: str, help: str = "", **labels) -> Timer:
-        if not self.enabled:
-            return NULL  # type: ignore[return-value]
-        return Timer(self.histogram(name, help=help, **labels))
 
     def _note_overflow(self, name: str, warn: bool) -> None:
         """Count (and, once per family, warn about) a dropped label set.

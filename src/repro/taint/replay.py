@@ -23,6 +23,7 @@ from typing import Dict, List, Optional, Tuple
 from ..tracing.events import ApiCallEvent
 from ..vm.assembler import assemble
 from ..vm.cpu import CPU, ExitStatus
+from ..vm.memory import TEXT_BASE
 from ..vm.program import Program
 from ..winenv.acl import IntegrityLevel
 from ..winenv.environment import SystemEnvironment
@@ -91,11 +92,11 @@ def _replay_instances(
         if step.api is not None:
             dispatcher.invoke(cpu, step.api, caller_pc=step.pc, seq=i)
             continue
-        instr = program.instruction_at(step.pc)
-        if instr is None:
+        idx = step.pc - TEXT_BASE
+        if not 0 <= idx < len(cpu._decoded):
             raise SliceReplayError(f"no instruction at pc 0x{step.pc:08x}")
         try:
-            cpu._execute(instr, step.pc, i)
+            cpu._decoded[idx][0](cpu, step.pc, i)
         except Exception as exc:  # MemoryFault / CpuFault
             raise SliceReplayError(f"replay fault at 0x{step.pc:08x}: {exc}") from exc
 

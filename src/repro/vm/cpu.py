@@ -21,7 +21,6 @@ from ..tracing.events import ApiCallEvent, InstructionRecord, TaintedPredicateEv
 from ..tracing.trace import Trace
 from . import superblock as superblock_mod
 from .decode import decoded_program
-from .isa import Instruction
 from .memory import Memory, MemoryFault, STACK_TOP, TEXT_BASE
 from .operands import ApiRef, Imm, Mem, Operand, Reg, mask32, to_signed
 from .program import Program
@@ -853,64 +852,6 @@ class CPU:
     # per-instruction semantics
     # ------------------------------------------------------------------
 
-    def _execute(self, instr: Instruction, pc: int, seq: int) -> None:
-        m = instr.mnemonic
-        ops = instr.operands
-
-        if m == "nop":
-            return
-        if m == "halt":
-            self.status = ExitStatus.HALTED
-            return
-        if m in ("mov", "movb"):
-            value, taint = self.read_operand(ops[1])
-            if m == "movb":
-                value &= 0xFF
-                if isinstance(ops[0], Mem) and ops[0].size != 1:
-                    ops = (Mem(ops[0].base, ops[0].index, ops[0].scale, ops[0].disp, 1, ops[0].symbol), ops[1])
-            self.write_operand(ops[0], value, taint)
-            return
-        if m == "lea":
-            self._lea(ops[0], ops[1])
-            return
-        if m == "xchg":
-            a, ta = self.read_operand(ops[0])
-            b, tb = self.read_operand(ops[1])
-            self.write_operand(ops[0], b, tb)
-            self.write_operand(ops[1], a, ta)
-            return
-        if m == "push":
-            value, taint = self.read_operand(ops[0])
-            self.push(value, taint)
-            return
-        if m == "pop":
-            value, taint = self.pop()
-            self.write_operand(ops[0], value, taint)
-            return
-        if m in ("inc", "dec", "not", "neg"):
-            self._unary(m, ops[0])
-            return
-        if m in ("add", "sub", "xor", "and", "or", "shl", "shr", "imul", "mul"):
-            self._binary(m, ops[0], ops[1])
-            return
-        if m in ("cmp", "test"):
-            self._compare(m, ops[0], ops[1], pc, seq, str(instr))
-            return
-        if instr.is_jump:
-            self._jump(m, ops[0])
-            return
-        if m == "call":
-            self._call(ops[0], pc, seq, str(instr))
-            return
-        if m == "ret":
-            self._ret(ops)
-            return
-        raise CpuFault(f"unimplemented mnemonic {m}")
-
-    def _mem_address_quiet(self, op: Mem) -> int:
-        """Address computation identical to ``_mem_address`` (uses recorded)."""
-        return self._mem_address(op)
-
     def _lea(self, dst: Operand, mem: Operand) -> None:
         if not isinstance(mem, Mem):
             raise CpuFault("lea needs a memory operand")
@@ -921,7 +862,7 @@ class CPU:
         if mem.index:
             _, t = self.get_reg(mem.index)
             taints.append(t)
-        self.write_operand(dst, self._mem_address_quiet(mem), union(*taints))
+        self.write_operand(dst, self._mem_address(mem), union(*taints))
 
     def _ret(self, ops: Tuple[Operand, ...]) -> None:
         value, _ = self.pop()

@@ -1,19 +1,20 @@
-"""Predecoded instruction handlers — the interpreter's fast path.
+"""Predecoded instruction handlers — the interpreter's only dispatch.
 
-``CPU._execute`` dispatches on mnemonic strings and threads a
-``(value, TagSet)`` pair through every operand access.  That is the right
-shape for exactness (def/use records, taint propagation), but it is pure
-overhead on the overwhelmingly common step: an untainted ALU/branch
-instruction in a profiling run that records no instructions.
+Exact execution threads a ``(value, TagSet)`` pair through every operand
+access.  That is the right shape for def/use records and taint
+propagation, but it is pure overhead on the overwhelmingly common step: an
+untainted ALU/branch instruction in a profiling run that records no
+instructions.
 
 This module binds each :class:`~repro.vm.isa.Instruction` of a program —
 once, at first execution — to a triple ``(full, fast, text)``:
 
-* ``full(cpu, pc, seq)`` — the exact legacy semantics (taint, def/use,
-  tainted-predicate events), minus the per-step mnemonic string chain and
-  the per-step ``str(instr)``/operand re-normalization.  It delegates to the
-  CPU's existing helpers so the single source of semantic truth stays in
-  ``cpu.py``.
+* ``full(cpu, pc, seq)`` — the exact semantics (taint, def/use,
+  tainted-predicate events), chosen by mnemonic once at decode time
+  instead of per step, with operands normalized once.  It delegates to the
+  CPU's helpers (``_unary``, ``_binary``, ``_compare``, …) so the single
+  source of semantic truth stays in ``cpu.py``.  ``CPU.step`` and slice
+  replay (:mod:`repro.taint.replay`) both execute through it.
 * ``fast(cpu)`` — an untainted specialization with pre-resolved operand
   accessors: plain ints end to end, no TagSet plumbing, no def/use lists,
   no flag-taint writes.  ``None`` for steps the fast loop must not swallow
@@ -42,7 +43,7 @@ _M = 0xFFFFFFFF
 
 #: ``fast`` handler: mutates the cpu, returns nothing.
 FastHandler = Callable[[object], None]
-#: ``full`` handler: exact legacy step semantics.
+#: ``full`` handler: exact step semantics.
 FullHandler = Callable[[object, int, int], None]
 #: One decoded instruction.
 DecodedEntry = Tuple[FullHandler, Optional[FastHandler], str]
@@ -403,7 +404,7 @@ def _fast_handler(instr: Instruction) -> Optional[FastHandler]:
 
 
 # ---------------------------------------------------------------------------
-# full handlers (legacy semantics, pre-dispatched)
+# full handlers (exact semantics, pre-dispatched)
 # ---------------------------------------------------------------------------
 
 

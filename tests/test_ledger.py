@@ -1,11 +1,12 @@
-"""Run-telemetry layer: spool emitter, collector/ledger, tail readers.
+"""Run-telemetry layer: the parent's ledger writer, fold, tail readers.
 
-The invariants pinned here (DESIGN.md §11): the ledger's terminal events
+The invariants pinned here (DESIGN.md §12): the ledger's terminal events
 exactly mirror ``PopulationResult`` — one ``sample.completed`` or
 ``sample.failed`` per sample, no losses and no duplicates, even under
-injected worker crashes and pool deaths; readers tolerate a partial
-trailing line from an in-flight (or killed) writer; and a finished run
-round-trips through ``repro tail`` / ``repro runs``.
+injected worker crashes and pool deaths; its ``sample.phase`` events are
+the stage cells of the timing tree, for any jobs; readers tolerate a
+partial trailing line from an in-flight (or killed) writer; and a finished
+run round-trips through ``repro tail`` / ``repro runs``.
 """
 
 from __future__ import annotations
@@ -15,12 +16,13 @@ import os
 
 import pytest
 
-from repro import obs
+from repro import AutoVac, obs
 from repro.cli import main
 from repro.core.executor import PipelineConfig, analyze_population
 from repro.core.faults import FaultPlan
-from repro.corpus import GeneratorConfig, generate_population
-from repro.obs import ledger, stream
+from repro.core.stages import ImpactStage, default_stages
+from repro.corpus import FAMILIES, GeneratorConfig, build_family, generate_population
+from repro.obs import ledger
 from repro.obs.ledger import (
     LedgerFold,
     ProgressView,
@@ -45,51 +47,36 @@ def programs():
     ]
 
 
-@pytest.fixture(autouse=True)
-def _clean_stream():
-    yield
-    stream.uninstall()
-
-
 def fast_config(**kw) -> PipelineConfig:
     kw.setdefault("retry_backoff", 0.0)
     return PipelineConfig(**kw)
 
 
+#: Terminal per-sample kinds — exactly one per sample per run.
+TERMINAL_KINDS = ("sample.completed", "sample.failed")
+
+
 def terminal_events(events):
-    return [e for e in events if e["kind"] in stream.TERMINAL_KINDS]
+    return [e for e in events if e["kind"] in TERMINAL_KINDS]
 
 
-class TestStreamEmitter:
-    def test_off_by_default_and_emit_is_noop(self):
-        assert not stream.enabled()
-        stream.emit("sample.started", sample="x")  # must not raise
-
-    def test_install_emit_uninstall(self, tmp_path):
-        emitter = stream.install(tmp_path)
-        assert stream.enabled()
-        stream.set_context(index=3, attempt=2)
-        stream.emit("sample.started", sample="zeus")
-        stream.uninstall()
-        assert not stream.enabled()
-        lines = emitter.path.read_text().splitlines()
-        assert len(lines) == 1
-        event = json.loads(lines[0])
-        assert event["kind"] == "sample.started"
-        assert event["sample"] == "zeus"
-        assert event["index"] == 3 and event["attempt"] == 2
-        assert event["pid"] == os.getpid()
-
-    def test_install_same_dir_is_idempotent(self, tmp_path):
-        first = stream.install(tmp_path)
-        assert stream.install(tmp_path) is first
-
-    def test_explicit_attrs_beat_context(self, tmp_path):
-        emitter = stream.install(tmp_path)
-        stream.set_context(index=1)
-        stream.emit("sample.completed", index=7)
-        stream.uninstall()
-        assert json.loads(emitter.path.read_text())["index"] == 7
+class TestEmit:
+    def test_emit_appends_a_flushed_line_and_folds_it(self, tmp_path):
+        telemetry = RunTelemetry.begin(tmp_path, population=1)
+        telemetry.emit("sample.started", sample="zeus", index=0, attempt=1)
+        # Flushed per event: a reader sees it before the run finishes.
+        events = read_ledger(tmp_path)
+        assert [e["kind"] for e in events] == ["run.started", "sample.started"]
+        assert events[1]["sample"] == "zeus" and events[1]["attempt"] == 1
+        assert set(events[1]) == {"t", "kind", "sample", "index", "attempt"}
+        assert len(telemetry.fold.active) == 1
+        telemetry.finish()
+        assert read_ledger(tmp_path)[-1]["kind"] == "run.finished"
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            ledger.LEDGER_NAME,
+            ledger.MANIFEST_NAME,
+            ledger.METRICS_NAME,
+        ]
 
 
 class TestPartialLineTolerance:
@@ -108,19 +95,13 @@ class TestPartialLineTolerance:
         events = read_ledger(tmp_path)
         assert [e["kind"] for e in events] == ["sample.started", "sample.completed"]
 
-    def test_collector_skips_malformed_complete_line(self, tmp_path):
-        fold = LedgerFold(population=1)
-        collector = ledger.Collector(tmp_path, fold)
-        spool = tmp_path / ledger.SPOOL_DIR
-        spool.mkdir()
-        (spool / "events-1.jsonl").write_text(
+    def test_read_ledger_skips_malformed_complete_line(self, tmp_path):
+        (tmp_path / ledger.LEDGER_NAME).write_text(
             json.dumps({"t": 1.0, "kind": "sample.started", "sample": "a"})
             + "\n:::garbage:::\n"
         )
-        batch = collector.drain()
-        collector.close()
-        assert [e["kind"] for e in batch] == ["sample.started"]
-        assert fold.malformed == 1
+        events = read_ledger(tmp_path)
+        assert [e["kind"] for e in events] == ["sample.started"]
 
     def test_iter_ledger_follow_stops_when_run_finishes(self, tmp_path, programs):
         analyze_population(programs[:2], config=fast_config(), jobs=1, run_dir=tmp_path)
@@ -239,6 +220,70 @@ class TestCollectorUnderFaults:
         assert terminal_table(seq_dir) == terminal_table(par_dir)
 
 
+def phase_events(events):
+    return [e for e in events if e["kind"] == "sample.phase"]
+
+
+class TestLedgerEqualsTree:
+    """The ledger's ``sample.phase`` events are the stage cells the timing
+    tree holds: a failed attempt leaves neither, and the seconds are the
+    same numbers ``SampleAnalysis.timings`` reads."""
+
+    def test_failed_attempt_leaves_no_phase_events(self, tmp_path):
+        class ZeusImpactFails(ImpactStage):
+            name = "impact"
+
+            def run(self, ctx):
+                if ctx.program.name == "zeus":
+                    raise RuntimeError("impact failed")
+                super().run(ctx)
+
+        stages = tuple(
+            ZeusImpactFails() if isinstance(s, ImpactStage) else s
+            for s in default_stages()
+        )
+        obs.reset()
+        result = analyze_population(
+            [build_family(name) for name in FAMILIES],
+            config=fast_config(sample_retries=0),
+            jobs=1,
+            autovac=AutoVac(stages=stages),
+            run_dir=tmp_path,
+        )
+        assert [f.sample for f in result.failures] == ["zeus"]
+        phase1 = [e for e in phase_events(read_ledger(tmp_path)) if e["phase"] == "phase1"]
+        cells = obs.prof.snapshot()["pipeline.analyze;phase1"][0]
+        assert len(phase1) == cells == 5
+        assert "zeus" not in {e["sample"] for e in phase1}
+
+    def test_phase_seconds_are_the_stage_cells_for_any_jobs(self, tmp_path):
+        programs = [
+            s.program for s in generate_population(GeneratorConfig(size=6, seed=3))
+        ]
+        plan = FaultPlan.parse("crash:2@1")
+        pairs, attempts = {}, {}
+        for jobs in (1, 2):
+            run_dir = tmp_path / f"jobs{jobs}"
+            result = analyze_population(
+                programs, config=fast_config(), jobs=jobs, faults=plan, run_dir=run_dir
+            )
+            assert len(result.analyses) == len(programs)
+            events = read_ledger(run_dir)
+            phases = phase_events(events)
+            for e in phases:
+                assert e["seconds"] == result.analyses[e["index"]].timings[e["phase"]]
+            pairs[jobs] = {(e["index"], e["phase"]) for e in phases}
+            # Only the successful second attempt of sample 2 reports phases.
+            assert {e["attempt"] for e in phases if e["index"] == 2} == {2}
+            attempts[jobs] = sorted(
+                (e["index"], e["attempt"]) for e in events if e["kind"] == "sample.started"
+            )
+        assert pairs[1] == pairs[2]
+        # One sample.started per attempt, the crashed one included.
+        assert attempts[1] == attempts[2]
+        assert attempts[1].count((2, 1)) == attempts[1].count((2, 2)) == 1
+
+
 class TestFold:
     def test_duplicate_terminal_events_counted_once(self):
         fold = LedgerFold(population=2)
@@ -303,10 +348,7 @@ class TestFold:
             "pid": os.getpid(),
         }
         telemetry = RunTelemetry(
-            tmp_path,
-            manifest,
-            ledger.Collector(tmp_path, LedgerFold(population=0)),
-            clock=lambda: next(ticks),
+            tmp_path, manifest, LedgerFold(population=0), clock=lambda: next(ticks)
         )
         finished = telemetry.finish()
         # Duration is measured on the injected monotonic clock, not as
