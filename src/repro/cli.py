@@ -36,7 +36,7 @@ deny rules); ``--enforce`` clinic-certifies it against the benign suite and
 re-attacks a policy-enforcing host with the sample.  Set ``REPRO_LOG=info``
 for structured logs.
 
-``survey --run-dir DIR`` records live run telemetry (DESIGN.md §11): a
+``survey --run-dir DIR`` records live run telemetry (DESIGN.md §12): a
 persistent ledger of per-sample lifecycle events plus a manifest; add
 ``--progress`` for a live progress line.  ``tail`` replays (or, with
 ``--follow``, streams) a run directory's ledger — attachable while the
