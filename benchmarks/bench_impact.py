@@ -243,7 +243,7 @@ def test_interpreter_fast_path():
             record_instructions=False,
         )
         if force_slow:
-            cpu._allow_fast = cpu._fast_mode = False
+            cpu._allow_fast = False
         started = time.perf_counter()
         cpu.run()
         elapsed = time.perf_counter() - started

@@ -8,10 +8,12 @@ Three kernels pin the execution tiers against each other (see DESIGN.md,
 * **loop** — a tight 6-instruction stalling loop (the Sality/Conficker
   anti-sandbox shape): one back-edge region that iterates internally,
   paying one dispatch per *entry* instead of per iteration;
-* **taint** — the Conficker-style hash of a tainted computer name: tainted
-  loads and predicates keep control on the recording-capable slow path, so
-  superblocks must not engage (the kernel pins "no regression when the
-  guards say no").
+* **taint** — the Conficker-style hash of the computer name, two API calls
+  (``GetComputerNameA``, ``wsprintfA``) per round.  On an analysis
+  (recorded) run its loads and predicates would carry taint; this run is
+  unrecorded and so taint-free, and the kernel pins that an API-dense loop
+  does not regress with superblocks on (each round leaves the compiled hash
+  loop for one slow step per API call).
 
 Each kernel runs with superblocks on and off and must finish in the same
 machine state either way.  Artifacts: ``_artifacts/vm.txt`` and
@@ -63,8 +65,8 @@ spin:
 def _taint_program():
     b = AsmBuilder("vm_bench_taint")
     out = b.buffer(64)
-    # 400 rounds of the tainted hash loop: every load and predicate carries
-    # GetComputerNameA's env taint, which the superblock guards reject.
+    # 400 rounds of the hash loop between two API calls: the loop compiles,
+    # and every round pays one slow step per call.
     b.emit("    mov edi, 400")
     again = b.label("again")
     frag_computer_name_hash(b, out)
@@ -113,8 +115,8 @@ def test_superblock_kernels():
             per_sample_off[name] = off_s
             rows.append((name, on_cpu.steps, on_s, off_s))
 
-    # Superblock-friendly kernels must actually win; the taint kernel only
-    # has to avoid regressing (guards keep it on the slow path either way).
+    # Superblock-friendly kernels must actually win; the API-dense taint
+    # kernel only has to avoid regressing.
     assert per_sample_off["straight"] / per_sample["straight"] >= 1.3
     assert per_sample_off["loop"] / per_sample["loop"] >= 1.3
     assert per_sample["taint"] <= per_sample_off["taint"] * 1.35

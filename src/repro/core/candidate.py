@@ -71,7 +71,6 @@ def select_candidates(
     program: Program,
     environment: Optional[SystemEnvironment] = None,
     max_steps: int = DEFAULT_BUDGET,
-    record_instructions: bool = True,
     taint_addresses: bool = False,
 ) -> CandidateReport:
     """Run Phase I on one sample.
@@ -84,7 +83,6 @@ def select_candidates(
         program,
         environment=environment,
         max_steps=max_steps,
-        record_instructions=record_instructions,
         taint_addresses=taint_addresses,
     )
     return analyze_trace(program.name, run)

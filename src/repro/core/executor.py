@@ -71,7 +71,7 @@ from typing import Deque, Dict, Iterable, List, Optional, Set, Tuple, Union
 
 from .. import obs
 from ..analysis.alignment import align_lcs, align_linear, align_myers
-from ..obs.ledger import ProgressView, RunTelemetry
+from ..obs.ledger import ProgressView, RunTelemetry, pid_alive
 from ..tracing import serialize
 from ..vm.program import Program
 from .faults import FaultPlan, InjectedHang
@@ -91,8 +91,9 @@ _EXECUTION_KNOBS = frozenset({"sample_timeout", "sample_retries", "retry_backoff
 #: Bumped when cached payloads change meaning under the same codec version,
 #: so older entries miss instead of decoding wrong.  2: every payload
 #: carries its stage-rooted timing tree (older ones have ``profile: null``
-#: and would leave a warm survey without stage cells).
-_CACHE_GENERATION = 2
+#: and would leave a warm survey without stage cells).  3: unrecorded runs
+#: are taint-free, so profiled payloads carry different per-tier counts.
+_CACHE_GENERATION = 3
 
 
 @dataclass(frozen=True)
@@ -193,16 +194,6 @@ def config_for(autovac: AutoVac) -> PipelineConfig:
         superblock_vm=autovac.superblock_vm,
         profile=obs.prof.enabled,
     )
-
-
-def _pid_alive(pid: int) -> bool:
-    try:
-        os.kill(pid, 0)
-    except ProcessLookupError:
-        return False
-    except OSError:
-        return True  # exists but not ours (EPERM) — leave its files alone
-    return True
 
 
 class ResultCache:
@@ -306,7 +297,7 @@ class ResultCache:
             pid_text = tmp.suffix[1:]
             if pid_text.isdigit():
                 pid = int(pid_text)
-                if pid == os.getpid() or _pid_alive(pid):
+                if pid == os.getpid() or pid_alive(pid):
                     continue
             try:
                 tmp.unlink()

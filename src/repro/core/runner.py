@@ -95,10 +95,8 @@ def resume_sample(
     snapshot: "VmSnapshot",
     interceptors: Optional[Iterable[Interceptor]] = None,
     max_steps: int = DEFAULT_BUDGET,
-    record_instructions: bool = False,
-    taint_addresses: bool = False,
 ) -> RunResult:
-    """Resume ``program`` from a mid-run :class:`VmSnapshot`.
+    """Resume ``program`` unrecorded from a mid-run :class:`VmSnapshot`.
 
     The counterpart of :func:`run_sample` for Phase-II mutated runs: the
     restored state already contains the environment evolved through the
@@ -106,13 +104,7 @@ def resume_sample(
     trace is a *complete* trace (prefix events + suffix events) — alignment
     and delta classification consume it exactly like a full rerun's.
     """
-    cpu = snapshot.build_cpu(
-        program,
-        interceptors=interceptors,
-        max_steps=max_steps,
-        record_instructions=record_instructions,
-        taint_addresses=taint_addresses,
-    )
+    cpu = snapshot.build_cpu(program, interceptors=interceptors, max_steps=max_steps)
     trace = cpu.run()
     if obs.metrics.enabled:
         obs.metrics.counter("runner.resumes").inc()

@@ -20,7 +20,8 @@ State is split two ways:
 
 * **VM machine state** (registers, flags, sparse memory, call stack, the
   event log so far) is shallow-copied — dict/list copies over immutable
-  ints, frozen TagSets and already-final events.
+  ints and already-final events.  Snapshots are taken on unrecorded runs,
+  which carry no taint, so there is no taint state to copy.
 * **Guest environment state** (filesystem, registry, mutexes, the process
   and its handle table, the RNG mid-sequence) is captured as a structured
   :class:`~repro.winenv.snapshot.EnvSnapshot`: plain-data rows walked once
@@ -42,8 +43,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from .. import obs
-from ..taint.labels import TagSet
-from ..tracing.events import ApiCallEvent, TaintedPredicateEvent
+from ..tracing.events import ApiCallEvent
 from ..tracing.trace import Trace
 from ..vm.cpu import CPU
 from ..vm.memory import Memory
@@ -84,16 +84,12 @@ class VmSnapshot:
     steps: int
     next_event_id: int
     regs: Dict[str, int]
-    reg_taint: Dict[str, TagSet]
     flags: Dict[str, int]
-    flag_taint: TagSet
     callstack: List[int]
     mem_bytes: Dict[int, int]
-    mem_taint: Dict[int, TagSet]
     mem_regions: List[Tuple[int, int]]
     mem_readonly: List[Tuple[int, int]]
     api_calls: List[ApiCallEvent]
-    predicates: List[TaintedPredicateEvent]
     #: Structured environment capture: plain-data rows with
     #: handle->resource identity carried by an explicit id-map.
     env_state: EnvSnapshot
@@ -122,16 +118,12 @@ class VmSnapshot:
             steps=event.seq,
             next_event_id=event.event_id,
             regs=dict(cpu.regs),
-            reg_taint=dict(cpu.reg_taint),
             flags=dict(cpu.flags),
-            flag_taint=cpu.flag_taint,
             callstack=list(cpu.callstack),
             mem_bytes=dict(memory._bytes),
-            mem_taint=dict(memory._taint),
             mem_regions=list(memory._regions),
             mem_readonly=list(memory.readonly_ranges),
             api_calls=list(cpu.trace.api_calls),
-            predicates=list(cpu.trace.predicates),
             env_state=env_state,
         )
         if prof is not None:
@@ -143,10 +135,8 @@ class VmSnapshot:
         program,
         interceptors=None,
         max_steps: int = 200_000,
-        record_instructions: bool = False,
-        taint_addresses: bool = False,
     ) -> CPU:
-        """Reconstruct a runnable CPU from this checkpoint.
+        """Reconstruct a runnable (unrecorded) CPU from this checkpoint.
 
         Each call restores an independent environment (the structured rows
         are rebuilt fresh), so one snapshot can seed both mutation mechanisms without
@@ -174,14 +164,12 @@ class VmSnapshot:
 
         memory = Memory.restore(
             bytes_map=self.mem_bytes,
-            taint_map=self.mem_taint,
             regions=self.mem_regions,
             readonly_ranges=self.mem_readonly,
         )
 
         trace = Trace(program_name=program.name)
         trace.api_calls = list(self.api_calls)
-        trace.predicates = list(self.predicates)
         trace._event_ids = itertools.count(self.next_event_id)
 
         cpu = CPU.resume(
@@ -191,16 +179,12 @@ class VmSnapshot:
             dispatcher,
             memory=memory,
             regs=dict(self.regs),
-            reg_taint=dict(self.reg_taint),
             flags=dict(self.flags),
-            flag_taint=self.flag_taint,
             pc=self.pc,
             steps=self.steps,
             callstack=list(self.callstack),
             trace=trace,
             max_steps=max_steps,
-            record_instructions=record_instructions,
-            taint_addresses=taint_addresses,
         )
         if prof is not None:
             # Reconstruction only — the resumed run's execution time lands on

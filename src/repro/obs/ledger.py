@@ -90,13 +90,14 @@ def _write_atomic(path: Path, payload: dict) -> None:
     tmp.replace(path)
 
 
-def _pid_alive(pid: int) -> bool:
+def pid_alive(pid: int) -> bool:
+    """Does process ``pid`` exist (ours or another user's)?"""
     try:
         os.kill(pid, 0)
     except ProcessLookupError:
         return False
     except OSError:
-        return True
+        return True  # exists but not ours (EPERM) — leave its files alone
     return True
 
 
@@ -128,7 +129,7 @@ def manifest_status(manifest: dict) -> str:
     status = str(manifest.get("status", "unknown"))
     if status == "running":
         pid = manifest.get("pid")
-        if isinstance(pid, int) and not _pid_alive(pid):
+        if isinstance(pid, int) and not pid_alive(pid):
             return "stale"
     return status
 
@@ -625,6 +626,7 @@ __all__ = [
     "iter_ledger",
     "list_runs",
     "manifest_status",
+    "pid_alive",
     "read_ledger",
     "read_manifest",
     "render_event",

@@ -14,10 +14,11 @@ frames:
   stage's prefix (``pipeline.analyze;impact;vm;slow``) or unprefixed
   outside any stage (daemon, campaign, a bare ``run_sample``):
 
-  - VM execution by tier — ``vm;slow`` (recording/taint dispatch),
-    ``vm;fast`` (predecoded untainted loop), ``vm;superblock;region@0x…``
-    (one node per compiled hot region) plus ``vm;superblock;guard_exit``
-    (count-only: refused dispatches; their time stays on the region node);
+  - VM execution by tier — ``vm;slow`` (every step of a recorded run,
+    the API calls of an unrecorded one), ``vm;fast`` (predecoded untainted
+    loop), ``vm;superblock;region@0x…`` (one node per compiled hot region)
+    plus ``vm;superblock;guard_exit`` (count-only: budget-refused
+    dispatches; their time stays on the region node);
   - API dispatch per handler — ``api;<Name>`` total with
     ``api;<Name>;read_args`` (the ``read_stack_args`` pre-read) split out,
     so body time is the handler node's *self* time;

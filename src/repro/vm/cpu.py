@@ -1,11 +1,12 @@
 """Interpreting CPU with inline forward taint propagation.
 
 The CPU executes one :class:`Program` inside one guest process.  It is the
-DynamoRIO-replacement: every step records a def/use
-:class:`~repro.tracing.events.InstructionRecord` (for backward slicing) and
-every tainted ``cmp``/``test`` records a
+DynamoRIO-replacement: on a recorded (analysis) run every step records a
+def/use :class:`~repro.tracing.events.InstructionRecord` (for backward
+slicing) and every tainted ``cmp``/``test`` records a
 :class:`~repro.tracing.events.TaintedPredicateEvent` (Phase-I candidate
-signal).  API calls trap into an injected dispatcher.
+signal).  An unrecorded run carries no taint and runs on the untainted fast
+and superblock tiers.  API calls trap into an injected dispatcher.
 """
 
 from __future__ import annotations
@@ -44,10 +45,7 @@ class _VmFlushCache:
     Keyed on the obs registry generation the same way as
     ``Dispatcher._FlushCache``: ``obs.reset()`` bumps ``metrics.generation``
     and discards the counter families these handles point into, so a
-    generation mismatch drops every handle.  (The previous scheme stored the
-    generation as just another entry of the same dict that held the
-    per-status ``vm.runs`` handles — correctness hinged on no exit status
-    ever being named ``"generation"``/``"instructions"``/… .)
+    generation mismatch drops every handle.
     """
 
     __slots__ = (
@@ -169,8 +167,10 @@ class CPU:
         Execution budget; the paper caps profiling runs at one minute, we cap
         at an instruction count.
     record_instructions:
-        Keep per-step def/use records (needed for backward slicing; can be
-        disabled for cheap population-scale profiling).
+        Analysis run: keep per-step def/use records (for backward slicing)
+        and taint (for tainted-predicate events).  An unrecorded run is
+        taint-free — no API mints a tag — and executes on the fast and
+        superblock tiers.
     taint_addresses:
         Pointer-taint policy (off by default, matching the paper): when on,
         a memory load's result also carries the taint of the registers used
@@ -192,6 +192,101 @@ class CPU:
         superblocks: Optional[bool] = None,
         superblock_threshold: Optional[int] = None,
     ) -> None:
+        memory = Memory()
+        program.load_into(memory)
+        regs = {name: 0 for name in ("eax", "ebx", "ecx", "edx", "esi", "edi", "ebp", "esp")}
+        regs["esp"] = STACK_TOP
+        regs["ebp"] = STACK_TOP
+        self._setup(
+            program,
+            environment,
+            process,
+            dispatcher,
+            memory=memory,
+            regs=regs,
+            flags={"zf": 0, "sf": 0, "cf": 0},
+            pc=program.entry,
+            steps=0,
+            callstack=[],
+            trace=trace if trace is not None else Trace(program_name=program.name),
+            max_steps=max_steps,
+            record_instructions=record_instructions,
+            taint_addresses=taint_addresses,
+            superblocks=superblocks,
+            superblock_threshold=superblock_threshold,
+        )
+
+    @classmethod
+    def resume(
+        cls,
+        program: Program,
+        environment,
+        process,
+        dispatcher,
+        *,
+        memory: Memory,
+        regs: dict,
+        flags: dict,
+        pc: int,
+        steps: int,
+        callstack: List[int],
+        trace: Trace,
+        max_steps: int = 200_000,
+        superblocks: Optional[bool] = None,
+        superblock_threshold: Optional[int] = None,
+    ) -> "CPU":
+        """Build an unrecorded CPU mid-run from restored machine state (see
+        :mod:`repro.core.snapshot`) instead of a fresh image load.
+
+        ``pc``/``steps`` name the instruction the resumed run executes
+        first; the budget check compares the *cumulative* step count against
+        ``max_steps``, so a resumed run exhausts its budget at exactly the
+        same instruction a full rerun would.  A resumed pc may land
+        mid-region: that index simply is not a region entry, so execution
+        proceeds per-instruction until the next entry pc.
+        """
+        cpu = cls.__new__(cls)
+        cpu._setup(
+            program,
+            environment,
+            process,
+            dispatcher,
+            memory=memory,
+            regs=regs,
+            flags=flags,
+            pc=pc,
+            steps=steps,
+            callstack=callstack,
+            trace=trace,
+            max_steps=max_steps,
+            record_instructions=False,
+            taint_addresses=False,
+            superblocks=superblocks,
+            superblock_threshold=superblock_threshold,
+        )
+        return cpu
+
+    def _setup(
+        self,
+        program: Program,
+        environment,
+        process,
+        dispatcher,
+        *,
+        memory: Memory,
+        regs: dict,
+        flags: dict,
+        pc: int,
+        steps: int,
+        callstack: List[int],
+        trace: Trace,
+        max_steps: int,
+        record_instructions: bool,
+        taint_addresses: bool,
+        superblocks: Optional[bool],
+        superblock_threshold: Optional[int],
+    ) -> None:
+        """Every per-run field, for fresh and resumed CPUs alike."""
         self.program = program
         self.environment = environment
         self.process = process
@@ -203,25 +298,20 @@ class CPU:
         self._track = record_instructions
         self.taint_addresses = taint_addresses
 
-        self.memory = Memory()
-        program.load_into(self.memory)
-
-        self.regs = {name: 0 for name in ("eax", "ebx", "ecx", "edx", "esi", "edi", "ebp", "esp")}
-        self.reg_taint = {name: EMPTY for name in self.regs}
-        self.regs["esp"] = STACK_TOP
-        self.regs["ebp"] = STACK_TOP
-
-        self.flags = {"zf": 0, "sf": 0, "cf": 0}
+        self.memory = memory
+        self.regs = regs
+        self.reg_taint = {name: EMPTY for name in regs}
+        self.flags = flags
         self.flag_taint: TagSet = EMPTY
 
-        self.pc = program.entry
-        self.steps = 0
+        self.pc = pc
+        self.steps = steps
         self.status = ExitStatus.RUNNING
         self.fault_reason: Optional[str] = None
-        self.callstack: List[int] = []
+        self.callstack = callstack
 
-        self.trace = trace if trace is not None else Trace(program_name=program.name)
-        self.trace.program_name = program.name
+        self.trace = trace
+        trace.program_name = program.name
 
         # Per-step def/use accumulators (reset each step).
         self._uses: List[Tuple] = []
@@ -234,31 +324,21 @@ class CPU:
         #: Steps/events already accounted before this CPU started (0 for a
         #: fresh run; the snapshot's prefix for a resumed one) — so
         #: ``_flush_obs`` reports only what *this* CPU executed.
-        self._steps_at_start = 0
-        self._events_at_start = len(self.trace.api_calls)
-        self._predicates_at_start = len(self.trace.predicates)
-        # The untainted fast path is legal only while nothing needs to be
-        # recorded and no live taint exists anywhere in the machine; taint
-        # can only enter through an API call, so ``_call`` rechecks after
-        # every dispatcher invoke.
+        self._steps_at_start = steps
+        self._events_at_start = len(trace.api_calls)
+        self._predicates_at_start = len(trace.predicates)
+        # The run's tier, chosen once: an unrecorded run carries no taint,
+        # so it takes the fast loop and compiled regions; a recorded run
+        # takes exact slow steps throughout.
         self._allow_fast = not record_instructions
-        self._fast_mode = self._allow_fast
-        self._init_superblocks(superblocks, superblock_threshold)
 
-    def _init_superblocks(
-        self, superblocks: Optional[bool], threshold: Optional[int]
-    ) -> None:
-        """Attach the per-program superblock cache (tier 3).
-
-        Superblocks are only legal when instruction recording is off (they
-        produce no InstructionRecords); with recording on the cache is not
-        even attached.  Unlike the fast loop they *do* run under live taint,
-        behind the guards documented in :mod:`repro.vm.superblock`."""
+        # Tier 3: the per-program superblock cache, attached only when the
+        # fast loop runs (regions produce no InstructionRecords).
         enabled = (
             superblock_mod.default_enabled() if superblocks is None else superblocks
         )
         self._superblocks = (
-            superblock_mod.superblock_cache(self.program, threshold)
+            superblock_mod.superblock_cache(program, superblock_threshold)
             if enabled and self._allow_fast
             else None
         )
@@ -269,84 +349,6 @@ class CPU:
             self._superblocks.compiled if self._superblocks is not None else 0
         )
         self._slow_steps = 0
-
-    @classmethod
-    def resume(
-        cls,
-        program: Program,
-        environment,
-        process,
-        dispatcher,
-        *,
-        memory: Memory,
-        regs: dict,
-        reg_taint: dict,
-        flags: dict,
-        flag_taint: TagSet,
-        pc: int,
-        steps: int,
-        callstack: List[int],
-        trace: Trace,
-        max_steps: int = 200_000,
-        record_instructions: bool = False,
-        taint_addresses: bool = False,
-        superblocks: Optional[bool] = None,
-        superblock_threshold: Optional[int] = None,
-    ) -> "CPU":
-        """Build a CPU mid-run from restored machine state (see
-        :mod:`repro.core.snapshot`) instead of a fresh image load.
-
-        ``pc``/``steps`` name the instruction the resumed run executes
-        first; the budget check compares the *cumulative* step count against
-        ``max_steps``, so a resumed run exhausts its budget at exactly the
-        same instruction a full rerun would.
-        """
-        cpu = cls.__new__(cls)
-        cpu.program = program
-        cpu.environment = environment
-        cpu.process = process
-        cpu.dispatcher = dispatcher
-        cpu.max_steps = max_steps
-        cpu.record_instructions = record_instructions
-        cpu._track = record_instructions
-        cpu.taint_addresses = taint_addresses
-        cpu.memory = memory
-        cpu.regs = regs
-        cpu.reg_taint = reg_taint
-        cpu.flags = flags
-        cpu.flag_taint = flag_taint
-        cpu.pc = pc
-        cpu.steps = steps
-        cpu.status = ExitStatus.RUNNING
-        cpu.fault_reason = None
-        cpu.callstack = callstack
-        cpu.trace = trace
-        cpu.trace.program_name = program.name
-        cpu._uses = []
-        cpu._defs = []
-        cpu._api_step_recorded = False
-        cpu._last_addr_taint = EMPTY
-        cpu._decoded = decoded_program(program)
-        cpu._steps_at_start = steps
-        cpu._events_at_start = len(trace.api_calls)
-        cpu._predicates_at_start = len(trace.predicates)
-        cpu._allow_fast = not record_instructions
-        cpu._fast_mode = cpu._allow_fast and not cpu._taint_live()
-        # A resumed pc may land mid-region: that index simply is not a
-        # region entry, so execution proceeds per-instruction until the
-        # next entry pc — no special casing needed.
-        cpu._init_superblocks(superblocks, superblock_threshold)
-        return cpu
-
-    def _taint_live(self) -> bool:
-        """Any live taint anywhere in the machine?  Exact: ``Memory``
-        drops per-byte entries when a byte is overwritten untainted, and
-        EMPTY tag sets are falsy."""
-        return bool(
-            self.flag_taint
-            or self.memory._taint
-            or any(self.reg_taint.values())
-        )
 
     # ------------------------------------------------------------------
     # register / memory access with def-use tracking
@@ -534,58 +536,44 @@ class CPU:
     def run(self) -> Trace:
         """Execute until exit, fault, or budget exhaustion.
 
-        Three execution tiers share one exact machine model:
+        Three execution tiers share one exact machine model, and a run
+        picks its tiers once, from ``record_instructions``:
 
-        1. ``step()`` — full slow path (taint, def/use, events);
-        2. ``_run_fast()`` — predecoded per-instruction loop while no live
-           taint exists anywhere (PR 3 boundary);
+        1. ``step()`` — full slow path (taint, def/use, events); a recorded
+           run executes every instruction here;
+        2. ``_run_fast()`` — predecoded per-instruction loop for an
+           unrecorded (taint-free) run, which takes one slow step per
+           instruction without a fast form (an API call);
         3. compiled superblocks — one dispatch per hot region, entered from
-           the fast loop *and*, behind taint guards, from ``_run_superblocks``
-           while taint is live.
+           the fast loop.
 
         With ``obs.prof`` enabled the same loops attribute wall time per
         tier through a :class:`_ProfAcc`: contiguous slow steps batch
         behind one timer pair, the fast loop is timed per invocation, and
         compiled regions per dispatch.
         """
-        if self._allow_fast:
-            # Callers may have injected taint by hand before run().
-            self._fast_mode = not self._taint_live()
         prof = obs.prof
         acc = _ProfAcc() if prof.enabled else None
         guard_exits0 = self._sb_guard_exits
-        step = self.step if acc is None else partial(acc.step, self)
-        guarded = self._allow_fast and self._superblocks is not None
-        entries = self._superblocks.entries if guarded else None
         try:
-            while self.status is ExitStatus.RUNNING:
-                if self._fast_mode:
+            if self._allow_fast:
+                step = self.step if acc is None else partial(acc.step, self)
+                while self.status is ExitStatus.RUNNING:
                     self._run_fast(acc)
                     if self.status is not ExitStatus.RUNNING:
                         break
-                    # The instruction the fast loop bailed on (an API
+                    # The instruction the fast loop stopped at (an API
                     # call, typically) needs one full slow step.
                     step()
-                elif entries is not None:
-                    # Taint is live: dispatch guarded superblocks, chain
-                    # between them, and take exact slow steps internally
-                    # between regions.  Control only comes back here when
-                    # the run ended, the fast path became legal again, or
-                    # the pc left .text (the step below raises the fault).
-                    self._run_superblocks(acc)
-                    if self.status is ExitStatus.RUNNING and not self._fast_mode:
-                        step()
-                else:
-                    # Pure slow tier: contiguous slow steps batch behind
-                    # one timer pair.
-                    if acc is not None:
-                        t0 = time.perf_counter()
-                        steps0 = self.steps
-                    while self.status is ExitStatus.RUNNING and not self._fast_mode:
-                        self.step()
-                    if acc is not None:
-                        acc.slow_s += time.perf_counter() - t0
-                        acc.slow_n += self.steps - steps0
+            else:
+                if acc is not None:
+                    t0 = time.perf_counter()
+                    steps0 = self.steps
+                while self.status is ExitStatus.RUNNING:
+                    self.step()
+                if acc is not None:
+                    acc.slow_s += time.perf_counter() - t0
+                    acc.slow_n += self.steps - steps0
         finally:
             if acc is not None:
                 acc.flush(prof, self._sb_guard_exits - guard_exits0)
@@ -597,7 +585,7 @@ class CPU:
         return self.trace
 
     def _run_fast(self, acc: Optional[_ProfAcc]) -> None:
-        """Inner interpreter loop while no live taint exists.
+        """Inner interpreter loop of an unrecorded run.
 
         Executes predecoded untainted handlers back to back — no def/use
         lists, no TagSet plumbing, no InstructionRecord bookkeeping — and
@@ -663,8 +651,7 @@ class CPU:
                                         return
                                     r = r2
                                 continue
-                            # Guard refused (chunked budget here; taint
-                            # guards cannot fire in fast mode): execute the
+                            # Chunked-budget guard refused: execute the
                             # region per-instruction instead.
                             guards += 1
                 fast = decoded[idx][1]
@@ -690,79 +677,6 @@ class CPU:
                 elapsed = time.perf_counter() - t_start
                 acc.fast_s += elapsed - (acc.region_s - region_s0)
                 acc.fast_n += (self.steps - steps0) - (acc.region_n - region_n0)
-
-    def _run_superblocks(self, acc: Optional[_ProfAcc]) -> None:
-        """Dispatch compiled regions while live taint exists (tier 3).
-
-        Each region's closure re-checks its own guards (untainted
-        read-before-written registers, chunked budget) and its memory loads
-        taint-bail mid-region.  Region exits chain: a closure whose exit pc
-        is another region's entry returns that Region, which dispatches
-        next without a table probe (same warm/futility bookkeeping as a
-        probed arrival).  Every pc with no dispatchable region — a gap
-        between regions, a mid-region pc after a taint-bail prefix-commit,
-        a cold, futile, or refused region — is executed with exact slow
-        steps *here*, re-probing after each, so control returns to
-        ``run()`` only when the run ended, the fast path became legal
-        again, or the pc left .text.  Under profiling each dispatch and
-        each slow step is timed."""
-        entries = self._superblocks.entries
-        n = len(entries)
-        base = TEXT_BASE
-        futile_limit = superblock_mod.FUTILE_LIMIT
-        step = self.step if acc is None else partial(acc.step, self)
-        entered = guards = 0
-        region = None
-        try:
-            while True:
-                if region is None:
-                    idx = self.pc - base
-                    if not 0 <= idx < n:
-                        return  # the trailing slow step raises the fault
-                    region = entries[idx]
-                if region is None or region.futile >= futile_limit:
-                    # No region at this pc, or one persistently tainted:
-                    # one exact slow step, then re-probe.
-                    region = None
-                    step()
-                    if self.status is not ExitStatus.RUNNING or self._fast_mode:
-                        return
-                    continue
-                fn = region.fn
-                if fn is None:
-                    fn = region.warm()
-                    if fn is None:
-                        # Still cold: step through it per-instruction.
-                        region = None
-                        step()
-                        if self.status is not ExitStatus.RUNNING or self._fast_mode:
-                            return
-                        continue
-                before = self.steps
-                r = fn(self) if acc is None else acc.dispatch(self, region.entry, fn)
-                if not r:
-                    # Guard refusal: replay the guarded instruction exactly.
-                    region.futile += 1
-                    guards += 1
-                    region = None
-                    step()
-                    if self.status is not ExitStatus.RUNNING or self._fast_mode:
-                        return
-                    continue
-                if self.steps - before <= 1:
-                    # Bailed after a single step: an entry that keeps paying
-                    # the exception for one instruction of progress is
-                    # futile too.
-                    region.futile += 1
-                else:
-                    region.futile = 0
-                entered += 1
-                if self.status is not ExitStatus.RUNNING:
-                    return
-                region = r if r is not True else None
-        finally:
-            self._sb_entries += entered
-            self._sb_guard_exits += guards
 
     def _flush_obs(self) -> None:
         """Report run totals into the metrics registry.
@@ -1002,12 +916,6 @@ class CPU:
             if self.dispatcher is None:
                 raise CpuFault(f"no API dispatcher for {target}")
             self.dispatcher.invoke(self, target.name, caller_pc=pc, seq=seq)
-            if self._allow_fast:
-                # API calls are the only taint ingress (mint_tag via the
-                # dispatcher); an API can also *consume* the last of it
-                # (e.g. the tainted buffer is overwritten), so recheck both
-                # directions here and nowhere else.
-                self._fast_mode = not self._taint_live()
             return
         value, _ = self.read_operand(target)
         self.push(self.pc)  # return address (already points past the call)

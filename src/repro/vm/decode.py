@@ -2,9 +2,8 @@
 
 Exact execution threads a ``(value, TagSet)`` pair through every operand
 access.  That is the right shape for def/use records and taint
-propagation, but it is pure overhead on the overwhelmingly common step: an
-untainted ALU/branch instruction in a profiling run that records no
-instructions.
+propagation, but it is pure overhead on every step of an unrecorded run,
+which records no instructions and carries no taint.
 
 This module binds each :class:`~repro.vm.isa.Instruction` of a program —
 once, at first execution — to a triple ``(full, fast, text)``:
@@ -18,9 +17,8 @@ once, at first execution — to a triple ``(full, fast, text)``:
 * ``fast(cpu)`` — an untainted specialization with pre-resolved operand
   accessors: plain ints end to end, no TagSet plumbing, no def/use lists,
   no flag-taint writes.  ``None`` for steps the fast loop must not swallow
-  (``call @Api`` — taint can be minted there — and operand shapes the slow
-  path would fault on).  Valid **only** while the machine holds no live
-  taint and instruction recording is off; ``CPU`` guards that invariant.
+  (``call @Api``, which dispatches from the slow step, and operand shapes
+  the slow path would fault on).  Only unrecorded runs execute it.
 * ``text`` — cached ``str(instr)`` for :class:`InstructionRecord`.
 
 Fault behaviour is bit-for-bit compatible: accessors evaluate operands in
@@ -355,7 +353,7 @@ def _fast_handler(instr: Instruction) -> Optional[FastHandler]:
 
     if m == "call":
         if type(ops[0]) is ApiRef:
-            return None  # taint can be minted by the dispatcher
+            return None  # the dispatcher runs from the slow step
         load = _load(ops[0])
         if load is None:
             return None

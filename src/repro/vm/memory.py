@@ -4,6 +4,8 @@ Per-byte taint is what makes *partial static* identifiers recoverable: after
 ``wsprintf(buf, "Global\\%s-99", random_part)`` the literal bytes of ``buf``
 carry the format string's (static) provenance while the ``%s`` bytes carry the
 random API's tag, so a regex can be cut along taint boundaries (paper §IV-C).
+Taint exists only on a recorded (analysis) run; the fast and superblock tiers
+of an unrecorded run use the untainted ``*_plain`` accessors.
 """
 
 from __future__ import annotations
@@ -29,15 +31,6 @@ class MemoryFault(Exception):
         self.addr = addr
 
 
-class TaintBail(Exception):
-    """Raised by :meth:`Memory.read_checked` when a byte carries live taint.
-
-    The superblock tier only executes values it has *proven* untainted; a
-    tainted load aborts the compiled region so the CPU can replay the
-    instruction on the exact slow path (full taint propagation, predicate
-    events).  This is control flow, not an error."""
-
-
 class Memory:
     """Sparse memory: unwritten mapped bytes read as zero, untainted."""
 
@@ -56,7 +49,6 @@ class Memory:
     def restore(
         cls,
         bytes_map: Dict[int, int],
-        taint_map: Dict[int, TagSet],
         regions: Iterable[Tuple[int, int]],
         readonly_ranges: Iterable[Tuple[int, int]],
     ) -> "Memory":
@@ -65,10 +57,10 @@ class Memory:
         path: construction goes through ``cls()`` and then overwrites).
 
         Inputs are copied — the snapshot stays independent of the instance.
+        Snapshots come from unrecorded runs, so the image is untainted.
         """
         memory = cls()
         memory._bytes = dict(bytes_map)
-        memory._taint = dict(taint_map)
         memory._regions = list(regions)
         memory.readonly_ranges = list(readonly_ranges)
         return memory
@@ -118,8 +110,8 @@ class Memory:
     def read_plain(self, addr: int, size: int) -> int:
         """Multi-byte read without taint accounting.
 
-        Valid only while the caller guarantees no live taint is being
-        skipped (the CPU's fast-mode invariant).  Fault behaviour matches
+        The fast and superblock tiers read through it; they run only for
+        unrecorded runs, which carry no taint.  Fault behaviour matches
         the byte loop: the first unmapped byte raises.  The common case —
         the whole span inside one region — does a single bounds check
         instead of one ``is_mapped`` scan per byte."""
@@ -153,64 +145,13 @@ class Memory:
             value |= data.get(a, 0) << (8 * i)
         return value
 
-    def read_checked(self, addr: int, size: int) -> int:
-        """``read_plain`` that additionally *proves* the bytes are untainted.
-
-        The superblock tier calls this for every memory load it compiles:
-        a mapped, untainted span reads like ``read_plain``; the first byte
-        carrying taint raises :class:`TaintBail` before any value is
-        consumed, so the caller can replay the instruction on the slow
-        path.  The first unmapped byte still raises :class:`MemoryFault`
-        (same fault order as the byte loop)."""
-        taint = self._taint
-        if not taint:
-            return self.read_plain(addr, size)
-        a0 = addr & 0xFFFFFFFF
-        last = a0 + size - 1
-        if last <= 0xFFFFFFFF:
-            for start, end in self._regions:
-                if start <= a0 and last < end:
-                    data = self._bytes
-                    if size == 4:
-                        if (
-                            a0 in taint
-                            or a0 + 1 in taint
-                            or a0 + 2 in taint
-                            or a0 + 3 in taint
-                        ):
-                            raise TaintBail()
-                        return (
-                            data.get(a0, 0)
-                            | data.get(a0 + 1, 0) << 8
-                            | data.get(a0 + 2, 0) << 16
-                            | data.get(a0 + 3, 0) << 24
-                        )
-                    value = 0
-                    for i in range(size):
-                        a = a0 + i
-                        if a in taint:
-                            raise TaintBail()
-                        value |= data.get(a, 0) << (8 * i)
-                    return value
-        value = 0
-        data = self._bytes
-        for i in range(size):
-            a = (addr + i) & 0xFFFFFFFF
-            if not self.is_mapped(a):
-                raise MemoryFault(a)
-            if a in taint:
-                raise TaintBail()
-            value |= data.get(a, 0) << (8 * i)
-        return value
-
     def write_plain(self, addr: int, value: int, size: int) -> None:
-        """Multi-byte untainted write without TagSet plumbing.
+        """Multi-byte write without taint accounting, the store side of
+        ``read_plain`` (same taint-free callers).
 
-        Equivalent to a ``write_byte`` loop with EMPTY taint: earlier bytes
-        stay written when a later byte faults, and any stale taint on the
-        touched bytes is dropped."""
+        Equivalent to a ``write_byte`` loop: earlier bytes stay written when
+        a later byte faults."""
         data = self._bytes
-        taint = self._taint
         a0 = addr & 0xFFFFFFFF
         last = a0 + size - 1
         if last <= 0xFFFFFFFF:
@@ -221,25 +162,15 @@ class Memory:
                         data[a0 + 1] = (value >> 8) & 0xFF
                         data[a0 + 2] = (value >> 16) & 0xFF
                         data[a0 + 3] = (value >> 24) & 0xFF
-                        if taint:
-                            taint.pop(a0, None)
-                            taint.pop(a0 + 1, None)
-                            taint.pop(a0 + 2, None)
-                            taint.pop(a0 + 3, None)
                         return
                     for i in range(size):
-                        a = a0 + i
-                        data[a] = (value >> (8 * i)) & 0xFF
-                        if taint:
-                            taint.pop(a, None)
+                        data[a0 + i] = (value >> (8 * i)) & 0xFF
                     return
         for i in range(size):
             a = (addr + i) & 0xFFFFFFFF
             if not self.is_mapped(a):
                 raise MemoryFault(a)
             data[a] = (value >> (8 * i)) & 0xFF
-            if taint:
-                taint.pop(a, None)
 
     # -- word-level -------------------------------------------------------
 

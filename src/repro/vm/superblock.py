@@ -11,38 +11,25 @@ flags live in locals for the whole block), the ``steps`` budget is charged in
 one chunked update per block entry, and loop regions iterate internally until
 the back-edge condition fails or the chunked budget runs out.
 
-Unlike the per-instruction fast path, compiled regions also run **under live
-taint**, behind guards that keep them exact:
-
-* *Entry guard*: every register the region reads before writing must be
-  untainted, else the region refuses to run (``fn`` returns ``False``) and
-  the caller falls back to per-instruction execution.
-* *Memory guard*: every compiled load goes through
-  :meth:`Memory.read_checked`, which raises :class:`~repro.vm.memory.TaintBail`
-  on the first tainted byte; the region then commits all architectural state
-  it produced so far — in program order — and bails, leaving the bailing
-  instruction for the slow path to replay with full taint semantics.
-* Every value a guarded region produces is therefore provably untainted, so
-  register/flag taint it overwrites is cleared exactly as the slow path
-  would (``set_reg(..., EMPTY)``), untainted stores drop stale byte taint via
-  ``write_plain``, and no tainted-predicate event can be missed inside a
-  region — tainted ``cmp`` operands bail before the compare executes.
-* Flags read by a terminal conditional jump need no guard: ``CPU._jump``
-  records nothing for tainted flags, and the concrete values are exact.
+Regions run only inside the fast loop of an unrecorded run, which carries no
+taint, so they are plain-int code: loads go through ``Memory.read_plain``,
+stores through ``write_plain``.  Their one guard is the *chunked budget*:
+a region whose length exceeds the remaining step budget refuses to run
+(``fn`` returns ``False``) and the fast loop executes it per-instruction,
+so the budget runs out at exactly the same instruction on every tier.
 
 Fault behaviour is bit-for-bit compatible: state is committed in program
 order, a faulting region flushes its locals, charges the steps executed
 (including the faulting instruction, like the slow path), and reports the
 *faulting instruction's* pc in ``fault_reason``.
 
-A compiled closure returns one of three things: ``False`` (guard refusal —
+A compiled closure returns one of three things: ``False`` (budget refusal —
 nothing executed), ``True`` (the region ran; no statically-known successor,
-or a mid-region stop), or another :class:`Region` whose entry is exactly
-the pc the closure just set — **region chaining**.  Successors are resolved
-once at compile time from the region table, so a hot A→B→A cycle costs one
-Python call per region instead of a dispatch-loop probe per transition; the
-dispatch loops treat a returned Region as a pre-resolved probe and apply
-the same warm/guard/futility bookkeeping they would after a table lookup.
+or a fault), or another :class:`Region` whose entry is exactly the pc the
+closure just set — **region chaining**.  Successors are resolved once at
+compile time from the region table, so a hot A→B→A cycle costs one Python
+call per region instead of a dispatch-loop probe per transition; the fast
+loop treats a returned Region as a pre-resolved probe.
 
 The region table is cached on the ``Program`` keyed by the identity of its
 instruction list — the same invalidation rule as the decode cache — and is
@@ -54,11 +41,10 @@ from __future__ import annotations
 
 import os
 from contextlib import contextmanager
-from typing import Callable, List, Optional, Sequence, Set, Tuple
+from typing import Callable, List, Optional, Sequence, Set
 
-from ..taint.labels import EMPTY as _EMPTY
 from .isa import Instruction
-from .memory import MemoryFault, TaintBail, TEXT_BASE
+from .memory import MemoryFault, TEXT_BASE
 from .operands import Imm, Mem, Reg
 from .program import Program
 
@@ -72,10 +58,6 @@ DEFAULT_THRESHOLD = 4
 
 #: Straight-line regions shorter than this are not worth a region dispatch.
 MIN_REGION = 2
-
-#: Consecutive futile dispatches before the guarded path gives up on a
-#: region (see ``Region.futile``).
-FUTILE_LIMIT = 12
 
 _BINOP_MNEMONICS = frozenset(
     ("add", "sub", "xor", "and", "or", "shl", "shr", "imul", "mul")
@@ -123,7 +105,7 @@ def overridden(enabled: Optional[bool]):
 
 
 class _Effects:
-    """Read/write sets used for guards, bail tables and flag liveness."""
+    """Read/write sets used for the region's locals and flag liveness."""
 
     __slots__ = ("reads", "writes", "flags_written", "flags_read", "mem")
 
@@ -132,7 +114,7 @@ class _Effects:
         self.writes = writes              # register names written
         self.flags_written = flags_written  # subset of {"z", "s", "c"}
         self.flags_read = flags_read      # subset of {"z", "s", "c"}
-        self.mem = mem                    # touches memory (can fault/bail)
+        self.mem = mem                    # touches memory (can fault)
 
 
 _JCC_FLAGS = {
@@ -230,8 +212,8 @@ def _effects(instr: Instruction) -> Optional[_Effects]:
             and type(ops[1]) is Reg
             and ops[0].name == ops[1].name
         ):
-            # xor r, r zeroes unconditionally — the register's prior taint
-            # is cleared, not read, so it needs no entry guard.
+            # xor r, r zeroes unconditionally: the register is written,
+            # not read.
             return _Effects((), (ops[0].name,), frozenset("zsc"), frozenset(), False)
         if rd(ops[0]) and rd(ops[1]) and wr(ops[0]):
             return _Effects(tuple(reads), tuple(writes), frozenset("zsc"), frozenset(), mem)
@@ -257,9 +239,7 @@ def _effects(instr: Instruction) -> Optional[_Effects]:
 class Region:
     """One compilable region: entry index, body, optional Imm terminator."""
 
-    __slots__ = (
-        "entry", "body", "terminator", "kind", "count", "fn", "cache", "futile"
-    )
+    __slots__ = ("entry", "body", "terminator", "kind", "count", "fn", "cache")
 
     def __init__(self, entry: int, body, terminator, kind: str, cache) -> None:
         self.entry = entry
@@ -269,13 +249,6 @@ class Region:
         self.count = 0
         self.fn = None
         self.cache = cache
-        #: Consecutive no-progress dispatches (guard refusals / first-
-        #: instruction taint bails).  Past FUTILE_LIMIT the guarded
-        #: dispatcher stops attempting this region — a permanently tainted
-        #: loop would otherwise pay an exception per entry.  The counter
-        #: resets on any productive dispatch, and the untainted fast loop
-        #: ignores it (no live taint means the guards cannot fire there).
-        self.futile = 0
 
     @property
     def length(self) -> int:
@@ -394,50 +367,20 @@ class _Codegen:
         self.is_loop = region.kind == "loop"
         self.length = len(self.seq)
 
-        # Register sets.  ``guard``: read before first write (must be
-        # untainted at entry).  ``written``: taint cleared at exit.
-        self.used: List[str] = []
-        self.written: List[str] = []
-        guard: List[str] = []
-        seen = set()
-        written = set()
+        # Every register the region touches lives in a local for the whole
+        # block, in first-use order.
+        used: List[str] = []
         for eff in self.effects:
-            for r in eff.reads:
-                if r not in seen:
-                    seen.add(r)
-                    self.used.append(r)
-                if r not in written and r not in guard:
-                    guard.append(r)
-            for r in eff.writes:
-                if r not in seen:
-                    seen.add(r)
-                    self.used.append(r)
-                if r not in written:
-                    written.add(r)
-                    self.written.append(r)
-        self.guard = guard
-        self.R = {r: f"r_{r}" for r in self.used}
-
-        # Bail tables: per instruction index, registers written strictly
-        # before it and whether any flag write precedes it.
-        self.br_table: List[Tuple[str, ...]] = []
-        self.bf_table: List[bool] = []
-        before: List[str] = []
-        flags_before = False
-        for eff in self.effects:
-            self.br_table.append(tuple(before))
-            self.bf_table.append(flags_before)
-            for r in eff.writes:
-                if r not in before:
-                    before.append(r)
-            if eff.flags_written:
-                flags_before = True
-        self.any_flags = flags_before
+            for r in eff.reads + eff.writes:
+                if r not in used:
+                    used.append(r)
+        self.R = {r: f"r_{r}" for r in used}
+        self.any_flags = any(eff.flags_written for eff in self.effects)
         self.any_mem = any(eff.mem for eff in self.effects)
 
         # Per-flag dead-code elimination: a flag computation is emitted only
         # if some later observer (branch, exit, or a memory access that
-        # could bail/fault and flush the locals) can see it.  Exits observe
+        # could fault and flush the locals) can see it.  Exits observe
         # all flags, so one backward pass suffices even for loops.
         live = {"z", "s", "c"}
         csets: List[Set[str]] = [set()] * self.length
@@ -677,38 +620,6 @@ class _Codegen:
         if self.any_flags:
             self.emit(depth, "f['zf'] = _fz; f['sf'] = _fs; f['cf'] = _fc")
 
-    def flush_exit_taint(self, depth: int) -> None:
-        if self.written:
-            self.emit(
-                depth, "; ".join(f"rt['{r}'] = _E" for r in self.written)
-            )
-        if self.any_flags:
-            self.emit(depth, "cpu.flag_taint = _E")
-
-    def flush_bail_taint(self, depth: int) -> None:
-        """Clears for a mid-region stop at body index ``_i``: only state the
-        executed prefix actually wrote.  ``_st`` (completed loop iterations)
-        implies the whole body ran at least once."""
-        if self.is_loop:
-            self.emit(depth, "if _st:")
-            inner = depth + 1
-            if self.written:
-                self.emit(
-                    inner, "; ".join(f"rt['{r}'] = _E" for r in self.written)
-                )
-            if self.any_flags:
-                self.emit(inner, "cpu.flag_taint = _E")
-            if not self.written and not self.any_flags:
-                self.emit(inner, "pass")
-            self.emit(depth, "else:")
-            self.emit(depth + 1, "for _r in _BR[_i]: rt[_r] = _E")
-            if self.any_flags:
-                self.emit(depth + 1, "if _BF[_i]: cpu.flag_taint = _E")
-        else:
-            self.emit(depth, "for _r in _BR[_i]: rt[_r] = _E")
-            if self.any_flags:
-                self.emit(depth, "if _BF[_i]: cpu.flag_taint = _E")
-
     # -- whole-region assembly ------------------------------------------
 
     def generate(self) -> str:
@@ -718,22 +629,18 @@ class _Codegen:
         term = self.region.terminator
         steps_expr = "_st + _i" if self.is_loop else "_i"
 
-        params = "cpu, _E=_E, _BR=_BR, _BF=_BF, _FAULT=_FAULT"
+        params = "cpu, _FAULT=_FAULT"
         if self.succ_target is not None:
             params += ", _NT=_NT"
         if self.succ_fall is not None:
             params += ", _NF=_NF"
         self.emit(0, f"def _sb({params}):")
-        self.emit(1, "rt = cpu.reg_taint")
-        if self.guard:
-            cond = " or ".join(f"rt['{r}']" for r in self.guard)
-            self.emit(1, f"if {cond}: return False")
         self.emit(1, f"_bud = cpu.max_steps - cpu.steps")
         self.emit(1, f"if _bud < {L}: return False")
         self.emit(1, "regs = cpu.regs")
         if self.any_mem:
             self.emit(1, "mem = cpu.memory")
-            self.emit(1, "_rd = mem.read_checked")
+            self.emit(1, "_rd = mem.read_plain")
             self.emit(1, "_wr = mem.write_plain")
         if self.any_flags or (term is not None and term.mnemonic != "jmp"):
             self.emit(1, "f = cpu.flags")
@@ -823,21 +730,11 @@ class _Codegen:
                     )
                     exit_ret = "_nx"
 
-        # Taint bail: commit the executed prefix, leave instruction _i for
-        # the slow path.  No progress (first instruction, no completed
-        # iteration) must return False or the dispatch loop would spin.
-        self.emit(1, "except _TB:")
-        self.flush_values(2)
-        self.flush_bail_taint(2)
-        self.emit(2, f"cpu.pc = {entry_pc} + _i")
-        self.emit(2, f"cpu.steps += {steps_expr}")
-        self.emit(2, f"return ({steps_expr}) != 0")
         # Fault: like the slow path, the faulting instruction's step is
         # charged and pc has advanced past it; fault_reason names the
         # faulting pc (not the advanced one).
         self.emit(1, "except _MF as _e:")
         self.flush_values(2)
-        self.flush_bail_taint(2)
         self.emit(2, f"cpu.steps += {steps_expr} + 1")
         self.emit(2, f"cpu.pc = {entry_pc} + _i + 1")
         self.emit(2, "cpu.status = _FAULT")
@@ -845,7 +742,6 @@ class _Codegen:
         self.emit(2, "return True")
 
         self.flush_values(1)
-        self.flush_exit_taint(1)
         self.emit(1, f"cpu.steps += {'_st' if self.is_loop else str(L)}")
         self.emit(1, f"return {exit_ret}")
         return "\n".join(self.lines) + "\n"
@@ -857,11 +753,7 @@ def _compile_region(region: Region) -> Callable:
     gen = _Codegen(region)
     source = gen.generate()
     namespace = {
-        "_E": _EMPTY,
-        "_BR": tuple(gen.br_table),
-        "_BF": tuple(gen.bf_table),
         "_FAULT": ExitStatus.FAULT,
-        "_TB": TaintBail,
         "_MF": MemoryFault,
         "_NT": gen.succ_target,
         "_NF": gen.succ_fall,

@@ -68,8 +68,10 @@ class ApiContext:
     # -- taint ----------------------------------------------------------------
 
     def mint_tag(self, klass: Optional[TaintClass] = None) -> TagSet:
+        """The only place taint is created.  An unrecorded run has no
+        consumer for it, so it stays taint-free."""
         klass = klass or self.apidef.taint_class
-        if klass is None:
+        if klass is None or not self.cpu.record_instructions:
             return EMPTY
         return frozenset({TaintTag(self.event_id, self.apidef.name, klass)})
 

@@ -178,8 +178,9 @@ def test_tier_parity_on_random_looped_programs(body, rounds, tail):
 @given(st.integers(min_value=2, max_value=64))
 @settings(max_examples=30, deadline=None)
 def test_tier_parity_with_taint_points(length):
-    """A tainted buffer hashed in a loop: superblocks must bail to the slow
-    path at every tainted load and still finish in the identical state."""
+    """A buffer filled by a labelled API and hashed in a loop: the recorded
+    run propagates taint through every load and predicate, the unrecorded
+    tiers carry none, and all of them finish in the identical state."""
     from repro.winapi import Dispatcher
     from repro.winenv import SystemEnvironment
 
@@ -207,9 +208,11 @@ def test_tier_parity_with_taint_points(length):
     program = assemble(src)
     states = {}
     for label, kwargs in (
-        ("fast", dict(superblocks=False)),
-        ("sb-eager", dict(superblocks=True, superblock_threshold=0)),
-        ("sb-default", dict(superblocks=True)),
+        ("slow", dict(record_instructions=True)),
+        ("fast", dict(record_instructions=False, superblocks=False)),
+        ("sb-eager", dict(record_instructions=False, superblocks=True,
+                          superblock_threshold=0)),
+        ("sb-default", dict(record_instructions=False, superblocks=True)),
     ):
         env = SystemEnvironment()
         proc = env.spawn_process("t.exe")
@@ -218,10 +221,12 @@ def test_tier_parity_with_taint_points(length):
             environment=env,
             process=proc,
             dispatcher=Dispatcher(env, proc),
-            record_instructions=False,
             **kwargs,
         )
         cpu.run()
-        states[label] = _final_state(cpu) + (dict(cpu.reg_taint),)
-    assert states["sb-eager"] == states["fast"]
-    assert states["sb-default"] == states["fast"]
+        states[label] = _final_state(cpu)
+        if label == "slow":
+            assert cpu.reg_taint["ebx"] and cpu.trace.predicates
+        else:
+            assert not any(cpu.reg_taint.values()) and not cpu.trace.predicates
+    _assert_tier_parity(states)

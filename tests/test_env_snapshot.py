@@ -235,16 +235,13 @@ class TestMemoryRestore:
         """``Memory.restore`` must account for every attribute ``__init__``
         sets — a new field added to Memory without a restore line would
         silently resume with a stale default."""
-        restored = Memory.restore(
-            bytes_map={}, taint_map={}, regions=[], readonly_ranges=[]
-        )
+        restored = Memory.restore(bytes_map={}, regions=[], readonly_ranges=[])
         assert set(vars(restored)) == set(vars(Memory()))
 
     def test_restore_copies_inputs(self):
         bytes_map = {0x180000: 0x41}
         mem = Memory.restore(
             bytes_map=bytes_map,
-            taint_map={},
             regions=[(0x180000, 0x181000)],
             readonly_ranges=[],
         )

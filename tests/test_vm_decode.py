@@ -3,10 +3,9 @@
 The CPU binds every instruction to a predecoded handler pair at
 construction: a full handler (taint + def/use bookkeeping) and, where the
 instruction has no taint-relevant side channel, an untainted fast handler.
-While no live taint exists and nothing needs recording, the run loop stays
-on the fast handlers — these tests pin that the two paths are
-observationally identical and that the fast path engages/disengages at
-exactly the taint boundaries.
+An unrecorded run carries no taint and stays on the fast handlers — these
+tests pin that the two paths are observationally identical and that each
+run picks its path from ``record_instructions`` alone.
 """
 
 from __future__ import annotations
@@ -107,12 +106,12 @@ class TestFastSlowParity:
         assert slow.status is ExitStatus.HALTED
         assert _machine_state(slow) == _machine_state(fast)
 
-    def test_fast_mode_engages_without_recording(self):
+    def test_fast_loop_engages_without_recording(self):
         fast = _fresh_cpu(COMPUTE, record_instructions=False)
-        assert fast._allow_fast and fast._fast_mode
+        assert fast._allow_fast and fast._slow_steps == 0
         # Recording mode never enters the fast loop.
         slow = _fresh_cpu(COMPUTE, record_instructions=True)
-        assert not slow._allow_fast and not slow._fast_mode
+        assert not slow._allow_fast and slow._slow_steps == slow.steps
         assert len(slow.trace.instructions) == slow.steps
 
     def test_fault_parity_on_bad_memory(self):
@@ -137,57 +136,6 @@ class TestFastSlowParity:
         assert slow.status is fast.status is ExitStatus.BUDGET
         assert slow.steps == fast.steps == 501
         assert slow.regs["eax"] == fast.regs["eax"]
-
-
-TAINTING_CALL = (
-    '.section .rdata\nm: .asciz "x"\n.section .text\n'
-    "    push m\n    push 0\n    push 0\n    call @OpenMutexA\n"
-)
-
-
-class TestTaintBoundaries:
-    def test_taint_ingress_disables_fast_mode(self):
-        cpu = _fresh_cpu(TAINTING_CALL + "    add eax, 1\n    halt\n",
-                         record_instructions=False)
-        # eax still carries the API tag at halt, so the recheck at the call
-        # left the machine on the slow path.
-        assert cpu.reg_taint["eax"]
-        assert cpu._allow_fast and not cpu._fast_mode
-
-    def test_taint_semantics_preserved_without_recording(self):
-        src = TAINTING_CALL + "    test eax, eax\n    jz out\nout:\n    halt\n"
-        slow = _fresh_cpu(src, record_instructions=True)
-        fast = _fresh_cpu(src, record_instructions=False)
-        # The tainted-predicate event (the Phase-I signal) survives either way.
-        assert len(slow.trace.predicates) == len(fast.trace.predicates) == 1
-        assert slow.trace.predicates[0].tags == fast.trace.predicates[0].tags
-
-    def test_fast_mode_reengages_after_taint_cleared(self):
-        # Taint in, scrubbed by xor-self, then a non-tainting API call:
-        # the post-invoke recheck sees a clean machine again.
-        src = (TAINTING_CALL +
-               "    xor eax, eax\n    push 0\n    call @Sleep\n"
-               "    add eax, 2\n    halt\n")
-        cpu = _fresh_cpu(src, record_instructions=False)
-        assert not cpu._taint_live()
-        assert cpu._fast_mode
-
-    def test_manual_pre_run_taint_respected(self):
-        from repro.taint.labels import TaintClass, TaintTag
-
-        env = SystemEnvironment()
-        proc = env.spawn_process("t.exe")
-        program = assemble("    mov ebx, eax\n    test ebx, ebx\n    halt\n")
-        cpu = CPU(program, environment=env, process=proc,
-                  dispatcher=Dispatcher(env, proc), record_instructions=False)
-        cpu.reg_taint["eax"] = frozenset(
-            {TaintTag(event_id=1, api="X", klass=TaintClass.RESOURCE)}
-        )
-        cpu.run()
-        # run() rechecks before the first instruction, so hand-injected
-        # taint still propagates and still records the predicate.
-        assert cpu.reg_taint["ebx"]
-        assert len(cpu.trace.predicates) == 1
 
 
 class TestVmFlushCacheGeneration:

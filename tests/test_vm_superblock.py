@@ -14,14 +14,7 @@ import pytest
 from repro import obs
 from repro.vm import CPU, assemble
 from repro.vm.cpu import ExitStatus
-from repro.vm.superblock import (
-    FUTILE_LIMIT,
-    MIN_REGION,
-    SuperblockCache,
-    superblock_cache,
-)
-from repro.winapi import Dispatcher
-from repro.winenv import SystemEnvironment
+from repro.vm.superblock import MIN_REGION, SuperblockCache, superblock_cache
 
 
 @pytest.fixture(autouse=True)
@@ -34,19 +27,6 @@ def clean_obs():
 
 def _cache(src: str) -> SuperblockCache:
     return superblock_cache(assemble(src), threshold=0)
-
-
-def _api_cpu(src: str, **kwargs) -> CPU:
-    env = SystemEnvironment()
-    proc = env.spawn_process("t.exe")
-    return CPU(
-        assemble(src),
-        environment=env,
-        process=proc,
-        dispatcher=Dispatcher(env, proc),
-        record_instructions=False,
-        **kwargs,
-    )
 
 
 class TestRegionDiscovery:
@@ -137,20 +117,20 @@ class TestCounters:
         assert obs.metrics.total("vm.fast_steps") > 0
         assert obs.metrics.total("vm.superblocks.entries") == 0
 
-    def test_guard_exits_counted_under_taint(self):
-        src = (
-            ".section .data\nbuf: .space 16\n.section .text\n"
-            "    push 0\n    push buf\n    call @GetComputerNameA\n"
-            "    xor esi, esi\n"
-            "hash:\n"
-            "    xor eax, eax\n    movb eax, [buf+esi]\n    test eax, eax\n"
-            "    jz done\n    add ebx, eax\n    inc esi\n    jmp hash\n"
-            "done:\n    halt\n"
+    def test_guard_exits_counted_at_budget_end(self):
+        # Three steps left when the loop region comes round again: fewer
+        # than its five instructions, so the chunked-budget guard refuses
+        # it and the fast loop finishes the budget per-instruction.
+        cpu = CPU(
+            assemble(self.SRC),
+            max_steps=9,
+            record_instructions=False,
+            superblocks=True,
+            superblock_threshold=0,
         )
-        cpu = _api_cpu(src, superblocks=True, superblock_threshold=0)
         cpu.run()
-        assert cpu.status is ExitStatus.HALTED
-        assert obs.metrics.total("vm.superblocks.guard_exits") >= 1
+        assert cpu.status is ExitStatus.BUDGET and cpu.steps == 9
+        assert obs.metrics.total("vm.superblocks.guard_exits") == 1
 
 
 class TestFaultPc:
@@ -247,9 +227,7 @@ class TestBudgetAndResume:
             None,
             memory=first.memory,
             regs=first.regs,
-            reg_taint=first.reg_taint,
             flags=first.flags,
-            flag_taint=first.flag_taint,
             pc=first.pc,
             steps=first.steps,
             callstack=first.callstack,
@@ -265,32 +243,6 @@ class TestBudgetAndResume:
             ref.pc,
             dict(ref.regs),
         )
-
-
-class TestFutility:
-    def test_persistently_tainted_region_stops_being_attempted(self):
-        src = (
-            ".section .data\nbuf: .space 80\n.section .text\n"
-            "    push 0\n    push buf\n    call @GetComputerNameA\n"
-            "    mov edi, 200\n"
-            "again:\n"
-            "    xor esi, esi\n"
-            "hash:\n"
-            "    xor eax, eax\n    movb eax, [buf+esi]\n    test eax, eax\n"
-            "    jz next\n    add ebx, eax\n    inc esi\n    jmp hash\n"
-            "next:\n    dec edi\n    jnz again\n    halt\n"
-        )
-        cpu = _api_cpu(src, superblocks=True, superblock_threshold=0)
-        cpu.run()
-        assert cpu.status is ExitStatus.HALTED
-        futiles = [
-            r.futile
-            for r in cpu._superblocks.entries
-            if r is not None and r.futile
-        ]
-        # At least one region hit the limit and none overshot it: the
-        # guarded dispatcher stopped paying per-entry exceptions for it.
-        assert futiles and max(futiles) == FUTILE_LIMIT
 
 
 class TestRegionChaining:
@@ -348,25 +300,6 @@ class TestRegionChaining:
         assert chained.regs == slow.regs
         assert chained.steps == slow.steps
         assert chained.flags == slow.flags
-
-    def test_chained_run_under_taint_guards(self):
-        """The guarded tier-3 dispatcher consumes chained successors through
-        the same validation as probed entries (futility, warmth)."""
-        src = (
-            ".section .data\nbuf: .space 16\n.section .text\n"
-            "    push 0\n    push buf\n    call @GetComputerNameA\n"
-            "    mov ecx, 40\n    xor ebx, ebx\n"
-            "spin:\n    mov eax, ecx\n    imul eax, 13\n    add ebx, eax\n"
-            "    dec ecx\n    jnz spin\n"
-            "done:\n    mov edx, ebx\n    mov esi, 7\n    halt\n"
-        )
-        guarded = _api_cpu(src, superblocks=True, superblock_threshold=0)
-        guarded.run()
-        plain = _api_cpu(src, superblocks=False)
-        plain.run()
-        assert guarded.status is plain.status is ExitStatus.HALTED
-        assert guarded.regs == plain.regs
-        assert guarded.steps == plain.steps
 
     @pytest.mark.parametrize("budget", [3, 7, 55, 120])
     def test_budget_parity_with_chaining(self, budget):
