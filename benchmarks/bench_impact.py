@@ -31,7 +31,6 @@ from repro.core.candidate import select_candidates
 from repro.core.impact import ImpactAnalyzer
 from repro.core.pipeline import AutoVac
 from repro.corpus import all_families
-from repro.tracing import serialize
 from repro.vm import superblock as vm_superblock
 from repro.corpus.builder import (
     MUTEX_ALL_ACCESS,
@@ -280,28 +279,15 @@ def test_write_artifacts(family_analyses):
 
     Per-family timing is best-of-3 with observability off (the committed
     baseline regenerates under the same protocol, so the regression gate
-    compares like with like).  Each family is also analyzed once with
-    superblocks disabled and the two SampleAnalysis payloads must be
-    byte-identical — the tier-3 compiler is a pure optimization.
+    compares like with like).
     """
     per_sample = {}
-    per_sample_nosb = {}
     with obs.disabled():
         for family, (program, _analysis) in sorted(family_analyses.items()):
-            seconds, analysis = min_wall_seconds(
+            seconds, _ = min_wall_seconds(
                 lambda: AutoVac().analyze(program), repeats=3
             )
             per_sample[family] = seconds
-            nosb_seconds, nosb = min_wall_seconds(
-                lambda: AutoVac(superblock_vm=False).analyze(program), repeats=3
-            )
-            per_sample_nosb[family] = nosb_seconds
-            # Spans, journal and profile are excluded from the fingerprint:
-            # the tier mix legitimately differs when superblocks are off.
-            fingerprint = serialize.analysis_fingerprint
-            assert fingerprint(analysis) == fingerprint(nosb), (
-                f"{family}: superblocks changed the analysis"
-            )
 
     snap = getattr(test_snapshot_speedup, "numbers", {})
     per_family_snap = getattr(test_per_family_snapshot_speedup, "numbers", {})
@@ -311,10 +297,7 @@ def test_write_artifacts(family_analyses):
     lines += list(getattr(test_interpreter_fast_path, "lines", []))
     lines.append("Per-sample end-to-end pipeline latency (best of 3, obs off):")
     for family, seconds in per_sample.items():
-        lines.append(
-            f"  {family:<12} {seconds * 1e3:8.2f} ms"
-            f"   (superblocks off: {per_sample_nosb[family] * 1e3:8.2f} ms)"
-        )
+        lines.append(f"  {family:<12} {seconds * 1e3:8.2f} ms")
     write_artifact("impact.txt", "\n".join(lines) + "\n")
 
     write_artifact(
@@ -325,7 +308,6 @@ def test_write_artifacts(family_analyses):
                 "snapshot_resume_per_family": per_family_snap,
                 "interpreter": interp,
                 "per_sample_seconds": per_sample,
-                "per_sample_seconds_superblocks_off": per_sample_nosb,
             },
             indent=2,
             sort_keys=True,

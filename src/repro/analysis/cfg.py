@@ -1,7 +1,7 @@
 """Static control-flow graph over an assembled program.
 
-Used by forced-execution exploration (branch discovery, coverage accounting)
-and available for offline inspection of corpus samples.
+A library utility for offline inspection of corpus samples (basic blocks,
+successors, reachability); no pipeline stage uses it.
 """
 
 from __future__ import annotations

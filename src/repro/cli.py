@@ -46,9 +46,9 @@ their outcomes.
 
 ``profile`` analyzes one sample with the hot-path profiler (``obs.prof``)
 on and prints the self-time attribution table, per pipeline stage: VM time
-per tier (slow/fast/superblock region), API dispatch per handler with the
-``read_stack_args`` cost split out, snapshot capture/restore, and rule
-matching.  ``--json`` emits the nested tree, ``--folded`` collapsed stacks
+per tier (slow/fast; analysis compiles no superblock regions), API
+dispatch per handler with the ``read_stack_args`` cost split out, snapshot
+capture/restore, and rule matching.  ``--json`` emits the nested tree, ``--folded`` collapsed stacks
 for flamegraph tooling.  ``survey --profile`` collects the same attribution
 population-wide (merged across workers; with ``--run-dir`` the per-sample
 deltas land in ``profile.jsonl``).

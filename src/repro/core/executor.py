@@ -93,7 +93,9 @@ _EXECUTION_KNOBS = frozenset({"sample_timeout", "sample_retries", "retry_backoff
 #: carries its stage-rooted timing tree (older ones have ``profile: null``
 #: and would leave a warm survey without stage cells).  3: unrecorded runs
 #: are taint-free, so profiled payloads carry different per-tier counts.
-_CACHE_GENERATION = 3
+#: 4: analysis compiles no superblock regions, so profiled payloads lose
+#: their ``vm;superblock`` cells.
+_CACHE_GENERATION = 4
 
 
 @dataclass(frozen=True)
@@ -107,11 +109,6 @@ class PipelineConfig:
     profile_budget: int = DEFAULT_BUDGET
     explore_paths: bool = False
     aligner: str = "myers"
-    #: Compile hot straight-line/loop regions into single-dispatch Python
-    #: closures (repro.vm.superblock).  Results are byte-identical either
-    #: way (the differential tests pin this); the flag is an escape hatch
-    #: and drives the parity bench.
-    superblock_vm: bool = True
     #: Collect hot-path profiles (``obs.prof``) during analysis.  Part of
     #: the cache fingerprint — not an execution knob — because it changes
     #: what the encoded payload *contains* (hot-path cells in the
@@ -137,7 +134,6 @@ class PipelineConfig:
             aligner=aligner,
             profile_budget=self.profile_budget,
             explore_paths=self.explore_paths,
-            superblock_vm=self.superblock_vm,
         )
 
     def fingerprint(self) -> str:
@@ -191,7 +187,6 @@ def config_for(autovac: AutoVac) -> PipelineConfig:
         profile_budget=autovac.profile_budget,
         explore_paths=autovac.explore_paths,
         aligner=aligner_name,
-        superblock_vm=autovac.superblock_vm,
         profile=obs.prof.enabled,
     )
 

@@ -281,7 +281,6 @@ class AutoVac:
         clinic_programs: Sequence[Program] = (),
         explore_paths: bool = False,
         stages: Optional[Sequence[Stage]] = None,
-        superblock_vm: Optional[bool] = None,
     ) -> None:
         self.environment = environment if environment is not None else SystemEnvironment()
         self.exclusiveness = ExclusivenessAnalyzer(search=search_engine or SearchEngine())
@@ -292,12 +291,6 @@ class AutoVac:
         )
         self.profile_budget = profile_budget
         self.clinic_programs = list(clinic_programs)
-        #: Superblock tier for every CPU this pipeline runs (fresh runs and
-        #: snapshot resumes alike — ``analyze`` scopes the override).
-        #: ``None`` inherits the process default (``REPRO_SUPERBLOCKS``).
-        self.superblock_vm = (
-            vm_superblock.default_enabled() if superblock_vm is None else superblock_vm
-        )
         #: Enforced execution (§VIII): flip resource-check outcomes to find
         #: candidates on dormant paths before Phase II.
         self.explore_paths = explore_paths
@@ -313,7 +306,10 @@ class AutoVac:
         started = time.perf_counter()
         analysis = SampleAnalysis(program=program)
         try:
-            with vm_superblock.overridden(self.superblock_vm):
+            # Every program an analysis runs is cold, so compiling regions
+            # never pays off: the stages run without tier 3, and an
+            # analysis's tier mix depends only on ``record_instructions``.
+            with vm_superblock.overridden(False):
                 self._analyze(program, analysis)
         finally:
             # Recorded even when a stage raises, so every stage cell

@@ -16,8 +16,9 @@ frames:
 
   - VM execution by tier — ``vm;slow`` (every step of a recorded run,
     the API calls of an unrecorded one), ``vm;fast`` (predecoded untainted
-    loop), ``vm;superblock;region@0x…`` (one node per compiled hot region)
-    plus ``vm;superblock;guard_exit`` (count-only: budget-refused
+    loop), and — outside analysis only, since ``AutoVac.analyze`` compiles
+    no regions — ``vm;superblock;region@0x…`` (one node per compiled hot
+    region) plus ``vm;superblock;guard_exit`` (count-only: budget-refused
     dispatches; their time stays on the region node);
   - API dispatch per handler — ``api;<Name>`` total with
     ``api;<Name>;read_args`` (the ``read_stack_args`` pre-read) split out,

@@ -45,8 +45,8 @@ def replay_slice(
 
     ``program``, when given and textually identical to the slice's recorded
     source, is executed directly instead of re-assembling — replay-validation
-    during analysis then reuses the sample's decode and superblock caches
-    (a target-machine daemon has only the source and still assembles)."""
+    during analysis then reuses the sample's decode cache (a target-machine
+    daemon has only the source and still assembles)."""
     if slice_.requires_reexecution and slice_.target_api:
         return _forced_reexecution(slice_, environment, max_steps, program)
     return _replay_instances(slice_, environment, max_steps, program)

@@ -18,12 +18,12 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from .. import obs
 from ..taint.labels import EMPTY, TagSet, union
-from ..tracing.events import ApiCallEvent, InstructionRecord, TaintedPredicateEvent
+from ..tracing.events import InstructionRecord, TaintedPredicateEvent
 from ..tracing.trace import Trace
 from . import superblock as superblock_mod
 from .decode import decoded_program
 from .memory import Memory, MemoryFault, STACK_TOP, TEXT_BASE
-from .operands import ApiRef, Imm, Mem, Operand, Reg, mask32, to_signed
+from .operands import ApiRef, Imm, Mem, Operand, Reg, mask32
 from .program import Program
 
 
@@ -169,8 +169,9 @@ class CPU:
     record_instructions:
         Analysis run: keep per-step def/use records (for backward slicing)
         and taint (for tainted-predicate events).  An unrecorded run is
-        taint-free — no API mints a tag — and executes on the fast and
-        superblock tiers.
+        taint-free — no API mints a tag — and executes on the fast tier,
+        plus compiled superblocks when ``superblocks`` (default: on outside
+        ``AutoVac.analyze``) allows.
     taint_addresses:
         Pointer-taint policy (off by default, matching the paper): when on,
         a memory load's result also carries the taint of the registers used
@@ -292,10 +293,9 @@ class CPU:
         self.process = process
         self.dispatcher = dispatcher
         self.max_steps = max_steps
+        # Def/use accumulation only feeds InstructionRecords; an unrecorded
+        # run skips the per-access bookkeeping entirely.
         self.record_instructions = record_instructions
-        # Def/use accumulation only feeds InstructionRecords; skip the
-        # per-access bookkeeping entirely when nothing consumes it.
-        self._track = record_instructions
         self.taint_addresses = taint_addresses
 
         self.memory = memory
@@ -355,12 +355,12 @@ class CPU:
     # ------------------------------------------------------------------
 
     def get_reg(self, name: str) -> Tuple[int, TagSet]:
-        if self._track:
+        if self.record_instructions:
             self._uses.append(("reg", name))
         return self.regs[name], self.reg_taint[name]
 
     def set_reg(self, name: str, value: int, taint: TagSet = EMPTY) -> None:
-        if self._track:
+        if self.record_instructions:
             self._defs.append(("reg", name))
         self.regs[name] = mask32(value)
         self.reg_taint[name] = taint
@@ -386,10 +386,10 @@ class CPU:
             value, taint = self.memory.read_span(addr, size)
         except MemoryFault as exc:
             # Byte-loop parity: bytes before the faulting one were used.
-            if self._track:
+            if self.record_instructions:
                 self._note_partial(self._uses, addr, size, exc.addr)
             raise
-        if self._track:
+        if self.record_instructions:
             uses = self._uses
             a0 = addr & 0xFFFFFFFF
             if a0 + size <= 0x1_0000_0000:
@@ -405,10 +405,10 @@ class CPU:
             self.memory.write_span(addr, value, size, taint)
         except MemoryFault as exc:
             # Byte-loop parity: bytes before the faulting one were written.
-            if self._track:
+            if self.record_instructions:
                 self._note_partial(self._defs, addr, size, exc.addr)
             raise
-        if self._track:
+        if self.record_instructions:
             defs = self._defs
             a0 = addr & 0xFFFFFFFF
             if a0 + size <= 0x1_0000_0000:
@@ -492,7 +492,7 @@ class CPU:
                 if start <= a0 and last < end:
                     data = mem._bytes
                     tmap = mem._taint
-                    track = self._track
+                    track = self.record_instructions
                     for k in range(count):
                         a = a0 + 4 * k
                         values.append(
@@ -545,7 +545,8 @@ class CPU:
            unrecorded (taint-free) run, which takes one slow step per
            instruction without a fast form (an API call);
         3. compiled superblocks — one dispatch per hot region, entered from
-           the fast loop.
+           the fast loop.  Host runs only: ``AutoVac.analyze`` turns them
+           off for its stages, whose programs are all cold.
 
         With ``obs.prof`` enabled the same loops attribute wall time per
         tier through a :class:`_ProfAcc`: contiguous slow steps batch
@@ -623,33 +624,11 @@ class CPU:
                         if fn is None:
                             fn = region.warm()
                         if fn is not None:
-                            r = fn(self) if acc is None else acc.dispatch(self, idx, fn)
-                            if r:
+                            ran = fn(self) if acc is None else acc.dispatch(self, idx, fn)
+                            if ran:
                                 entered += 1
                                 if self.status is not ExitStatus.RUNNING:
                                     return
-                                # Region chaining: a closure whose exit pc
-                                # is another region's entry returns that
-                                # Region — dispatch straight into it.  The
-                                # closure's own chunked-budget guard
-                                # subsumes the loop-top budget check; a
-                                # refusal or a cold successor falls back to
-                                # the probe above, which re-counts exactly
-                                # as an un-chained arrival would.
-                                while r is not True:
-                                    nfn = r.fn
-                                    if nfn is None:
-                                        break  # cold successor: probe warms it
-                                    if acc is None:
-                                        r2 = nfn(self)
-                                    else:
-                                        r2 = acc.dispatch(self, r.entry, nfn)
-                                    if not r2:
-                                        break  # refusal: probe re-counts it
-                                    entered += 1
-                                    if self.status is not ExitStatus.RUNNING:
-                                        return
-                                    r = r2
                                 continue
                             # Chunked-budget guard refused: execute the
                             # region per-instruction instead.
@@ -730,7 +709,7 @@ class CPU:
             self.fault_reason = f"pc 0x{self.pc:08x} outside .text"
             return
         full, _fast, text = self._decoded[idx]
-        if self._track:
+        if self.record_instructions:
             self._uses = []
             self._defs = []
         self._api_step_recorded = False
@@ -787,50 +766,28 @@ class CPU:
             self.callstack.pop()
         self.pc = value
 
-    def _unary(self, m: str, dst: Operand) -> None:
+    # The ALU and branch rules live in ``decode``'s tables (``_UNOPS``,
+    # ``_BINOPS``, ``_CONDS``); the full handlers resolve the entry once at
+    # decode time and these helpers add only taint and def/use tracking.
+
+    def _unary(self, op: Callable[[int], int], sets_flags: bool, dst: Operand) -> None:
         value, taint = self.read_operand(dst)
-        if m == "inc":
-            result = value + 1
-        elif m == "dec":
-            result = value - 1
-        elif m == "not":
-            result = ~value
-        else:  # neg
-            result = -value
-        result = mask32(result)
+        result = mask32(op(value))
         self.write_operand(dst, result, taint)
-        if m in ("inc", "dec", "neg"):
+        if sets_flags:
             self._set_flags(result, taint, cf=None)
 
-    def _binary(self, m: str, dst: Operand, src: Operand) -> None:
-        # xor r, r zeroes the register and *clears* taint (the classic
-        # untainting idiom every taint engine must honour).
-        if m == "xor" and isinstance(dst, Reg) and isinstance(src, Reg) and dst.name == src.name:
-            self.get_reg(dst.name)
-            self.set_reg(dst.name, 0, EMPTY)
-            self._set_flags(0, EMPTY, cf=0)
-            return
+    def _zero(self, name: str) -> None:
+        """``xor r, r``: zero the register and *clear* its taint (the
+        classic untainting idiom every taint engine must honour)."""
+        self.get_reg(name)
+        self.set_reg(name, 0, EMPTY)
+        self._set_flags(0, EMPTY, cf=0)
+
+    def _binary(self, op: Callable[[int, int], Tuple[int, int]], dst: Operand, src: Operand) -> None:
         a, ta = self.read_operand(dst)
         b, tb = self.read_operand(src)
-        cf = 0
-        if m == "add":
-            result = a + b
-            cf = 1 if result > 0xFFFFFFFF else 0
-        elif m == "sub":
-            result = a - b
-            cf = 1 if a < b else 0
-        elif m == "xor":
-            result = a ^ b
-        elif m == "and":
-            result = a & b
-        elif m == "or":
-            result = a | b
-        elif m == "shl":
-            result = a << (b & 0x1F)
-        elif m == "shr":
-            result = a >> (b & 0x1F)
-        else:  # imul / mul
-            result = a * b
+        result, cf = op(a, b)
         result = mask32(result)
         taint = union(ta, tb)
         self.write_operand(dst, result, taint)
@@ -842,7 +799,7 @@ class CPU:
         if cf is not None:
             self.flags["cf"] = cf
         self.flag_taint = taint
-        if self._track:
+        if self.record_instructions:
             self._defs.append(("flags",))
 
     def _compare(self, m: str, lhs: Operand, rhs: Operand, pc: int, seq: int, text: str) -> None:
@@ -883,33 +840,15 @@ class CPU:
                         # candidate events as the control-flow evidence.
                         flight.remember(("predicate_for", t.event_id), flight_id)
 
-    _CONDITIONS: dict = {}
-
-    def _jump(self, m: str, target: Operand) -> None:
-        taken = True
-        if m != "jmp":
-            if self._track:
+    def _jump(self, cond: Optional[Callable[[dict], bool]], target: Operand) -> None:
+        """``cond`` is ``None`` for ``jmp``, else the flags predicate."""
+        if cond is not None:
+            if self.record_instructions:
                 self._uses.append(("flags",))
-            zf, sf, cf = self.flags["zf"], self.flags["sf"], self.flags["cf"]
-            taken = {
-                "je": zf == 1,
-                "jz": zf == 1,
-                "jne": zf == 0,
-                "jnz": zf == 0,
-                "jl": sf == 1,
-                "jge": sf == 0,
-                "jle": sf == 1 or zf == 1,
-                "jg": sf == 0 and zf == 0,
-                "jb": cf == 1,
-                "jae": cf == 0,
-                "jbe": cf == 1 or zf == 1,
-                "ja": cf == 0 and zf == 0,
-                "js": sf == 1,
-                "jns": sf == 0,
-            }[m]
-        if taken:
-            value, _ = self.read_operand(target)
-            self.pc = value
+            if not cond(self.flags):
+                return
+        value, _ = self.read_operand(target)
+        self.pc = value
 
     def _call(self, target: Operand, pc: int, seq: int, text: str) -> None:
         if isinstance(target, ApiRef):
@@ -927,11 +866,11 @@ class CPU:
     # ------------------------------------------------------------------
 
     def note_use(self, location: Tuple) -> None:
-        if self._track:
+        if self.record_instructions:
             self._uses.append(location)
 
     def note_def(self, location: Tuple) -> None:
-        if self._track:
+        if self.record_instructions:
             self._defs.append(location)
 
     def record_api_step(self, seq: int, pc: int, text: str, event_id: int) -> None:

@@ -11,9 +11,11 @@ once, at first execution — to a triple ``(full, fast, text)``:
 * ``full(cpu, pc, seq)`` — the exact semantics (taint, def/use,
   tainted-predicate events), chosen by mnemonic once at decode time
   instead of per step, with operands normalized once.  It delegates to the
-  CPU's helpers (``_unary``, ``_binary``, ``_compare``, …) so the single
-  source of semantic truth stays in ``cpu.py``.  ``CPU.step`` and slice
-  replay (:mod:`repro.taint.replay`) both execute through it.
+  CPU's helpers (``_unary``, ``_binary``, ``_compare``, …) for taint and
+  def/use work; the ALU results and branch conditions come from the same
+  tables (``_UNOPS``, ``_BINOPS``, ``_CONDS``) the fast handlers use.
+  ``CPU.step`` and slice replay (:mod:`repro.taint.replay`) both execute
+  through it.
 * ``fast(cpu)`` — an untainted specialization with pre-resolved operand
   accessors: plain ints end to end, no TagSet plumbing, no def/use lists,
   no flag-taint writes.  ``None`` for steps the fast loop must not swallow
@@ -31,7 +33,7 @@ snapshots re-decode locally.
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, Optional, Tuple
 
 from .isa import Instruction
 from .operands import ApiRef, Imm, Mem, Reg, mask32
@@ -108,7 +110,8 @@ def _movb_dst(op):
 # fast handlers
 # ---------------------------------------------------------------------------
 
-#: Condition evaluators over the flags dict (same table as ``CPU._jump``).
+#: Condition evaluators over the flags dict (the fast and full jump handlers
+#: and the superblock codegen's ``_COND_EXPR`` agree on these).
 _CONDS = {
     "je": lambda f: f["zf"] == 1,
     "jz": lambda f: f["zf"] == 1,
@@ -146,6 +149,11 @@ _UNOPS = {
     "not": lambda v: ~v,
     "neg": lambda v: -v,
 }
+
+
+def _zeroes(m: str, dst, src) -> bool:
+    """``xor r, r``: zeroes (and on the full path untaints) ``r``."""
+    return m == "xor" and type(dst) is Reg and type(src) is Reg and dst.name == src.name
 
 
 def _fast_handler(instr: Instruction) -> Optional[FastHandler]:
@@ -276,12 +284,7 @@ def _fast_handler(instr: Instruction) -> Optional[FastHandler]:
 
     if m in _BINOPS:
         dst, src = ops
-        if (
-            m == "xor"
-            and type(dst) is Reg
-            and type(src) is Reg
-            and dst.name == src.name
-        ):
+        if _zeroes(m, dst, src):
             name = dst.name
 
             def fast_xor_self(cpu):
@@ -474,17 +477,27 @@ def _full_handler(instr: Instruction, text: str) -> FullHandler:
 
     if m in _UNOPS:
         dst = ops[0]
+        op = _UNOPS[m]
+        sets_flags = m != "not"
 
         def full_unary(cpu, pc, seq):
-            cpu._unary(m, dst)
+            cpu._unary(op, sets_flags, dst)
 
         return full_unary
 
     if m in _BINOPS:
         dst, src = ops
+        if _zeroes(m, dst, src):
+            name = dst.name
+
+            def full_zero(cpu, pc, seq):
+                cpu._zero(name)
+
+            return full_zero
+        op = _BINOPS[m]
 
         def full_binary(cpu, pc, seq):
-            cpu._binary(m, dst, src)
+            cpu._binary(op, dst, src)
 
         return full_binary
 
@@ -498,9 +511,10 @@ def _full_handler(instr: Instruction, text: str) -> FullHandler:
 
     if instr.is_jump:
         target = ops[0]
+        cond = _CONDS.get(m)  # None for jmp
 
         def full_jump(cpu, pc, seq):
-            cpu._jump(m, target)
+            cpu._jump(cond, target)
 
         return full_jump
 

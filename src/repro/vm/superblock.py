@@ -2,7 +2,7 @@
 
 The predecoded fast path (:mod:`repro.vm.decode`) still pays one Python-level
 dispatch — index, tuple load, call — per instruction.  This module removes
-that cost for the code that dominates profiling runs: it discovers maximal
+that cost for hot code in warm runs: it discovers maximal
 straight-line runs and simple back-edge loops in the static program, and
 compiles each region — lazily, once it proves hot — into a **single Python
 closure** that executes the whole block with one dispatch.  Operand accessors
@@ -23,23 +23,24 @@ order, a faulting region flushes its locals, charges the steps executed
 (including the faulting instruction, like the slow path), and reports the
 *faulting instruction's* pc in ``fault_reason``.
 
-A compiled closure returns one of three things: ``False`` (budget refusal —
-nothing executed), ``True`` (the region ran; no statically-known successor,
-or a fault), or another :class:`Region` whose entry is exactly the pc the
-closure just set — **region chaining**.  Successors are resolved once at
-compile time from the region table, so a hot A→B→A cycle costs one Python
-call per region instead of a dispatch-loop probe per transition; the fast
-loop treats a returned Region as a pre-resolved probe.
+A compiled closure returns ``False`` (budget refusal — nothing executed)
+or ``True`` (the region ran, or faulted); the fast loop then probes the
+region table again at whatever pc the closure left.
+
+Analysis never compiles regions: ``AutoVac.analyze`` scopes
+:func:`overridden` ``(False)`` around its stages, because every program it
+runs is cold and would be discarded before compilation paid off.  Regions
+serve warm, unrecorded host-side runs — the protected host, the campaign,
+the daemon's slice replays at install, and a bare ``run_sample``.
 
 The region table is cached on the ``Program`` keyed by the identity of its
 instruction list — the same invalidation rule as the decode cache — and is
-dropped by pickling, so hotness accumulates across the many short re-runs of
-Phase II inside one process but never crosses process or snapshot boundaries.
+dropped by pickling, so hotness accumulates across the repeated runs of one
+program inside one process but never crosses process or snapshot boundaries.
 """
 
 from __future__ import annotations
 
-import os
 from contextlib import contextmanager
 from typing import Callable, List, Optional, Sequence, Set
 
@@ -65,32 +66,25 @@ _BINOP_MNEMONICS = frozenset(
 _UNOP_MNEMONICS = frozenset(("inc", "dec", "not", "neg"))
 
 # ---------------------------------------------------------------------------
-# enable/disable plumbing (mirrors PipelineConfig.superblock_vm)
+# scoped default
 # ---------------------------------------------------------------------------
 
-_ENV_DEFAULT = os.environ.get("REPRO_SUPERBLOCKS", "1").lower() not in (
-    "0",
-    "false",
-    "no",
-    "off",
-)
 _override: Optional[bool] = None
 
 
 def default_enabled() -> bool:
-    """Effective default for CPUs built without an explicit choice."""
-    return _ENV_DEFAULT if _override is None else _override
+    """Effective default for CPUs built without an explicit choice: on,
+    unless an :func:`overridden` scope says otherwise."""
+    return True if _override is None else _override
 
 
 @contextmanager
-def overridden(enabled: Optional[bool]):
-    """Scope the default (used by ``AutoVac.analyze`` so the flag reaches
-    every CPU the pipeline builds — fresh runs and snapshot resumes alike —
-    without threading a parameter through each call site)."""
+def overridden(enabled: bool):
+    """Scope the default (``AutoVac.analyze`` turns regions off this way,
+    so the choice reaches every CPU the pipeline builds — fresh runs and
+    snapshot resumes alike — without threading a parameter through each
+    call site)."""
     global _override
-    if enabled is None:
-        yield
-        return
     prev = _override
     _override = enabled
     try:
@@ -392,34 +386,6 @@ class _Codegen:
                 live = {"z", "s", "c"}
         self.csets = csets
 
-        # Static successors for region chaining: when an exit pc is another
-        # region's entry, the closure returns that Region object and the
-        # dispatch loop jumps straight into it — no table probe per
-        # transition.  Resolved at compile time (the region table is fixed
-        # at discovery); the successor may still be cold (``fn is None``),
-        # in which case the dispatcher falls back to a probe and warms it.
-        entries = region.cache.entries
-        n_entries = len(entries)
-
-        def _succ(idx: int) -> Optional[Region]:
-            if 0 <= idx < n_entries:
-                nxt = entries[idx]
-                if nxt is not None and nxt is not region:
-                    return nxt
-            return None
-
-        term = region.terminator
-        self.succ_target = (
-            _succ((term.operands[0].value & _M) - TEXT_BASE)
-            if term is not None and not self.is_loop
-            else None
-        )
-        self.succ_fall = (
-            _succ(region.entry + self.length)
-            if term is None or term.mnemonic != "jmp"
-            else None
-        )
-
         self.lines: List[str] = []
 
     # -- emit helpers ---------------------------------------------------
@@ -629,12 +595,7 @@ class _Codegen:
         term = self.region.terminator
         steps_expr = "_st + _i" if self.is_loop else "_i"
 
-        params = "cpu, _FAULT=_FAULT"
-        if self.succ_target is not None:
-            params += ", _NT=_NT"
-        if self.succ_fall is not None:
-            params += ", _NF=_NF"
-        self.emit(0, f"def _sb({params}):")
+        self.emit(0, "def _sb(cpu, _FAULT=_FAULT):")
         self.emit(1, f"_bud = cpu.max_steps - cpu.steps")
         self.emit(1, f"if _bud < {L}: return False")
         self.emit(1, "regs = cpu.regs")
@@ -670,65 +631,31 @@ class _Codegen:
             self.gen_instr(instr, k, body_depth)
             emitted_any = emitted_any or len(self.lines) > mark
 
-        exit_ret = "True"
         if self.is_loop:
             self.emit(body_depth, f"_st += {L}")
             if term.mnemonic == "jmp":
                 self.emit(body_depth, f"if _bud - _st >= {L}: continue")
                 self.emit(body_depth, f"cpu.pc = {entry_pc}")
                 self.emit(body_depth, "break")
-            elif self.succ_fall is None:
-                self.emit(body_depth, f"if {self.cond_expr(term.mnemonic)}:")
-                self.emit(body_depth + 1, f"if _bud - _st >= {L}: continue")
-                self.emit(body_depth + 1, f"cpu.pc = {entry_pc}")
-                self.emit(body_depth + 1, "break")
-                self.emit(body_depth, f"cpu.pc = {fall_pc}")
-                self.emit(body_depth, "break")
             else:
                 self.emit(body_depth, f"if {self.cond_expr(term.mnemonic)}:")
                 self.emit(body_depth + 1, f"if _bud - _st >= {L}: continue")
-                # Budget re-entry never chains back into itself: the
-                # dispatch loop owns the budget-exhaustion status.
                 self.emit(body_depth + 1, f"cpu.pc = {entry_pc}")
-                self.emit(body_depth + 1, "_nx = True")
                 self.emit(body_depth + 1, "break")
                 self.emit(body_depth, f"cpu.pc = {fall_pc}")
-                self.emit(body_depth, "_nx = _NF")
                 self.emit(body_depth, "break")
-                exit_ret = "_nx"
+        elif term is None:
+            if not emitted_any:
+                self.emit(body_depth, "pass")
+            self.emit(body_depth, f"cpu.pc = {fall_pc}")
+        elif term.mnemonic == "jmp":
+            self.emit(body_depth, f"cpu.pc = {term.operands[0].value & _M}")
         else:
-            if term is None:
-                if not emitted_any:
-                    self.emit(body_depth, "pass")
-                self.emit(body_depth, f"cpu.pc = {fall_pc}")
-                if self.succ_fall is not None:
-                    exit_ret = "_NF"
-            elif term.mnemonic == "jmp":
-                target = term.operands[0].value & _M
-                self.emit(body_depth, f"cpu.pc = {target}")
-                if self.succ_target is not None:
-                    exit_ret = "_NT"
-            else:
-                target = term.operands[0].value & _M
-                if self.succ_target is None and self.succ_fall is None:
-                    self.emit(
-                        body_depth,
-                        f"cpu.pc = {target} if {self.cond_expr(term.mnemonic)} else {fall_pc}",
-                    )
-                else:
-                    self.emit(body_depth, f"if {self.cond_expr(term.mnemonic)}:")
-                    self.emit(body_depth + 1, f"cpu.pc = {target}")
-                    self.emit(
-                        body_depth + 1,
-                        "_nx = _NT" if self.succ_target is not None else "_nx = True",
-                    )
-                    self.emit(body_depth, "else:")
-                    self.emit(body_depth + 1, f"cpu.pc = {fall_pc}")
-                    self.emit(
-                        body_depth + 1,
-                        "_nx = _NF" if self.succ_fall is not None else "_nx = True",
-                    )
-                    exit_ret = "_nx"
+            target = term.operands[0].value & _M
+            self.emit(
+                body_depth,
+                f"cpu.pc = {target} if {self.cond_expr(term.mnemonic)} else {fall_pc}",
+            )
 
         # Fault: like the slow path, the faulting instruction's step is
         # charged and pc has advanced past it; fault_reason names the
@@ -743,7 +670,7 @@ class _Codegen:
 
         self.flush_values(1)
         self.emit(1, f"cpu.steps += {'_st' if self.is_loop else str(L)}")
-        self.emit(1, f"return {exit_ret}")
+        self.emit(1, "return True")
         return "\n".join(self.lines) + "\n"
 
 
@@ -755,8 +682,6 @@ def _compile_region(region: Region) -> Callable:
     namespace = {
         "_FAULT": ExitStatus.FAULT,
         "_MF": MemoryFault,
-        "_NT": gen.succ_target,
-        "_NF": gen.succ_fall,
     }
     code = compile(
         source, f"<superblock 0x{gen.entry_pc:08x} {region.kind}>", "exec"
@@ -778,7 +703,7 @@ class SuperblockCache:
     Cached on the ``Program`` keyed by the identity of its instruction list
     (the decode-cache rule): a swapped-out listing re-discovers, pickling
     drops it (``Program.__getstate__``), and hotness counts accumulate
-    across the many short re-runs Phase II performs in one process."""
+    across the repeated runs of one program in one process."""
 
     __slots__ = ("instructions", "entries", "threshold", "compiled")
 

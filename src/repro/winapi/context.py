@@ -123,7 +123,7 @@ class ApiContext:
             # A bogus guest pointer is the API's problem, not the host's:
             # real APIs validate and fail gracefully.
             return "", []
-        if self.cpu._track:
+        if self.cpu.record_instructions:
             self.cpu._uses.extend(("mem", addr + i) for i in range(len(raw_text) + 1))
         if raw_text.isascii():
             # One byte per character: byte taints are character taints.
@@ -163,7 +163,7 @@ class ApiContext:
                     pos += 1
             length = pos - addr
         mem.write_byte(addr + length, 0, EMPTY)
-        if self.cpu._track:
+        if self.cpu.record_instructions:
             self.cpu._defs.extend(("mem", addr + i) for i in range(length + 1))
 
     def read_u32(self, addr: int) -> int:
@@ -175,14 +175,14 @@ class ApiContext:
 
     def read_buffer(self, addr: int, size: int) -> bytes:
         data = self.cpu.memory.read_bytes(addr, size)
-        if self.cpu._track:
+        if self.cpu.record_instructions:
             self.cpu._uses.extend(("mem", addr + i) for i in range(size))
         return data
 
     def write_buffer(self, addr: int, data: bytes, taint: TagSet = EMPTY) -> None:
         for i, b in enumerate(data):
             self.cpu.memory.write_byte(addr + i, b, taint)
-        if self.cpu._track:
+        if self.cpu.record_instructions:
             self.cpu._defs.extend(("mem", addr + i) for i in range(len(data)))
 
     def read_buffer_taints(self, addr: int, size: int) -> List[TagSet]:

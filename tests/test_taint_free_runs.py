@@ -3,9 +3,9 @@
 Taint is consumed only where the trace is recorded: Phase I's tainted
 predicates and determinism's backward walk.  Every other run — impact's
 capture, resume and rerun runs, slice replays, clinic, the protected host —
-is unrecorded, mints no taint, and so executes on the fast and superblock
-tiers, taking a slow step only for an instruction without a fast form (an
-API call).  These tests pin both halves of that contract on the six named
+is unrecorded, mints no taint, and so executes on the fast tier (plus
+compiled superblocks on host runs), taking a slow step only for an
+instruction without a fast form (an API call).  These tests pin both halves of that contract on the six named
 families.
 """
 
