@@ -120,14 +120,14 @@ def test_snapshot_speedup():
         )
         snap_s, fast = min_wall_seconds(
             lambda: ImpactAnalyzer().analyze_candidates(
-                program, candidates, report.trace
+                program, candidates, report.run
             ),
             repeats=3,
         )
     with obs.disabled():
         combined_s, combined = min_wall_seconds(
             lambda: ImpactAnalyzer().analyze_candidates(
-                program, candidates, report.trace
+                program, candidates, report.run
             ),
             repeats=3,
         )
@@ -184,7 +184,7 @@ def test_per_family_snapshot_speedup(family_analyses):
             )
             snap_s, structured = min_wall_seconds(
                 lambda: ImpactAnalyzer().analyze_candidates(
-                    program, candidates, report.trace
+                    program, candidates, report.run
                 ),
                 repeats=3,
             )

@@ -94,8 +94,9 @@ _EXECUTION_KNOBS = frozenset({"sample_timeout", "sample_retries", "retry_backoff
 #: and would leave a warm survey without stage cells).  3: unrecorded runs
 #: are taint-free, so profiled payloads carry different per-tier counts.
 #: 4: analysis compiles no superblock regions, so profiled payloads lose
-#: their ``vm;superblock`` cells.
-_CACHE_GENERATION = 4
+#: their ``vm;superblock`` cells.  5: the impact capture run ends at its last
+#: checkpoint, so profiled payloads carry fewer impact counts.
+_CACHE_GENERATION = 5
 
 
 @dataclass(frozen=True)

@@ -27,7 +27,7 @@ from ..winenv.processes import STANDARD_PROCESSES
 from ..winenv.registry import is_persistence_key
 from .candidate import CandidateResource
 from .runner import DEFAULT_BUDGET, RunResult, resume_sample, run_sample
-from .snapshot import SnapshotRecorder, mutation_matches
+from .snapshot import SnapshotRecorder, _CapturesTaken, mutation_matches
 from .vaccine import Immunization, Mechanism, normalize_identifier
 
 _log = obs.get_logger("impact")
@@ -100,13 +100,16 @@ def _candidate_flight_id(candidate: CandidateResource) -> Optional[int]:
 class ImpactAnalyzer:
     """Runs mutated executions and classifies the behavioural difference.
 
-    :meth:`analyze_candidates` runs the natural trace once more with a
-    :class:`~repro.core.snapshot.SnapshotRecorder` attached, checkpoints the
-    guest at each candidate's first interception site, and resumes every
-    mutated run from its checkpoint — identical outcomes, a fraction of the
-    re-executed instructions.  :meth:`analyze` is the full-rerun path: one
-    complete re-execution per candidate and mechanism, used per
-    candidate-mechanism when a capture or a restore fails.
+    :meth:`analyze_candidates` re-executes the natural run with a
+    :class:`~repro.core.snapshot.SnapshotRecorder` attached only as far as
+    the last candidate's first interception site, checkpointing the guest at
+    each candidate's site on the way, and resumes every mutated run from its
+    checkpoint — identical outcomes, a fraction of the re-executed
+    instructions.  A candidate no API call matches is classified against
+    Phase I's run, which its mutated run would repeat call for call.
+    :meth:`analyze` is the full-rerun path: one complete re-execution per
+    candidate and mechanism, used per candidate-mechanism when a capture or
+    a restore fails.
     """
 
     def __init__(
@@ -170,28 +173,34 @@ class ImpactAnalyzer:
         self,
         program: Program,
         candidates: Sequence[CandidateResource],
-        natural: Trace,
+        natural_run: RunResult,
         mechanisms: Iterable[Mechanism] = (Mechanism.SIMULATE_PRESENCE, Mechanism.ENFORCE_FAILURE),
     ) -> List[ImpactOutcome]:
         """Analyze every candidate, sharing prefix execution when possible.
 
-        Outcome order matches a loop of :meth:`analyze` calls exactly:
-        candidate-major, mechanism-minor.
+        ``natural_run`` is Phase I's run of ``program`` (same environment
+        and budget as this analyzer's runs); its trace is the alignment
+        baseline.  Outcome order matches a loop of :meth:`analyze` calls
+        exactly: candidate-major, mechanism-minor.
         """
         candidates = list(candidates)
         mechanisms = tuple(mechanisms)
         if not candidates:
             return []
+        natural = natural_run.trace
 
         recorder = SnapshotRecorder(candidates)
-        capture_run = run_sample(
-            program,
-            environment=self.environment,
-            interceptors=[recorder],
-            max_steps=self.max_steps,
-            record_instructions=False,
-            on_cpu=recorder.bind,
-        )
+        try:
+            run_sample(
+                program,
+                environment=self.environment,
+                interceptors=[recorder],
+                max_steps=self.max_steps,
+                record_instructions=False,
+                on_cpu=recorder.bind,
+            )
+        except _CapturesTaken:
+            pass
 
         outcomes: List[ImpactOutcome] = []
         for candidate in candidates:
@@ -206,12 +215,13 @@ class ImpactAnalyzer:
                 if snapshot is _UNMATCHED:
                     # No API call ever matched at intercept time, so the
                     # mutation can never fire: the mutated run *is* the
-                    # natural run (the capture run, which saw only PASSes).
+                    # natural run.  Phase I's run executes the same API
+                    # sequence (the tiers agree on every call).
                     outcomes.append(
                         self._classify(
                             candidate,
                             mechanism,
-                            capture_run,
+                            natural_run,
                             natural,
                             0,
                             flight_causes=(_candidate_flight_id(candidate),),

@@ -141,12 +141,6 @@ class VmSnapshot:
         Each call restores an independent environment (the structured rows
         are rebuilt fresh), so one snapshot can seed both mutation mechanisms without
         cross-contamination.
-
-        Superblock mode re-arms naturally: :meth:`CPU.resume` rebuilds the
-        region table for the resumed program, and because compiled regions
-        only dispatch at their *entry* pc, a resume pc that lands mid-region
-        simply executes per-instruction until control reaches the next
-        region entry (see DESIGN.md, three-tier execution model).
         """
         from ..winapi.dispatcher import Dispatcher
 
@@ -193,6 +187,11 @@ class VmSnapshot:
         return cpu
 
 
+class _CapturesTaken(Exception):
+    """Raised by :class:`SnapshotRecorder` once every candidate has its
+    checkpoint: the rest of the capture run could take no other."""
+
+
 class SnapshotRecorder:
     """Interceptor capturing one snapshot per candidate during a single
     natural run.
@@ -200,7 +199,10 @@ class SnapshotRecorder:
     Sits in the interceptor chain exactly where the mutation would sit (so
     it observes the same pre-intercept event state), always PASSes, and on
     each candidate's *first* match checkpoints the machine.  Candidates
-    sharing a first interception site share one snapshot object.
+    sharing a first interception site share one snapshot object.  Once the
+    last candidate is checkpointed it ends the run by raising
+    :class:`_CapturesTaken` from inside that API call, before the call
+    executes; the run's caller catches it.
     """
 
     def __init__(self, candidates) -> None:
@@ -248,6 +250,8 @@ class SnapshotRecorder:
                 for key in matched:
                     del self.pending[key]
                     self.snapshots[key] = snapshot
+                if not self.pending:
+                    raise _CapturesTaken
         return Interception.PASS
 
 

@@ -165,7 +165,7 @@ class ImpactStage(Stage):
         pipeline = ctx.pipeline
         phase1 = ctx.analysis.phase1
         ctx.analysis.impacts.extend(
-            pipeline.impact.analyze_candidates(ctx.program, ctx.candidates, phase1.trace)
+            pipeline.impact.analyze_candidates(ctx.program, ctx.candidates, phase1.run)
         )
 
 

@@ -22,8 +22,8 @@ Design constraints (mirroring the rest of ``repro.obs``):
   ``recall(key)`` with **first-wins** semantics: trace event ids restart
   per run (the phase-1 run, the snapshot-capture run, and every resumed
   mutated run each count from their own origin), and first-wins makes the
-  phase-1 timeline canonical — the capture run reproduces it identically
-  and resumed runs re-execute the interception call with the same rewound
+  phase-1 timeline canonical — the capture run reproduces a prefix of it
+  identically and resumed runs re-execute the interception call with the same rewound
   event id, so the first binding is the right one;
 * worker journals ship inside the versioned ``SampleAnalysis`` codec and
   are re-filed into the parent recorder via :meth:`FlightRecorder.adopt`

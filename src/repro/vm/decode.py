@@ -26,13 +26,19 @@ once, at first execution — to a triple ``(full, fast, text)``:
 Fault behaviour is bit-for-bit compatible: accessors evaluate operands in
 the same order as the slow path, so the *same* access faults first.
 
-The decoded table is cached on the ``Program`` (keyed by the identity of
-its instruction list) and excluded from pickling — worker processes and
+A decoded entry depends only on the instruction's mnemonic and operands
+(no handler captures the program or the pc), so the process keeps one
+entry per distinct instruction in a table shared by every program, the way
+a code cache keeps one translation per block.  The table holds entries
+weakly: an entry lives exactly as long as some program that uses it.  Each
+``Program`` caches its tuple of entries (keyed by the identity of its
+instruction list) and excludes it from pickling — worker processes and
 snapshots re-decode locally.
 """
 
 from __future__ import annotations
 
+import weakref
 from typing import Callable, Optional, Tuple
 
 from .isa import Instruction
@@ -45,8 +51,24 @@ _M = 0xFFFFFFFF
 FastHandler = Callable[[object], None]
 #: ``full`` handler: exact step semantics.
 FullHandler = Callable[[object, int, int], None]
-#: One decoded instruction.
-DecodedEntry = Tuple[FullHandler, Optional[FastHandler], str]
+
+
+class DecodedEntry(list):
+    """One decoded instruction, ``[full, fast, text]``.
+
+    A list subclass only so the shared table can hold it weakly (a tuple
+    cannot be weakly referenced)."""
+
+    __slots__ = ("__weakref__",)
+
+
+#: ``(mnemonic, operands)`` -> its entry, shared by every program in the
+#: process.
+_SHARED = weakref.WeakValueDictionary()
+
+#: ``ExitStatus.HALTED``, bound at first decode: ``cpu`` imports this
+#: module, so the name cannot be imported when it loads.
+_HALTED = None
 
 
 # ---------------------------------------------------------------------------
@@ -157,8 +179,6 @@ def _zeroes(m: str, dst, src) -> bool:
 
 
 def _fast_handler(instr: Instruction) -> Optional[FastHandler]:
-    from .cpu import ExitStatus  # local import: cpu imports this module
-
     m = instr.mnemonic
     ops = instr.operands
 
@@ -169,8 +189,10 @@ def _fast_handler(instr: Instruction) -> Optional[FastHandler]:
         return fast_nop
 
     if m == "halt":
+        halted = _HALTED
+
         def fast_halt(cpu):
-            cpu.status = ExitStatus.HALTED
+            cpu.status = halted
 
         return fast_halt
 
@@ -410,8 +432,6 @@ def _fast_handler(instr: Instruction) -> Optional[FastHandler]:
 
 
 def _full_handler(instr: Instruction, text: str) -> FullHandler:
-    from .cpu import ExitStatus
-
     m = instr.mnemonic
     ops = instr.operands
 
@@ -422,8 +442,10 @@ def _full_handler(instr: Instruction, text: str) -> FullHandler:
         return full_nop
 
     if m == "halt":
+        halted = _HALTED
+
         def full_halt(cpu, pc, seq):
-            cpu.status = ExitStatus.HALTED
+            cpu.status = halted
 
         return full_halt
 
@@ -547,23 +569,35 @@ def _full_handler(instr: Instruction, text: str) -> FullHandler:
 
 
 def decode_instruction(instr: Instruction) -> DecodedEntry:
-    text = str(instr)
-    return (_full_handler(instr, text), _fast_handler(instr), text)
+    """The shared entry for ``instr``, decoding it if no live program holds
+    one."""
+    global _HALTED
+    key = (instr.mnemonic, instr.operands)
+    entry = _SHARED.get(key)
+    if entry is None:
+        if _HALTED is None:
+            from .cpu import ExitStatus
+
+            _HALTED = ExitStatus.HALTED
+        text = str(instr)
+        entry = _SHARED[key] = DecodedEntry(
+            (_full_handler(instr, text), _fast_handler(instr), text)
+        )
+    return entry
 
 
 def decoded_program(program: Program) -> Tuple[DecodedEntry, ...]:
     """Decode (or fetch the cached decode of) a program's instructions.
 
-    The cache rides on the Program instance but is keyed by the identity of
-    the instruction list, so a swapped-out listing re-decodes; pickling
-    drops it (``Program.__getstate__``).
+    The tuple of entries rides on the Program instance but is keyed by the
+    identity of the instruction list, so a swapped-out listing re-decodes;
+    pickling drops it (``Program.__getstate__``).  The entries themselves
+    come from the process-wide table.
     """
     cache = getattr(program, "_decoded_cache", None)
     if cache is not None and cache[0] is program.instructions:
         return cache[1]
-    entries: Tuple[DecodedEntry, ...] = tuple(
-        decode_instruction(instr) for instr in program.instructions
-    )
+    entries = tuple(decode_instruction(instr) for instr in program.instructions)
     program._decoded_cache = (program.instructions, entries)
     return entries
 

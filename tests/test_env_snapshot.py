@@ -274,7 +274,7 @@ class TestChaosDegradation:
         ]
         monkeypatch.setattr(env_snapshot_mod, "_FAULT_EVERY", 1)
         monkeypatch.setattr(env_snapshot_mod, "_restore_count", 0)
-        degraded = analyzer.analyze_candidates(program, candidates, report.trace)
+        degraded = analyzer.analyze_candidates(program, candidates, report.run)
         assert env_snapshot_mod._restore_count > 0  # faults actually fired
         def verdicts(outcomes):
             return {
@@ -302,7 +302,7 @@ class TestChaosDegradation:
         monkeypatch.setattr(env_snapshot_mod, "_restore_count", 0)
         obs.reset()
         outcomes = ImpactAnalyzer().analyze_candidates(
-            program, candidates, report.trace
+            program, candidates, report.run
         )
         assert outcomes  # survey completed despite every-other restore failing
         failures = obs.metrics.counter("snapshot.resume_failures").value

@@ -12,9 +12,13 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core import snapshot as snapshot_mod
 from repro.core.candidate import select_candidates
 from repro.core.impact import ImpactAnalyzer
 from repro.core.pipeline import AutoVac
+from repro.core.runner import run_sample
+from repro.core.snapshot import SnapshotRecorder, mutation_matches
+from repro.winapi.dispatcher import Interception
 
 
 def rerun_all(analyzer, program, candidates, natural):
@@ -51,7 +55,7 @@ class TestAnalyzeCandidatesDirect:
         report, candidates = self._candidates(program)
         assert candidates
 
-        fast = ImpactAnalyzer().analyze_candidates(program, candidates, report.trace)
+        fast = ImpactAnalyzer().analyze_candidates(program, candidates, report.run)
         legacy = rerun_all(ImpactAnalyzer(), program, candidates, report.trace)
 
         assert len(fast) == len(legacy) == 2 * len(candidates)
@@ -77,7 +81,7 @@ class TestAnalyzeCandidatesDirect:
         alignment consumes it exactly like a full rerun's trace."""
         program = family_programs["conficker"]
         report, candidates = self._candidates(program)
-        fast = ImpactAnalyzer().analyze_candidates(program, candidates, report.trace)
+        fast = ImpactAnalyzer().analyze_candidates(program, candidates, report.run)
         legacy = rerun_all(ImpactAnalyzer(), program, candidates, report.trace)
         for f, l in zip(fast, legacy):
             assert [e.context_key() for e in f.mutated_run.trace.api_calls] == [
@@ -87,7 +91,85 @@ class TestAnalyzeCandidatesDirect:
                 e.event_id for e in l.mutated_run.trace.api_calls
             ]
 
+    def test_unmatched_candidates_are_classified_against_phase1(self, family_programs):
+        """A candidate no API call matches at intercept time never fires its
+        mutation; its outcome reuses Phase I's run, which must agree call
+        for call with the full rerun it stands in for."""
+        program = family_programs["conficker"]
+        report, candidates = self._candidates(program)
+        fast = ImpactAnalyzer().analyze_candidates(program, candidates, report.run)
+        legacy = {
+            (o.candidate.key, o.mechanism): o
+            for o in rerun_all(ImpactAnalyzer(), program, candidates, report.trace)
+        }
+        unmatched = [o for o in fast if o.mutated_run is report.run]
+        assert unmatched  # conficker has such a candidate
+        for outcome in unmatched:
+            full = legacy[(outcome.candidate.key, outcome.mechanism)]
+            assert outcome.mutation_hits == full.mutation_hits == 0
+            assert outcome.immunization == full.immunization
+            run, rerun = outcome.mutated_run.trace, full.mutated_run.trace
+            assert [e.context_key() for e in run.api_calls] == [
+                e.context_key() for e in rerun.api_calls
+            ]
+            assert [e.event_id for e in run.api_calls] == [
+                e.event_id for e in rerun.api_calls
+            ]
+            assert (run.steps, run.exit_status) == (rerun.steps, rerun.exit_status)
+
     def test_no_candidates_short_circuits(self, family_programs):
         program = family_programs["conficker"]
         report, _ = self._candidates(program)
-        assert ImpactAnalyzer().analyze_candidates(program, [], report.trace) == []
+        assert ImpactAnalyzer().analyze_candidates(program, [], report.run) == []
+
+
+class _Spy:
+    """Interceptor recording, per API call it sees, which candidates the
+    call matches at intercept time."""
+
+    def __init__(self, candidates) -> None:
+        self.candidates = candidates
+        self.seen = []
+
+    def intercept(self, apidef, event):
+        matched = {c.key for c in self.candidates if mutation_matches(c, event)}
+        self.seen.append(((event.event_id, event.api, event.caller_pc), matched))
+        return Interception.PASS
+
+
+@pytest.mark.parametrize("family", ["conficker", "zeus"])
+def test_capture_run_ends_at_last_candidates_first_match(family, family_programs):
+    program = family_programs[family]
+    report = select_candidates(program)
+    natural = report.trace.api_calls
+    probe = _Spy(report.candidates)
+    run_sample(program, interceptors=[probe], record_instructions=False)
+    # Only candidates some call matches at intercept time can end the run.
+    candidates = [
+        c for c in report.candidates if any(c.key in m for _, m in probe.seen)
+    ]
+    assert len(candidates) >= 2
+    first = {}
+    for i, (_, matched) in enumerate(probe.seen):
+        for key in matched:
+            first.setdefault(key, i)
+    last = max(first[c.key] for c in candidates)
+    assert last + 1 < len(natural)  # the stop is not the run's natural end
+
+    spy = _Spy(candidates)
+    recorder = SnapshotRecorder(candidates)
+    with pytest.raises(snapshot_mod._CapturesTaken):
+        run_sample(
+            program,
+            interceptors=[spy, recorder],
+            record_instructions=False,
+            on_cpu=recorder.bind,
+        )
+    assert not recorder.pending
+    assert set(recorder.snapshots) == {c.key for c in candidates}
+    assert all(snap is not None for snap in recorder.snapshots.values())
+    # The interceptor ahead of the recorder saw exactly the natural run's
+    # calls up to and including the last first match, and none after it.
+    assert [call for call, _ in spy.seen] == [
+        (e.event_id, e.api, e.caller_pc) for e in natural[: last + 1]
+    ]

@@ -10,10 +10,12 @@ run picks its path from ``record_instructions`` alone.
 
 from __future__ import annotations
 
+import gc
+
 import pytest
 
 from repro import obs
-from repro.vm import CPU, ExitStatus, assemble
+from repro.vm import CPU, ExitStatus, assemble, decode
 from repro.vm.cpu import _VM_FLUSH_CACHE
 from repro.winapi import Dispatcher
 from repro.winenv import SystemEnvironment
@@ -168,3 +170,48 @@ class TestVmFlushCacheGeneration:
             assert obs.metrics.counter("vm.runs", status="halted").value == 1
         finally:
             obs.reset()
+
+
+# Operand values no other program uses, so no live program elsewhere in the
+# session keeps these entries in the shared table.  No ``halt``: the run
+# falls off ``.text`` and faults, which is all the lifetime test needs.
+SHARED_SRC = """
+    mov eax, 0x5eed0001
+    add eax, 0x5eed0002
+    cmp eax, 0x5eed0003
+"""
+
+
+def _keys(program):
+    return [(i.mnemonic, i.operands) for i in program.instructions]
+
+
+class TestSharedDecodeTable:
+    def test_programs_share_one_entry_per_instruction(self):
+        first = assemble(SHARED_SRC, name="shared-a")
+        second = assemble(SHARED_SRC, name="shared-b")
+        a, b = decode.decoded_program(first), decode.decoded_program(second)
+        assert a is not b  # each program keeps its own tuple
+        assert len(a) == len(b) == 3
+        assert all(x is y for x, y in zip(a, b))
+
+    def test_entries_live_only_as_long_as_a_program_uses_them(self):
+        first = _fresh_cpu(SHARED_SRC, record_instructions=False)
+        second = _fresh_cpu(SHARED_SRC, record_instructions=True)
+        assert first.status is second.status is ExitStatus.FAULT
+        keys = _keys(first.program)
+        assert all(key in decode._SHARED for key in keys)
+        del first, second
+        gc.collect()
+        assert not [key for key in keys if key in decode._SHARED]
+
+    def test_swapped_instruction_list_redecodes(self):
+        program = assemble(SHARED_SRC, name="shared-swap")
+        before = decode.decoded_program(program)
+        assert decode.decoded_program(program) is before
+        replacement = assemble("    mov eax, 0x5eed0001\n    mov ebx, 0x5eed0004\n")
+        program.instructions = list(replacement.instructions)
+        after = decode.decoded_program(program)
+        assert after is not before
+        assert [entry[2] for entry in after] == ["mov eax, 0x5eed0001", "mov ebx, 0x5eed0004"]
+        assert after[0] is before[0]  # the unchanged instruction keeps its entry
