@@ -48,6 +48,10 @@ from benchutil import min_wall_seconds, write_artifact
 #: 6-instruction unpack loop body → 24k-step compute preamble.
 UNPACK_ROUNDS = 4000
 
+#: Profiled analyses per family behind the environment-restore share that
+#: CI gates at 2% (see test_write_artifacts).
+PROFILE_REPEATS = 5
+
 
 def _bench_sample():
     """Paper-shaped worst case for full reruns: a long unpacking loop, then
@@ -315,8 +319,8 @@ def test_write_artifacts(family_analyses):
         + "\n",
     )
 
-    # Attribution rider: one profiled analysis per family, outside the
-    # timed section — a per_sample_seconds regression then comes with the
+    # Attribution rider: profiled analyses per family, outside the timed
+    # section — a per_sample_seconds regression then comes with the
     # handler/tier/phase that moved.
     from repro.core.stages import ANALYZE_PATH
     from repro.obs.prof import _self_cells, render_table
@@ -345,26 +349,35 @@ def test_write_artifacts(family_analyses):
     # a ~20µs restore it would swamp the node's self-time.  Collection is
     # deferred around each profiled analysis so self-times name the code
     # that ran, not the allocator's amortized debt.
-    sections = ["Per-family hot paths (one profiled analysis each, GC deferred)"]
+    #
+    # The shares sum PROFILE_REPEATS analyses per family: with one, both
+    # the numerator and the denominator swing from run to run (the
+    # restore share read 1.23-1.63% over seven runs of the same code).
+    # Five give the same mean on the same code with a narrower spread.
+    sections = [
+        f"Per-family hot paths (last of {PROFILE_REPEATS} profiled analyses"
+        " each, GC deferred)"
+    ]
     for family, (program, _analysis) in sorted(family_analyses.items()):
-        obs.prof.reset()
-        gc.disable()
-        try:
-            with obs.profiled():
-                profiled = AutoVac().analyze(program)
-        finally:
-            gc.enable()
-            gc.collect()
-        for path, (_count, self_seconds) in _self_cells(profiled.profile).items():
-            if not path.startswith(stage_prefix):
-                if path != ANALYZE_PATH:
+        for _ in range(PROFILE_REPEATS):
+            obs.prof.reset()
+            gc.disable()
+            try:
+                with obs.profiled():
+                    profiled = AutoVac().analyze(program)
+            finally:
+                gc.enable()
+                gc.collect()
+            for path, (_count, self_seconds) in _self_cells(profiled.profile).items():
+                if not path.startswith(stage_prefix):
+                    if path != ANALYZE_PATH:
+                        grand_self += self_seconds
+                    continue
+                suffix = path[len(stage_prefix):].partition(";")[2]
+                if suffix:
                     grand_self += self_seconds
-                continue
-            suffix = path[len(stage_prefix):].partition(";")[2]
-            if suffix:
-                grand_self += self_seconds
-            if suffix in env_self:
-                env_self[suffix] += self_seconds
+                if suffix in env_self:
+                    env_self[suffix] += self_seconds
         sections.append("")
         sections.append(f"[{family}]")
         sections.append(render_table(profiled.profile, top=10).rstrip("\n"))

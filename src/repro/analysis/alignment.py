@@ -18,11 +18,14 @@ Three alignment strategies are provided:
   pair) is stripped in linear time, and only the divergent middle pays the
   diff cost, proportional to the edit distance D instead of ``n*m``.
 
-The pipeline uses the Myers aligner by default and keeps LCS and Algorithm 1
-for the ablation bench.  Note LCS-maximal alignments are not unique: when a
-delta can be attributed to either side, ``align_myers`` and ``align_lcs``
-may pick different (equally maximal) difference sets, but they always agree
-on ``is_identical`` and on the number of aligned pairs.
+The pipeline uses the Myers aligner by default and vaccine verification
+always does.  LCS and Algorithm 1 stay selectable (``AutoVac``'s
+``aligner``, ``PipelineConfig.aligner`` by name), and the
+alignment-granularity ablation bench diffs with LCS.  Note LCS-maximal
+alignments are not unique: when a delta can be attributed to either side,
+``align_myers`` and ``align_lcs`` may pick different (equally maximal)
+difference sets, but they always agree on ``is_identical`` and on the
+number of aligned pairs.
 """
 
 from __future__ import annotations

@@ -7,9 +7,10 @@ focus on these environment/system resource sensitive branches."
 
 One profiling run only sees one side of each resource check: a sample that
 probes ``mutexA`` *and then, only if infected,* checks ``fileB`` never reveals
-``fileB`` on a clean machine.  :func:`explore_resource_paths` re-runs the
-sample with individual resource-API call-site outcomes flipped
-(success↔failure), discovering candidate resources on the dormant sides.
+``fileB`` on a clean machine.  :func:`explore_resource_paths` takes Phase I's
+report of that run and re-runs the sample with individual resource-API
+call-site outcomes flipped (success↔failure), discovering candidate
+resources on the dormant sides.
 """
 
 from __future__ import annotations
@@ -49,6 +50,7 @@ class ExplorationResult:
     base: CandidateReport
     #: Candidates only visible on flipped paths, keyed like base candidates.
     discovered: List[CandidateResource] = field(default_factory=list)
+    #: Runs whose traces the result covers: Phase I's plus one per flip.
     runs: int = 1
     flipped_sites: List[Tuple[str, int, bool]] = field(default_factory=list)
 
@@ -59,18 +61,19 @@ class ExplorationResult:
 
 def explore_resource_paths(
     program: Program,
+    base: CandidateReport,
     environment: Optional[SystemEnvironment] = None,
     max_steps: int = DEFAULT_BUDGET,
     max_flips: int = 16,
 ) -> ExplorationResult:
-    """Profile normally, then flip each resource-sensitive call site once.
+    """Flip each resource-sensitive call site of Phase I's run once.
 
-    Only sites whose result reached a predicate (they can steer execution)
-    are flipped, and each flip inverts the site's natural outcome — the
-    cheap, targeted subset of full multi-path exploration.
+    ``base`` is Phase I's report for ``program`` on ``environment``
+    (:func:`~repro.core.candidate.select_candidates`).  Only sites whose
+    result reached a predicate (they can steer execution) are flipped, and
+    each flip inverts the site's natural outcome — the cheap, targeted
+    subset of full multi-path exploration.
     """
-    base_run = run_sample(program, environment=environment, max_steps=max_steps)
-    base = analyze_trace(program.name, base_run)
     result = ExplorationResult(base=base)
 
     known: Set[Tuple] = {c.key for c in base.candidates}

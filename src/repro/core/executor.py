@@ -160,8 +160,16 @@ def config_for(autovac: AutoVac) -> PipelineConfig:
 
     Raises :class:`ValueError` for setups a worker cannot reproduce from a
     config alone (clinic programs, custom aligner callables, custom stage
-    lists) — those run sequentially via ``jobs=1``.
+    lists, a caller-supplied analysis machine or search engine) — those run
+    sequentially via ``jobs=1``.  A config also keys the result cache, so
+    the same setups cannot use one either.
     """
+    if autovac.custom_setup:
+        raise ValueError(
+            "cannot parallelize or cache: a custom analysis machine or search "
+            "engine does not ship to workers or into the cache key; run with "
+            "jobs=1 and no cache"
+        )
     aligner_name = next(
         (name for name, fn in ALIGNERS.items() if fn is autovac.impact.aligner), None
     )

@@ -283,6 +283,10 @@ class AutoVac:
         stages: Optional[Sequence[Stage]] = None,
     ) -> None:
         self.environment = environment if environment is not None else SystemEnvironment()
+        #: A caller-supplied machine or search engine cannot travel in a
+        #: :class:`~repro.core.executor.PipelineConfig`, so
+        #: :func:`~repro.core.executor.config_for` refuses such a pipeline.
+        self.custom_setup = environment is not None or search_engine is not None
         self.exclusiveness = ExclusivenessAnalyzer(search=search_engine or SearchEngine())
         self.impact = ImpactAnalyzer(
             environment=self.environment,

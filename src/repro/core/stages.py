@@ -129,6 +129,7 @@ class ExplorationStage(Stage):
         pipeline = ctx.pipeline
         exploration = explore_resource_paths(
             ctx.program,
+            ctx.analysis.phase1,
             environment=pipeline.environment,
             max_steps=pipeline.profile_budget,
         )

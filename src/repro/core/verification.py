@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence
 
-from ..analysis.alignment import Aligner, align_lcs
+from ..analysis.alignment import align_myers
 from ..delivery.package import VaccinePackage, deploy
 from ..vm.program import Program
 from ..winenv.environment import SystemEnvironment
@@ -67,10 +67,13 @@ def verify_vaccine(
     program: Program,
     vaccine: Vaccine,
     environment: Optional[SystemEnvironment] = None,
-    aligner: Aligner = align_lcs,
     max_steps: int = DEFAULT_BUDGET,
 ) -> VerificationResult:
-    """Deploy ``vaccine`` alone and measure what it actually disables."""
+    """Deploy ``vaccine`` alone and measure what it actually disables.
+
+    The runs are diffed with :func:`~repro.analysis.alignment.align_myers`,
+    the aligner impact analysis classified the claim with by default.
+    """
     base = environment if environment is not None else SystemEnvironment()
 
     natural = run_sample(
@@ -87,7 +90,7 @@ def verify_vaccine(
         clone_environment=False,
     )
 
-    alignment = aligner(vaccinated.trace.api_calls, natural.trace.api_calls)
+    alignment = align_myers(vaccinated.trace.api_calls, natural.trace.api_calls)
     effects = classify_deltas(natural.trace, vaccinated.trace, alignment)
     calls_n = len(natural.trace.api_calls)
     calls_v = len(vaccinated.trace.api_calls)

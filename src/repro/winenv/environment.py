@@ -35,6 +35,21 @@ class MachineIdentity:
     windows_version: str = "5.1.2600"  # XP SP3, the paper's era
 
 
+#: The name → resource namespaces, as ``(attribute, class)`` in one fixed
+#: order.  Each class copies itself through the shared
+#: :class:`~repro.winenv.objects.ResourceTable` codec;
+#: :meth:`SystemEnvironment.clone` and
+#: :class:`~repro.winenv.snapshot.EnvSnapshot` walk this list.
+RESOURCE_TABLES = (
+    ("filesystem", FileSystem),
+    ("registry", Registry),
+    ("mutexes", MutexNamespace),
+    ("services", ServiceManager),
+    ("windows", WindowManager),
+    ("libraries", LibraryManager),
+)
+
+
 class SystemEnvironment:
     """A full simulated Windows machine.
 
@@ -117,34 +132,35 @@ class SystemEnvironment:
     def snapshot(self, process: Process) -> "object":
         """Structured mid-run capture of this machine plus ``process``.
 
-        Unlike :meth:`clone` — which restarts the RNG from the seed and
-        rebuilds pristine namespaces for a *fresh* run — the returned
+        Unlike :meth:`clone` — which restarts the RNG, the tick counter,
+        the process table and the network for a *fresh* run — the returned
         :class:`~repro.winenv.snapshot.EnvSnapshot` freezes the machine
         exactly as it stands (RNG mid-sequence, tick counter, handle tables,
         open connections) so each ``restore()`` resumes where this run was.
+        The resource tables are copied the same way in both: one image copy
+        per resource (:class:`~repro.winenv.objects.ResourceTable`).
         """
         from .snapshot import EnvSnapshot
 
         return EnvSnapshot.capture(self, process)
 
     def clone(self) -> "SystemEnvironment":
-        """Deep-copy the machine state so repeated runs start identically.
+        """Copy the machine so repeated runs start identically.
 
-        The clone restarts the RNG from the original seed: re-running the same
-        program in a cloned environment reproduces the same trace, which trace
-        alignment (and impact analysis) depends on.
+        Every resource table is copied resource by resource (independent
+        objects, shared frozen ACLs).  The clone restarts the RNG and tick
+        counter from the original seed, its processes start with empty
+        handle tables, and its network has no connections or traffic:
+        re-running the same program in a cloned environment reproduces the
+        same trace, which trace alignment (and impact analysis) depends on.
         """
         other = SystemEnvironment.__new__(SystemEnvironment)
         other.identity = self.identity
         other.rng_seed = self.rng_seed
         other.rng = random.Random(self.rng_seed)
-        other.filesystem = self.filesystem.clone()
-        other.registry = self.registry.clone()
-        other.mutexes = self.mutexes.clone()
+        for name, _table in RESOURCE_TABLES:
+            setattr(other, name, getattr(self, name).clone())
         other.processes = self.processes.clone()
-        other.services = self.services.clone()
-        other.windows = self.windows.clone()
-        other.libraries = self.libraries.clone()
         other.network = self.network.clone()
         other.global_interceptors = list(self.global_interceptors)
         other._tick = 0x0001_0000 + (self.rng_seed & 0xFFFF)

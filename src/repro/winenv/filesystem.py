@@ -14,7 +14,7 @@ from typing import Dict, Iterator, List, Optional
 
 from .acl import Access, Acl, IntegrityLevel, open_acl
 from .errors import ResourceFault, Win32Error
-from .objects import Resource, ResourceType
+from .objects import Resource, ResourceTable, ResourceType
 
 SYSTEM32 = "c:\\windows\\system32"
 DRIVERS = "c:\\windows\\system32\\drivers"
@@ -67,6 +67,8 @@ class FileNode(Resource):
     content: bytearray = field(default_factory=bytearray)
     is_directory: bool = False
 
+    MUTABLE = (("content", bytes, bytearray),)
+
     def __init__(
         self,
         path: str,
@@ -89,8 +91,11 @@ class FileNode(Resource):
         return len(self.content)
 
 
-class FileSystem:
+class FileSystem(ResourceTable):
     """Flat-namespace filesystem with ACL checks on every mutation."""
+
+    _TABLE = "_nodes"
+    _ITEM = FileNode
 
     def __init__(self) -> None:
         self._nodes: Dict[str, FileNode] = {}
@@ -185,77 +190,3 @@ class FileSystem:
         if node is None:
             raise ResourceFault(Win32Error.FILE_NOT_FOUND, normalize_path(path))
         return node
-
-    # -- cloning (environment snapshots) ---------------------------------
-
-    def clone(self) -> "FileSystem":
-        other = FileSystem.__new__(FileSystem)
-        other._nodes = {}
-        for path, node in self._nodes.items():
-            copy = FileNode(
-                path,
-                content=bytes(node.content),
-                acl=node.acl,
-                is_directory=node.is_directory,
-                created_by=node.created_by,
-            )
-            other._nodes[path] = copy
-        return other
-
-    # -- structured snapshot/restore --------------------------------------
-
-    def snapshot_state(self, rid_of) -> tuple:
-        """Plain-data rows for :class:`~repro.winenv.snapshot.EnvSnapshot`.
-        Each row carries the node's full ``__dict__`` image (so dynamic
-        attributes like taint tags survive) with mutable content copied to
-        immutable ``bytes`` — the capture run keeps mutating live nodes."""
-        rows = []
-        for path, node in self._nodes.items():
-            attrs = dict(vars(node))
-            attrs["content"] = bytes(node.content)
-            rows.append((rid_of(node), path, attrs))
-        return tuple(rows)
-
-    @classmethod
-    def restore_state(cls, rows: tuple, register) -> "FileSystem":
-        # Image rebuild: ``__new__`` plus one C-level dict copy per node —
-        # the constructor would only re-derive what the captured image holds
-        # (paths normalized, ACLs defaulted), and restores run once per
-        # candidate × mechanism (hot path).  tests/test_env_snapshot.py pins
-        # attribute completeness against a constructor-built twin.
-        fs = cls.__new__(cls)
-        fs._nodes = _build_nodes(rows, register)
-        return fs
-
-    @classmethod
-    def restore_lazy(cls, rows: tuple) -> "FileSystem":
-        """Defer the rebuild until the first namespace access — used by
-        ``EnvSnapshot.restore`` when no guest handle references a node, so
-        resumed runs that never touch the filesystem never pay for it."""
-        fs = cls.__new__(cls)
-        fs._lazy_rows = rows
-        return fs
-
-    def __getattr__(self, name: str):
-        if name == "_nodes":
-            rows = self.__dict__.pop("_lazy_rows", None)
-            if rows is not None:
-                self._nodes = nodes = _build_nodes(rows, None)
-                return nodes
-        raise AttributeError(name)
-
-
-def _build_nodes(rows: tuple, register) -> dict:
-    """Rebuild nodes from captured ``__dict__`` images.  The shared image
-    dicts are never mutated; mutable content is re-copied per node."""
-    nodes = {}
-    new = FileNode.__new__
-    for rid, path, attrs in rows:
-        node = new(FileNode)
-        d = dict(attrs)
-        d["content"] = bytearray(attrs["content"])
-        node.__dict__ = d
-        nodes[path] = node
-        if register is not None:
-            register(rid, node)
-    return nodes

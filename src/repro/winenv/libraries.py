@@ -12,7 +12,7 @@ from typing import Dict, Iterator, Optional
 
 from .acl import Acl, IntegrityLevel, open_acl
 from .errors import ResourceFault, Win32Error
-from .objects import Resource, ResourceType
+from .objects import Resource, ResourceTable, ResourceType
 
 #: DLLs present on every simulated machine (also in the benign corpus).
 STANDARD_LIBRARIES = (
@@ -45,8 +45,11 @@ class Library(Resource):
         self.blocked = False
 
 
-class LibraryManager:
+class LibraryManager(ResourceTable):
     """DLL registry; ``LoadLibrary`` succeeds only for registered names."""
+
+    _TABLE = "_libs"
+    _ITEM = Library
 
     def __init__(self) -> None:
         self._libs: Dict[str, Library] = {}
@@ -90,55 +93,3 @@ class LibraryManager:
 
     def __len__(self) -> int:
         return len(self._libs)
-
-    def clone(self) -> "LibraryManager":
-        other = LibraryManager.__new__(LibraryManager)
-        other._libs = {}
-        for name, lib in self._libs.items():
-            copy = Library(name, acl=lib.acl, created_by=lib.created_by)
-            copy.blocked = lib.blocked
-            other._libs[name] = copy
-        return other
-
-    # -- structured snapshot/restore --------------------------------------
-
-    def snapshot_state(self, rid_of) -> tuple:
-        return tuple(
-            (rid_of(lib), name, dict(vars(lib)))
-            for name, lib in self._libs.items()
-        )
-
-    @classmethod
-    def restore_state(cls, rows: tuple, register) -> "LibraryManager":
-        # Image rebuild (see FileSystem.restore_state); every library
-        # attribute is immutable, so the dict update is the whole rebuild.
-        lm = cls.__new__(cls)
-        lm._libs = _build_libs(rows, register)
-        return lm
-
-    @classmethod
-    def restore_lazy(cls, rows: tuple) -> "LibraryManager":
-        """Defer the rebuild until first access (see FileSystem.restore_lazy)."""
-        lm = cls.__new__(cls)
-        lm._lazy_rows = rows
-        return lm
-
-    def __getattr__(self, name: str):
-        if name == "_libs":
-            rows = self.__dict__.pop("_lazy_rows", None)
-            if rows is not None:
-                self._libs = libs = _build_libs(rows, None)
-                return libs
-        raise AttributeError(name)
-
-
-def _build_libs(rows: tuple, register) -> dict:
-    libs = {}
-    new = Library.__new__
-    for rid, name, attrs in rows:
-        lib = new(Library)
-        lib.__dict__ = dict(attrs)
-        libs[name] = lib
-        if register is not None:
-            register(rid, lib)
-    return libs

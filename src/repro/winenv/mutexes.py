@@ -13,7 +13,7 @@ from typing import Dict, Iterator, Optional
 
 from .acl import Acl, IntegrityLevel, open_acl
 from .errors import ResourceFault, Win32Error
-from .objects import Resource, ResourceType
+from .objects import Resource, ResourceTable, ResourceType
 
 
 @dataclass
@@ -34,8 +34,11 @@ class Mutex(Resource):
         )
 
 
-class MutexNamespace:
+class MutexNamespace(ResourceTable):
     """Global named-mutex table (names are case-sensitive, as on Windows)."""
+
+    _TABLE = "_mutexes"
+    _ITEM = Mutex
 
     def __init__(self) -> None:
         self._mutexes: Dict[str, Mutex] = {}
@@ -79,53 +82,3 @@ class MutexNamespace:
 
     def __len__(self) -> int:
         return len(self._mutexes)
-
-    def clone(self) -> "MutexNamespace":
-        other = MutexNamespace()
-        for name, mutex in self._mutexes.items():
-            copy = Mutex(name, acl=mutex.acl, created_by=mutex.created_by)
-            other._mutexes[name] = copy
-        return other
-
-    # -- structured snapshot/restore --------------------------------------
-
-    def snapshot_state(self, rid_of) -> tuple:
-        return tuple(
-            (rid_of(mutex), name, dict(vars(mutex)))
-            for name, mutex in self._mutexes.items()
-        )
-
-    @classmethod
-    def restore_state(cls, rows: tuple, register) -> "MutexNamespace":
-        # Image rebuild (see FileSystem.restore_state); every mutex
-        # attribute is immutable, so the dict copy is the whole rebuild.
-        ns = cls.__new__(cls)
-        ns._mutexes = _build_mutexes(rows, register)
-        return ns
-
-    @classmethod
-    def restore_lazy(cls, rows: tuple) -> "MutexNamespace":
-        """Defer the rebuild until first access (see FileSystem.restore_lazy)."""
-        ns = cls.__new__(cls)
-        ns._lazy_rows = rows
-        return ns
-
-    def __getattr__(self, name: str):
-        if name == "_mutexes":
-            rows = self.__dict__.pop("_lazy_rows", None)
-            if rows is not None:
-                self._mutexes = mutexes = _build_mutexes(rows, None)
-                return mutexes
-        raise AttributeError(name)
-
-
-def _build_mutexes(rows: tuple, register) -> dict:
-    mutexes = {}
-    new = Mutex.__new__
-    for rid, name, attrs in rows:
-        mutex = new(Mutex)
-        mutex.__dict__ = dict(attrs)
-        mutexes[name] = mutex
-        if register is not None:
-            register(rid, mutex)
-    return mutexes

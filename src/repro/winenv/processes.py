@@ -158,46 +158,52 @@ class ProcessTable:
         """Plain-data image of every process *including* its handle table,
         last-error slot and injection evidence — everything ``clone()``
         deliberately drops because it rebuilds from scratch.  ``RemoteWrite``
-        records are append-only, so the rows share them by reference."""
-        rows = []
-        for pid, proc in self._procs.items():
+        records are append-only, so the images share them by reference.
+
+        Returns ``(next_pid, rids, pairs, handle_states)``: the pid counter,
+        each process's id-map rid, its pid with its frozen image, and its
+        handle table's image, in table order."""
+        procs = self._procs
+        pairs = []
+        for pid, proc in procs.items():
             attrs = dict(vars(proc))
-            attrs["handles"] = None  # restored separately (two-pass)
+            attrs["handles"] = None  # rebuilt by restore_state's handle pass
             attrs["remote_writes"] = tuple(proc.remote_writes)
             attrs["remote_threads"] = tuple(proc.remote_threads)
-            rows.append(
-                (rid_of(proc), pid, attrs, proc.handles.snapshot_state(rid_of))
-            )
-        return (self._next_pid, tuple(rows))
+            pairs.append((pid, attrs))
+        return (
+            self._next_pid,
+            tuple(map(rid_of, procs.values())),
+            tuple(pairs),
+            tuple(proc.handles.snapshot_state(rid_of) for proc in procs.values()),
+        )
 
     @classmethod
-    def restore_state(
-        cls, state: Tuple, register: Callable[[int, Resource], None]
-    ) -> "Tuple[ProcessTable, list]":
-        """Rebuild the table and register each process under its rid.
+    def restore_state(cls, state: Tuple, objs: Dict[int, Resource]) -> "ProcessTable":
+        """Rebuild the table, enter each process into ``objs`` under its
+        rid, then rebuild every handle table.
 
-        Handle tables are *not* filled here: a PROCESS handle may reference
-        another process (or an orphaned resource not yet rebuilt), so the
-        caller runs :meth:`HandleTable.restore_state` on the returned
-        ``(process, handle_state)`` pairs once every rid resolves.
+        The handle tables come last: a PROCESS handle may reference another
+        process, so their rids resolve only once every process — and every
+        resource and orphan the caller entered before — is in ``objs``.
         """
-        next_pid, rows = state
+        next_pid, rids, pairs, handle_states = state
         table = cls.__new__(cls)
         table._next_pid = next_pid
-        table._procs = {}
-        pending = []
+        table._procs = procs = {}
         new = Process.__new__
-        for rid, pid, attrs, handle_state in rows:
-            # Image rebuild (see FileSystem.restore_state).  ``handles``
-            # stays None (from the captured image) until the caller runs the
-            # second pass over ``pending`` — every process gets its real
-            # table there (see the docstring above).
+        for pid, attrs in pairs:
+            # ``__new__`` plus one dict copy, like the resource tables'
+            # image rebuild (objects.thaw_images); the injection lists are
+            # the only mutable payloads.
             proc = new(Process)
             d = dict(attrs)
             d["remote_writes"] = list(attrs["remote_writes"])
             d["remote_threads"] = list(attrs["remote_threads"])
             proc.__dict__ = d
-            table._procs[pid] = proc
-            register(rid, proc)
-            pending.append((proc, handle_state))
-        return table, pending
+            procs[pid] = proc
+        objs.update(zip(rids, procs.values()))
+        handles = HandleTable.restore_all(handle_states, objs.__getitem__)
+        for proc, proc_handles in zip(procs.values(), handles):
+            proc.handles = proc_handles
+        return table

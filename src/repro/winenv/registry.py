@@ -13,7 +13,7 @@ from typing import Dict, Iterator, List, Optional, Tuple, Union
 
 from .acl import Access, Acl, IntegrityLevel, open_acl
 from .errors import ResourceFault, Win32Error
-from .objects import Resource, ResourceType
+from .objects import Resource, ResourceTable, ResourceType
 
 RegValue = Union[str, int]
 
@@ -62,6 +62,8 @@ class RegistryKey(Resource):
 
     values: Dict[str, RegValue] = field(default_factory=dict)
 
+    MUTABLE = (("values", lambda values: tuple(values.items()), dict),)
+
     def __init__(
         self,
         path: str,
@@ -77,8 +79,11 @@ class RegistryKey(Resource):
         self.values = {}
 
 
-class Registry:
+class Registry(ResourceTable):
     """Flat-namespace registry with ACL checks, seeded with standard keys."""
+
+    _TABLE = "_keys"
+    _ITEM = RegistryKey
 
     def __init__(self) -> None:
         self._keys: Dict[str, RegistryKey] = {}
@@ -166,61 +171,3 @@ class Registry:
         if key is None:
             raise ResourceFault(Win32Error.FILE_NOT_FOUND, normalize_key(path))
         return key
-
-    # -- cloning ----------------------------------------------------------
-
-    def clone(self) -> "Registry":
-        other = Registry.__new__(Registry)
-        other._keys = {}
-        for path, key in self._keys.items():
-            copy = RegistryKey(path, acl=key.acl, created_by=key.created_by)
-            copy.values = dict(key.values)
-            other._keys[path] = copy
-        return other
-
-    # -- structured snapshot/restore --------------------------------------
-
-    def snapshot_state(self, rid_of) -> tuple:
-        rows = []
-        for path, key in self._keys.items():
-            attrs = dict(vars(key))
-            attrs["values"] = tuple(key.values.items())
-            rows.append((rid_of(key), path, attrs))
-        return tuple(rows)
-
-    @classmethod
-    def restore_state(cls, rows: tuple, register) -> "Registry":
-        # Image rebuild (see FileSystem.restore_state): one dict copy per
-        # key; only the mutable values dict is re-copied.
-        reg = cls.__new__(cls)
-        reg._keys = _build_keys(rows, register)
-        return reg
-
-    @classmethod
-    def restore_lazy(cls, rows: tuple) -> "Registry":
-        """Defer the rebuild until first access (see FileSystem.restore_lazy)."""
-        reg = cls.__new__(cls)
-        reg._lazy_rows = rows
-        return reg
-
-    def __getattr__(self, name: str):
-        if name == "_keys":
-            rows = self.__dict__.pop("_lazy_rows", None)
-            if rows is not None:
-                self._keys = keys = _build_keys(rows, None)
-                return keys
-        raise AttributeError(name)
-
-
-def _build_keys(rows: tuple, register) -> dict:
-    keys = {}
-    new = RegistryKey.__new__
-    for rid, path, attrs in rows:
-        key = new(RegistryKey)
-        d = dict(attrs)
-        d["values"] = dict(attrs["values"])
-        key.__dict__ = d
-        keys[path] = key
-        if register is not None:
-            register(rid, key)
-    return keys

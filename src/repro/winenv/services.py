@@ -12,7 +12,7 @@ from typing import Dict, Iterator, Optional
 
 from .acl import Access, Acl, IntegrityLevel, open_acl
 from .errors import ResourceFault, Win32Error
-from .objects import Resource, ResourceType
+from .objects import Resource, ResourceTable, ResourceType
 
 
 class ServiceState(enum.Enum):
@@ -46,8 +46,11 @@ class Service(Resource):
         self.is_kernel_driver = self.binary_path.endswith(".sys")
 
 
-class ServiceManager:
+class ServiceManager(ResourceTable):
     """SCM: registers/starts/stops/deletes services."""
+
+    _TABLE = "_services"
+    _ITEM = Service
 
     def __init__(self) -> None:
         self._services: Dict[str, Service] = {}
@@ -115,55 +118,3 @@ class ServiceManager:
 
     def __len__(self) -> int:
         return len(self._services)
-
-    def clone(self) -> "ServiceManager":
-        other = ServiceManager.__new__(ServiceManager)
-        other._services = {}
-        for key, svc in self._services.items():
-            copy = Service(svc.name, svc.binary_path, acl=svc.acl, created_by=svc.created_by)
-            copy.state = svc.state
-            other._services[key] = copy
-        return other
-
-    # -- structured snapshot/restore --------------------------------------
-
-    def snapshot_state(self, rid_of) -> tuple:
-        return tuple(
-            (rid_of(svc), key, dict(vars(svc)))
-            for key, svc in self._services.items()
-        )
-
-    @classmethod
-    def restore_state(cls, rows: tuple, register) -> "ServiceManager":
-        # Image rebuild (see FileSystem.restore_state); the captured image
-        # already carries the derived ``is_kernel_driver`` flag.
-        scm = cls.__new__(cls)
-        scm._services = _build_services(rows, register)
-        return scm
-
-    @classmethod
-    def restore_lazy(cls, rows: tuple) -> "ServiceManager":
-        """Defer the rebuild until first access (see FileSystem.restore_lazy)."""
-        scm = cls.__new__(cls)
-        scm._lazy_rows = rows
-        return scm
-
-    def __getattr__(self, name: str):
-        if name == "_services":
-            rows = self.__dict__.pop("_lazy_rows", None)
-            if rows is not None:
-                self._services = services = _build_services(rows, None)
-                return services
-        raise AttributeError(name)
-
-
-def _build_services(rows: tuple, register) -> dict:
-    services = {}
-    new = Service.__new__
-    for rid, key, attrs in rows:
-        svc = new(Service)
-        svc.__dict__ = dict(attrs)
-        services[key] = svc
-        if register is not None:
-            register(rid, svc)
-    return services

@@ -1,22 +1,22 @@
 """Structured environment snapshots (the pickle-free resume path).
 
 Phase-II impact analysis checkpoints the guest at each candidate's first
-interception site and resumes once per candidate × mechanism.  The resume
-used to round-trip ``(environment, process)`` through one pickle blob —
-7–14% of per-sample self-time on the profiler's numbers.  This module
-replaces that with a plain-data capture walked once at snapshot time:
+interception site and resumes once per candidate × mechanism.  Each resume
+rebuilds the machine from a plain-data capture walked once at snapshot time
+(a pickle round-trip of ``(environment, process)`` cost 7–14% of per-sample
+self-time):
 
-* every namespace-owned resource gets an integer **rid** from an id-map
-  keyed on object identity, and handle specs reference resources by rid —
-  so two handles to the same resource object still share one object after
-  restore, and a handle to a *deleted* resource (an orphan: a file removed
-  while a handle was open, or a phantom handle fabricated by
-  ``FORCE_SUCCESS``) keeps its identity through an inline orphan row;
-* each object is captured as its full ``__dict__`` image (dynamic
-  attributes like taint tags come along for free) with mutable payloads —
-  file content, handle state, registry values — copied to immutable forms,
-  because the capture run keeps executing and mutating the live
-  environment afterwards;
+* every resource gets an integer **rid** from an id-map keyed on object
+  identity, and handle specs reference resources by rid — so two handles to
+  the same resource object still share one object after restore, and a
+  handle to a *deleted* resource (an orphan: a file removed while a handle
+  was open, or a phantom handle fabricated by ``FORCE_SUCCESS``) keeps its
+  identity through an orphan row ``(rid, type, image)``;
+* each resource is captured as its ``__dict__`` image with its mutable
+  payloads — file content and registry values (the ``MUTABLE`` attributes
+  their classes declare), a process's injection evidence, a handle's
+  state — frozen to immutable forms, because the capture run keeps
+  executing and mutating the live environment afterwards;
 * effectively-immutable records — frozen ACLs, ``RemoteWrite`` /
   ``TrafficRecord`` rows, the machine identity — are shared by reference,
   and interceptor *objects* are shared exactly like
@@ -25,13 +25,15 @@ replaces that with a plain-data capture walked once at snapshot time:
   immutable tuple, shared across restores) so resumed runs draw the same
   tick/temp-name stream a full rerun would at that point.
 
-Restores rebuild each object as ``__new__`` plus one C-level dict update
-from its captured image (constructors would only re-derive what the image
-already holds) — a few dozen small objects per resume instead of a full
-pickle graph decode.  Namespaces none of whose rows a guest handle
-references (recorded per-capture in :attr:`EnvSnapshot.eager`) defer even
-that rebuild until the first access, so a resumed run pays only for the
-namespaces it actually touches.
+The six resource tables (:data:`~repro.winenv.environment.RESOURCE_TABLES`)
+capture and rebuild through the :class:`~repro.winenv.objects.ResourceTable`
+codec, the same image copy ``SystemEnvironment.clone`` uses: ``__new__``
+plus one dict copy per resource.  Tables none of whose rows a guest handle
+references (recorded per capture in :attr:`EnvSnapshot.eager`) defer even
+that until the first access, so a resumed run pays only for the namespaces
+it touches.  The process table and the network keep their own images,
+because their clones reset state a resume must keep (handle tables, pids,
+open connections, traffic).
 """
 
 from __future__ import annotations
@@ -40,16 +42,10 @@ import os
 from dataclasses import dataclass
 from typing import Dict, Tuple
 
-from .environment import MachineIdentity, SystemEnvironment
-from .filesystem import FileNode, FileSystem
-from .libraries import Library, LibraryManager
-from .mutexes import Mutex, MutexNamespace
+from .environment import RESOURCE_TABLES, MachineIdentity, SystemEnvironment
 from .network import Network
-from .objects import HandleTable, Resource
+from .objects import Resource, freeze_image, restore_tables, thaw_images
 from .processes import Process, ProcessTable
-from .registry import Registry, RegistryKey
-from .services import Service, ServiceManager
-from .windows_gui import Window, WindowManager
 
 #: Fault injection for chaos testing: when set to N (via the environment at
 #: import time), every Nth restore raises — the survey must degrade that
@@ -95,22 +91,20 @@ class EnvSnapshot:
     rng_state: tuple
     tick: int
     interceptors: tuple
-    filesystem: tuple
-    registry: tuple
-    mutexes: tuple
-    services: tuple
-    windows: tuple
-    libraries: tuple
+    #: One :meth:`ResourceTable.snapshot_state` image per resource table,
+    #: in ``RESOURCE_TABLES`` order.
+    tables: tuple
     network: tuple
     processes: tuple
     orphans: tuple
     main_pid: int
-    #: Per-namespace eager-restore flags, ordered (filesystem, registry,
-    #: mutexes, services, windows, libraries).  A namespace is eager only
-    #: when some guest handle references one of its rows (handle identity
-    #: must hold immediately); everything else is rebuilt lazily on first
-    #: access — resumed runs that never touch a namespace never pay for it.
-    eager: tuple = (True,) * 6
+    #: Per-table eager-restore flags, in ``RESOURCE_TABLES`` order
+    #: (filesystem, registry, mutexes, services, windows, libraries).  A
+    #: table is eager only when some guest handle references one of its
+    #: rows (handle identity must hold immediately); everything else is
+    #: rebuilt lazily on first access — resumed runs that never touch a
+    #: namespace never pay for it.
+    eager: tuple = (True,) * len(RESOURCE_TABLES)
 
     @classmethod
     def capture(
@@ -118,46 +112,34 @@ class EnvSnapshot:
     ) -> "EnvSnapshot":
         idmap = _IdMap()
         rid = idmap.rid
-        fs_rows = environment.filesystem.snapshot_state(rid)
-        reg_rows = environment.registry.snapshot_state(rid)
-        mutex_rows = environment.mutexes.snapshot_state(rid)
-        service_rows = environment.services.snapshot_state(rid)
-        window_rows = environment.windows.snapshot_state(rid)
-        library_rows = environment.libraries.snapshot_state(rid)
+        tables = tuple(
+            getattr(environment, name).snapshot_state(rid)
+            for name, _table in RESOURCE_TABLES
+        )
         proc_state = environment.processes.snapshot_state(rid)
 
-        # Any rid assigned during the walk that no namespace row claims was
+        # Any rid assigned during the walk that no table row claims was
         # reached only through a handle: an orphan (deleted-but-open node,
         # phantom resource).  Captured inline so shared orphans keep identity.
-        owned = set()
-        namespace_rows = (
-            fs_rows,
-            reg_rows,
-            mutex_rows,
-            service_rows,
-            window_rows,
-            library_rows,
-        )
-        for rows in (*namespace_rows, proc_state[1]):
-            owned.update(row[0] for row in rows)
+        owned = set(proc_state[1])
+        for rids, _pairs in tables:
+            owned.update(rids)
         orphans = tuple(
-            (r, *_orphan_row(obj))
+            (r, type(obj), freeze_image(obj))
             for r, obj in enumerate(idmap.objects)
             if r not in owned
         )
 
         # Rids some guest handle references must be rebuilt eagerly at
-        # restore time (the handle pass resolves them by rid); a namespace
+        # restore time (the handle pass resolves them by rid); a table
         # none of whose rows are handle-referenced can defer its rebuild.
         referenced = {
             hrid
-            for prow in proc_state[1]
-            for hrid, _attrs in prow[3][1]
+            for _next, handle_rows in proc_state[3]
+            for hrid, _attrs in handle_rows
             if hrid is not None
         }
-        eager = tuple(
-            any(row[0] in referenced for row in rows) for rows in namespace_rows
-        )
+        eager = tuple(not referenced.isdisjoint(rids) for rids, _pairs in tables)
 
         return cls(
             identity=environment.identity,
@@ -165,12 +147,7 @@ class EnvSnapshot:
             rng_state=environment.rng.getstate(),
             tick=environment._tick,
             interceptors=tuple(environment.global_interceptors),
-            filesystem=fs_rows,
-            registry=reg_rows,
-            mutexes=mutex_rows,
-            services=service_rows,
-            windows=window_rows,
-            libraries=library_rows,
+            tables=tables,
             network=environment.network.snapshot_state(),
             processes=proc_state,
             orphans=orphans,
@@ -189,161 +166,27 @@ class EnvSnapshot:
                 )
 
         objs: Dict[int, Resource] = {}
-        register = objs.__setitem__
-
-        # Only handle-referenced namespaces rebuild now (their rids must
-        # resolve in the handle pass below); the rest defer to first access.
-        eager = self.eager
-        fs = (
-            FileSystem.restore_state(self.filesystem, register)
-            if eager[0]
-            else FileSystem.restore_lazy(self.filesystem)
-        )
-        reg = (
-            Registry.restore_state(self.registry, register)
-            if eager[1]
-            else Registry.restore_lazy(self.registry)
-        )
-        mutexes = (
-            MutexNamespace.restore_state(self.mutexes, register)
-            if eager[2]
-            else MutexNamespace.restore_lazy(self.mutexes)
-        )
-        services = (
-            ServiceManager.restore_state(self.services, register)
-            if eager[3]
-            else ServiceManager.restore_lazy(self.services)
-        )
-        windows = (
-            WindowManager.restore_state(self.windows, register)
-            if eager[4]
-            else WindowManager.restore_lazy(self.windows)
-        )
-        libraries = (
-            LibraryManager.restore_state(self.libraries, register)
-            if eager[5]
-            else LibraryManager.restore_lazy(self.libraries)
-        )
-        for row in self.orphans:
-            register(row[0], _restore_orphan(row[1], row[2]))
-        processes, pending = ProcessTable.restore_state(self.processes, register)
-
-        env = SystemEnvironment.__new__(SystemEnvironment)
-        env.__dict__ = {
+        state = {
             "identity": self.identity,
             "rng_seed": self.rng_seed,
             # No ``rng`` key: SystemEnvironment.__getattr__ materializes it
             # from ``_rng_state`` on the first draw — many resumed runs
             # never draw randomness at all.
             "_rng_state": self.rng_state,
-            "filesystem": fs,
-            "registry": reg,
-            "mutexes": mutexes,
-            "services": services,
-            "windows": windows,
-            "libraries": libraries,
             "network": Network.restore_state(self.network),
-            "processes": processes,
             "global_interceptors": list(self.interceptors),
             "_tick": self.tick,
         }
-        # Second pass: handle tables resolve rids only after every process
-        # and orphan exists (a PROCESS handle may point at another process).
-        resolve = objs.__getitem__
-        for proc, handle_state in pending:
-            proc.handles = HandleTable.restore_state(handle_state, resolve)
+        # Only handle-referenced tables rebuild now; the rest defer to
+        # first access.  Orphans come next, and the process table last:
+        # its handle pass resolves rids from all of them.
+        restore_tables(state, RESOURCE_TABLES, self.tables, self.eager, objs)
+        for rid, cls, image in self.orphans:
+            objs.update(thaw_images(cls, ((rid, image),)))
+        state["processes"] = processes = ProcessTable.restore_state(self.processes, objs)
+        env = SystemEnvironment.__new__(SystemEnvironment)
+        env.__dict__ = state
         return env, processes.get(self.main_pid)
-
-
-def _orphan_row(res: Resource) -> tuple:
-    """(tag, payload) to rebuild a resource reachable only through handles."""
-    if isinstance(res, FileNode):
-        return (
-            "file",
-            (res.name, bytes(res.content), res.acl, res.is_directory, res.created_by),
-        )
-    if isinstance(res, RegistryKey):
-        return (
-            "registry",
-            (res.name, res.acl, res.created_by, tuple(res.values.items())),
-        )
-    if isinstance(res, Mutex):
-        return ("mutex", (res.name, res.acl, res.created_by))
-    if isinstance(res, Service):
-        return (
-            "service",
-            (res.name, res.binary_path, res.acl, res.created_by, res.state),
-        )
-    if isinstance(res, Process):
-        return (
-            "process",
-            (
-                res.pid,
-                res.name,
-                res.image_path,
-                res.integrity,
-                res.acl,
-                res.parent_pid,
-                res.last_error,
-                res.alive,
-                res.exit_code,
-            ),
-        )
-    if isinstance(res, Window):
-        return ("window", (res.name, res.title, res.acl, res.owner_pid))
-    if isinstance(res, Library):
-        return ("library", (res.name, res.acl, res.created_by, res.blocked))
-    # Phantom handles carry a bare Resource fabricated by FORCE_SUCCESS.
-    return ("resource", (res.name, res.rtype, res.acl, res.created_by))
-
-
-def _restore_orphan(tag: str, payload: tuple) -> Resource:
-    if tag == "file":
-        name, content, acl, is_directory, created_by = payload
-        return FileNode(
-            name,
-            content=content,
-            acl=acl,
-            is_directory=is_directory,
-            created_by=created_by,
-        )
-    if tag == "registry":
-        name, acl, created_by, values = payload
-        key = RegistryKey(name, acl=acl, created_by=created_by)
-        key.values = dict(values)
-        return key
-    if tag == "mutex":
-        name, acl, created_by = payload
-        return Mutex(name, acl=acl, created_by=created_by)
-    if tag == "service":
-        name, binary_path, acl, created_by, state = payload
-        svc = Service(name, binary_path, acl=acl, created_by=created_by)
-        svc.state = state
-        return svc
-    if tag == "process":
-        pid, name, image_path, integrity, acl, parent_pid, last_error, alive, exit_code = payload
-        proc = Process(
-            pid,
-            name,
-            image_path=image_path,
-            integrity=integrity,
-            acl=acl,
-            parent_pid=parent_pid,
-        )
-        proc.last_error = last_error
-        proc.alive = alive
-        proc.exit_code = exit_code
-        return proc
-    if tag == "window":
-        name, title, acl, owner_pid = payload
-        return Window(name, title=title, acl=acl, owner_pid=owner_pid)
-    if tag == "library":
-        name, acl, created_by, blocked = payload
-        lib = Library(name, acl=acl, created_by=created_by)
-        lib.blocked = blocked
-        return lib
-    name, rtype, acl, created_by = payload
-    return Resource(name=name, rtype=rtype, acl=acl, created_by=created_by)
 
 
 __all__ = ["EnvSnapshot"]

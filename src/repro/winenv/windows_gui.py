@@ -12,7 +12,7 @@ from typing import Dict, Iterator, Optional
 
 from .acl import Acl, IntegrityLevel, open_acl
 from .errors import ResourceFault, Win32Error
-from .objects import Resource, ResourceType
+from .objects import Resource, ResourceTable, ResourceType
 
 
 @dataclass
@@ -34,8 +34,11 @@ class Window(Resource):
         self.owner_pid = owner_pid
 
 
-class WindowManager:
+class WindowManager(ResourceTable):
     """Window registry keyed by class name."""
+
+    _TABLE = "_windows"
+    _ITEM = Window
 
     def __init__(self) -> None:
         self._windows: Dict[str, Window] = {}
@@ -88,53 +91,3 @@ class WindowManager:
 
     def __len__(self) -> int:
         return len(self._windows)
-
-    def clone(self) -> "WindowManager":
-        other = WindowManager.__new__(WindowManager)
-        other._windows = {}
-        for name, win in self._windows.items():
-            other._windows[name] = Window(name, title=win.title, acl=win.acl, owner_pid=win.owner_pid)
-        return other
-
-    # -- structured snapshot/restore --------------------------------------
-
-    def snapshot_state(self, rid_of) -> tuple:
-        return tuple(
-            (rid_of(win), name, dict(vars(win)))
-            for name, win in self._windows.items()
-        )
-
-    @classmethod
-    def restore_state(cls, rows: tuple, register) -> "WindowManager":
-        # Image rebuild (see FileSystem.restore_state); every window
-        # attribute is immutable, so the dict copy is the whole rebuild.
-        wm = cls.__new__(cls)
-        wm._windows = _build_windows(rows, register)
-        return wm
-
-    @classmethod
-    def restore_lazy(cls, rows: tuple) -> "WindowManager":
-        """Defer the rebuild until first access (see FileSystem.restore_lazy)."""
-        wm = cls.__new__(cls)
-        wm._lazy_rows = rows
-        return wm
-
-    def __getattr__(self, name: str):
-        if name == "_windows":
-            rows = self.__dict__.pop("_lazy_rows", None)
-            if rows is not None:
-                self._windows = windows = _build_windows(rows, None)
-                return windows
-        raise AttributeError(name)
-
-
-def _build_windows(rows: tuple, register) -> dict:
-    windows = {}
-    new = Window.__new__
-    for rid, name, attrs in rows:
-        win = new(Window)
-        win.__dict__ = dict(attrs)
-        windows[name] = win
-        if register is not None:
-            register(rid, win)
-    return windows

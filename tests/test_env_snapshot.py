@@ -9,10 +9,13 @@ the survey).
 
 from __future__ import annotations
 
+import pytest
+
 from repro.core.candidate import select_candidates
 from repro.core.impact import ImpactAnalyzer
 from repro.vm.memory import Memory
-from repro.winenv import IntegrityLevel, ResourceType, SystemEnvironment
+from repro.winenv import IntegrityLevel, ResourceType, SystemEnvironment, vaccine_acl
+from repro.winenv.environment import RESOURCE_TABLES
 from repro.winenv.objects import HandleKind, Resource
 from repro.winenv.snapshot import EnvSnapshot
 
@@ -165,6 +168,140 @@ class TestRestoredAttributeCompleteness:
         for restored, original in pairs:
             assert original is not None and restored is not None
             assert keys(restored) == keys(original), type(original).__name__
+
+
+#: Per resource table: (handle kind, add a resource with non-default
+#: attributes and return it, remove it from its namespace by name).
+TABLE_CASES = {
+    "filesystem": (
+        HandleKind.FILE,
+        lambda env: env.filesystem.create(
+            "C:\\x.bin", SYS, content=b"data", acl=vaccine_acl(), created_by=7
+        ),
+        lambda env, res: env.filesystem.delete(res.name, SYS),
+    ),
+    "registry": (
+        HandleKind.REGISTRY,
+        lambda env: _with_value(env.registry.create_key("HKLM\\Software\\X", SYS, created_by=7)),
+        lambda env, res: env.registry.delete_key(res.name, SYS),
+    ),
+    "mutexes": (
+        HandleKind.MUTEX,
+        lambda env: env.mutexes.create("m", SYS, created_by=7)[0],
+        lambda env, res: env.mutexes.release(res.name),
+    ),
+    "services": (
+        HandleKind.SERVICE,
+        lambda env: env.services.start(
+            env.services.create("svc", "c:\\s.sys", SYS, created_by=7).name, SYS
+        ),
+        lambda env, res: env.services.delete(res.name, SYS),
+    ),
+    "windows": (
+        HandleKind.WINDOW,
+        lambda env: env.windows.register("WndCls", title="t", owner_pid=1000),
+        lambda env, res: env.windows.destroy(res.name),
+    ),
+    "libraries": (
+        HandleKind.LIBRARY,
+        lambda env: _blocked(env.libraries.register("evil.dll", created_by=7)),
+        lambda env, res: env.libraries.remove(res.name),
+    ),
+}
+
+
+def _with_value(key):
+    key.values["run"] = "c:\\evil.exe"
+    return key
+
+
+def _blocked(lib):
+    lib.blocked = True
+    return lib
+
+
+def images(table):
+    """Type and attributes of every resource, in table order."""
+    return [(type(res), vars(res)) for res in table]
+
+
+def mutate(res):
+    """Change a resource in place wherever a shared object could leak."""
+    res.acl = vaccine_acl()
+    for name, _freeze, _thaw in res.MUTABLE:
+        payload = getattr(res, name)
+        if isinstance(payload, bytearray):
+            payload.extend(b"!")
+        else:
+            payload["late"] = 1
+
+
+def test_table_cases_cover_every_resource_table():
+    assert sorted(TABLE_CASES) == sorted(name for name, _cls in RESOURCE_TABLES)
+
+
+@pytest.mark.parametrize("name", sorted(TABLE_CASES))
+class TestResourceTableCodec:
+    """Clone, capture and restore share one image copy per resource
+    (``ResourceTable``); each path must copy every attribute and share no
+    mutable payload."""
+
+    def test_clone_is_attribute_complete(self, name):
+        env, _proc = machine()
+        TABLE_CASES[name][1](env)
+        table = getattr(env, name)
+        copy = getattr(env.clone(), name)
+        assert images(copy) == images(table)
+        assert all(a is not b for a, b in zip(copy, table))
+
+    @pytest.mark.parametrize("side", ["clone", "original"])
+    def test_clone_and_original_stay_independent(self, name, side):
+        env, _proc = machine()
+        TABLE_CASES[name][1](env)
+        original = getattr(env, name)
+        copy = getattr(env.clone(), name)
+        edited, other = (copy, original) if side == "clone" else (original, copy)
+        before = repr(images(other))
+        for res in edited:
+            mutate(res)
+        assert repr(images(other)) == before
+        assert images(edited) != images(other)
+
+    @pytest.mark.parametrize("eager", [True, False], ids=["eager", "lazy"])
+    def test_capture_then_restore_keeps_every_attribute(self, name, eager):
+        env, proc = machine()
+        kind, add, _remove = TABLE_CASES[name]
+        res = add(env)
+        if eager:
+            proc.handles.allocate(kind, res)
+        snap = EnvSnapshot.capture(env, proc)
+        index = [n for n, _cls in RESOURCE_TABLES].index(name)
+        assert snap.eager[index] is eager
+        env2, _ = snap.restore()
+        table = getattr(env, name)
+        restored = getattr(env2, name)
+        assert images(restored) == images(table)
+        # The restored table shares nothing mutable with the live table
+        # or the snapshot.
+        for copy in restored:
+            mutate(copy)
+        assert images(getattr(snap.restore()[0], name)) == images(table)
+
+    def test_orphan_round_trips(self, name):
+        env, proc = machine()
+        kind, add, remove = TABLE_CASES[name]
+        res = add(env)
+        proc.handles.allocate(kind, res)
+        remove(env, res)
+        expected = (type(res), dict(vars(res)))
+        snap = EnvSnapshot.capture(env, proc)
+        res.acl = None  # later live edits must not reach the snapshot
+        env2, proc2 = snap.restore()
+        (handle,) = list(proc2.handles)
+        orphan = handle.resource
+        assert orphan is not res
+        assert (type(orphan), vars(orphan)) == expected
+        assert all(live.name != orphan.name for live in getattr(env2, name))
 
 
 class TestLazyNamespaces:

@@ -25,8 +25,10 @@ from repro.core.executor import (
 )
 from repro.core.pipeline import PopulationResult
 from repro.core.stages import ExclusivenessStage, default_stages
-from repro.corpus import GeneratorConfig, build_family, generate_population
+from repro.corpus import GeneratorConfig, all_families, build_family, generate_population
 from repro.obs.metrics import MetricsRegistry
+from repro.search.engine import SearchEngine
+from repro.winenv import MachineIdentity, ResourceType, SystemEnvironment
 
 SIZE = 12
 SEED = 5
@@ -308,6 +310,31 @@ class TestConfigPlumbing:
         autovac = AutoVac(clinic_programs=[build_family("zeus")])
         with pytest.raises(ValueError, match="clinic"):
             config_for(autovac)
+
+    @pytest.mark.parametrize("setup", ["environment", "search_engine"])
+    def test_config_for_rejects_custom_machine(self, setup):
+        custom = {"environment": SystemEnvironment(), "search_engine": SearchEngine()}
+        autovac = AutoVac(**{setup: custom[setup]})
+        with pytest.raises(ValueError, match="custom analysis machine"):
+            config_for(autovac)
+
+    def test_parallel_survey_refuses_custom_machine(self):
+        """Workers rebuild the pipeline from a config, which carries no
+        machine: they would analyse on the default one (another computer
+        name, another conficker mutex) and the cache would key both alike."""
+        machine = SystemEnvironment(
+            identity=MachineIdentity(computer_name="OTHER-HOST-77"), rng_seed=7
+        )
+        autovac = AutoVac(environment=machine)
+        with pytest.raises(ValueError, match="custom analysis machine"):
+            autovac.analyze_population(all_families(), jobs=2)
+        mutexes = {
+            v.identifier
+            for a in autovac.analyze_population([build_family("conficker")]).analyses
+            for v in a.vaccines
+            if v.resource_type is ResourceType.MUTEX
+        }
+        assert mutexes == {"Global\\OTHER-HOST-77-3a062d"}
 
     def test_config_for_rejects_custom_aligner(self):
         autovac = AutoVac(aligner=lambda a, b: None)

@@ -14,6 +14,7 @@ from repro.core import (
     rank,
     run_sample,
     score,
+    select_candidates,
     select_minimal,
     select_with_backups,
 )
@@ -100,25 +101,68 @@ nf:
 """
 
 
+#: Enforced execution on the six families: the candidates only flipped
+#: paths reveal, and the vaccines of ``AutoVac(explore_paths=True)``.
+EXPLORED_FAMILIES = {
+    "conficker": (
+        [],
+        [
+            ("file", "c:\\windows\\system32\\drivers\\confk.sys"),
+            ("mutex", "Global\\WORKSTATION-01-c950f8"),
+            ("service", "confsvc"),
+        ],
+    ),
+    "zeus": (
+        [],
+        [("file", "c:\\windows\\system32\\sdra64.exe"), ("mutex", "_AVIRA_2109")],
+    ),
+    "sality": (
+        [],
+        [
+            ("file", "c:\\windows\\system32\\drivers\\qatpcks.sys"),
+            ("mutex", "Op1mutx9"),
+            ("service", "amsint32"),
+        ],
+    ),
+    "qakbot": (
+        [],
+        [("mutex", "qbot-a082-lk"), ("registry", "hklm\\software\\microsoft\\sqinstalled")],
+    ),
+    "ibank": (
+        [("process", "explorer.exe")],
+        [("file", "c:\\windows\\system32\\twinrsdi.exe")],
+    ),
+    "poisonivy": (
+        [],
+        [("file", "c:\\windows\\system32\\shlmon.exe"), ("mutex", ")!VoqA.I4")],
+    ),
+}
+
+
+def explore(program, **kwargs):
+    """Enforced execution on top of the program's own Phase I report."""
+    return explore_resource_paths(program, select_candidates(program), **kwargs)
+
+
 class TestForcedExecution:
     def test_discovers_dormant_resource(self):
-        result = explore_resource_paths(assemble(DORMANT, name="dormant"))
+        result = explore(assemble(DORMANT, name="dormant"))
         keys = {(c.resource_type, c.identifier) for c in result.discovered}
         assert (ResourceType.FILE, "c:\\hidden\\flag.cfg") in keys
 
     def test_base_candidates_not_duplicated(self):
-        result = explore_resource_paths(assemble(DORMANT, name="dormant"))
+        result = explore(assemble(DORMANT, name="dormant"))
         base = {c.key for c in result.base.candidates}
         assert all(c.key not in base for c in result.discovered)
 
     def test_runs_bounded_by_flip_sites(self):
-        result = explore_resource_paths(assemble(DORMANT, name="dormant"), max_flips=1)
+        result = explore(assemble(DORMANT, name="dormant"), max_flips=1)
         assert result.runs == 2
 
     def test_no_flips_for_unflagged_sample(self):
         src = ('.section .rdata\nm: .asciz "x"\n.section .text\n'
                "    push m\n    push 0\n    push 0\n    call @CreateMutexA\n    halt\n")
-        result = explore_resource_paths(assemble(src, name="plain"))
+        result = explore(assemble(src, name="plain"))
         assert result.runs == 1 and not result.discovered
 
     def test_pipeline_integration(self):
@@ -129,6 +173,35 @@ class TestForcedExecution:
         explored_ids = {v.identifier for v in explored.vaccines}
         assert plain_ids <= explored_ids
         assert "exploration" in explored.timings
+
+    @pytest.mark.parametrize("family", sorted(EXPLORED_FAMILIES))
+    def test_exploration_reuses_phase1_run(self, family, monkeypatch):
+        """Enforced execution flips sites of Phase I's own run: it makes
+        one run per flipped site and none to re-profile the sample, and the
+        discovered candidates and the vaccines stay as pinned."""
+        from repro.analysis import forced_execution
+
+        runs = []
+        real_run = forced_execution.run_sample
+
+        def counting_run(*args, **kwargs):
+            runs.append(1)
+            return real_run(*args, **kwargs)
+
+        monkeypatch.setattr(forced_execution, "run_sample", counting_run)
+        program = build_family(family)
+        discovered, vaccines = EXPLORED_FAMILIES[family]
+
+        result = explore(program)
+        assert len(runs) == len(result.flipped_sites) == result.runs - 1
+        keys = sorted((c.resource_type.value, c.identifier) for c in result.discovered)
+        assert keys == discovered
+
+        runs.clear()
+        analysis = AutoVac(explore_paths=True).analyze(program)
+        assert len(runs) == len(result.flipped_sites)
+        produced = sorted((v.resource_type.value, v.identifier) for v in analysis.vaccines)
+        assert produced == vaccines
 
 
 # ---------------------------------------------------------------------------
