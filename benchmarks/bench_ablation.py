@@ -25,7 +25,7 @@ def test_ablation_alignment_granularity(benchmark, family_analyses):
     program, analysis = family_analyses["zeus"]
     natural = analysis.phase1.trace
     outcome = analysis.impacts[0]
-    mutated = outcome.mutated_run.trace
+    mutated = outcome.mutated_trace
 
     full_key = align_lcs(mutated.api_calls, natural.api_calls)
 

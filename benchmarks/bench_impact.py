@@ -98,8 +98,8 @@ def _outcome_fingerprint(outcomes):
             o.immunization.value,
             sorted(e.value for e in o.effects),
             o.mutation_hits,
-            o.mutated_run.trace.steps,
-            [e.context_key() for e in o.mutated_run.trace.api_calls],
+            o.mutated_trace.steps,
+            [e.context_key() for e in o.mutated_trace.api_calls],
         )
         for o in outcomes
     ]

@@ -175,13 +175,15 @@ def config_for(autovac: AutoVac) -> PipelineConfig:
     )
     if aligner_name is None:
         raise ValueError(
-            "cannot parallelize: custom aligner callable is not picklable; "
-            "use aligner='lcs'/'linear' via PipelineConfig or run with jobs=1"
+            "cannot parallelize or cache: a custom aligner callable does not "
+            "ship to workers or into the cache key; use aligner='lcs'/'linear' "
+            "via PipelineConfig, or run with jobs=1 and no cache"
         )
     if autovac.clinic_programs:
         raise ValueError(
-            "cannot parallelize: the clinic test shares benign programs "
-            "across samples; run with jobs=1"
+            "cannot parallelize or cache: the clinic test shares benign "
+            "programs across samples and is not in the cache key; run with "
+            "jobs=1 and no cache"
         )
     from .stages import default_stages
 
@@ -189,8 +191,8 @@ def config_for(autovac: AutoVac) -> PipelineConfig:
     # stage (e.g. ExclusivenessStage(enforce=False)) is custom too.
     if autovac.stages != default_stages():
         raise ValueError(
-            "cannot parallelize: custom stage lists do not ship to workers; "
-            "run with jobs=1"
+            "cannot parallelize or cache: custom stage lists do not ship to "
+            "workers or into the cache key; run with jobs=1 and no cache"
         )
     return PipelineConfig(
         profile_budget=autovac.profile_budget,

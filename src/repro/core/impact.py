@@ -75,7 +75,8 @@ class ImpactOutcome:
     immunization: Immunization
     effects: Set[Immunization] = field(default_factory=set)
     alignment: Optional[AlignmentResult] = None
-    mutated_run: Optional[RunResult] = None
+    #: The mutated run's trace (the machine that produced it is not kept).
+    mutated_trace: Optional[Trace] = None
     mutation_hits: int = 0
     #: Flight-recorder id of the "verdict.impact" event (process-local,
     #: not serialized — provenance ships via the journal itself).
@@ -163,7 +164,7 @@ class ImpactAnalyzer:
         return self._classify(
             candidate,
             mechanism,
-            mutated_run,
+            mutated_run.trace,
             natural,
             mutation.hits,
             flight_causes=(mutation.flight_id,),
@@ -201,6 +202,12 @@ class ImpactAnalyzer:
             )
         except _CapturesTaken:
             pass
+        finally:
+            # The capture run's CPU holds its dispatcher, whose interceptor
+            # chain holds the recorder: unbound, the run's machine (cloned
+            # environment, memory, trace) is freed by reference counting
+            # instead of waiting for the cyclic GC.
+            recorder.cpu = None
 
         outcomes: List[ImpactOutcome] = []
         for candidate in candidates:
@@ -221,7 +228,7 @@ class ImpactAnalyzer:
                         self._classify(
                             candidate,
                             mechanism,
-                            natural_run,
+                            natural,
                             natural,
                             0,
                             flight_causes=(_candidate_flight_id(candidate),),
@@ -272,7 +279,7 @@ class ImpactAnalyzer:
                     self._classify(
                         candidate,
                         mechanism,
-                        mutated_run,
+                        mutated_run.trace,
                         natural,
                         mutation.hits,
                         flight_causes=(mutation.flight_id, resume_id),
@@ -284,12 +291,11 @@ class ImpactAnalyzer:
         self,
         candidate: CandidateResource,
         mechanism: Mechanism,
-        mutated_run: RunResult,
+        mutated: Trace,
         natural: Trace,
         mutation_hits: int,
         flight_causes: Tuple[Optional[int], ...] = (),
     ) -> ImpactOutcome:
-        mutated = mutated_run.trace
         alignment = self.aligner(mutated.api_calls, natural.api_calls)
         effects = classify_deltas(natural, mutated, alignment)
         outcome = ImpactOutcome(
@@ -298,7 +304,7 @@ class ImpactAnalyzer:
             immunization=primary_immunization(effects),
             effects=effects,
             alignment=alignment,
-            mutated_run=mutated_run,
+            mutated_trace=mutated,
             mutation_hits=mutation_hits,
         )
         flight = obs.flight

@@ -47,7 +47,7 @@ from ..tracing.events import ApiCallEvent
 from ..tracing.trace import Trace
 from ..vm.cpu import CPU
 from ..vm.memory import Memory
-from ..winapi.dispatcher import Interception
+from ..winapi.dispatcher import Dispatcher, Interception
 from ..winenv.snapshot import EnvSnapshot
 from .vaccine import normalize_identifier
 
@@ -142,8 +142,6 @@ class VmSnapshot:
         are rebuilt fresh), so one snapshot can seed both mutation mechanisms without
         cross-contamination.
         """
-        from ..winapi.dispatcher import Dispatcher
-
         prof = obs.prof if obs.prof.enabled else None
         t_start = time.perf_counter() if prof is not None else 0.0
         if prof is not None:

@@ -10,7 +10,7 @@ whole :class:`~repro.core.pipeline.SampleAnalysis` (candidates, impacts,
 determinism, vaccines, the per-sample timing tree).  This is what crosses the
 process boundary in the parallel executor and what the content-addressed
 result cache stores on disk.  Hermeticity rule: anything holding live VM
-state (``RunResult``, alignments, mutated runs, backward-slice raw output)
+state (``RunResult``, alignments, mutated traces, backward-slice raw output)
 is dropped — a decoded analysis answers every population-level question
 (tables, stats, vaccine deployment) but cannot be re-executed.
 """
@@ -249,8 +249,8 @@ def decision_from_dict(data: dict) -> "ExclusivenessDecision":
 
 
 def impact_to_dict(outcome: "ImpactOutcome") -> dict:
-    """Alignment and the mutated run are dropped (live VM state); the
-    classification they produced is what the pipeline consumes downstream."""
+    """Alignment and the mutated trace are dropped (in-process analysis
+    state); the classification they produced is what the pipeline consumes downstream."""
     return {
         "candidate": candidate_to_dict(outcome.candidate),
         "mechanism": outcome.mechanism.value,

@@ -480,7 +480,9 @@ class CPU:
         individual :meth:`stack_arg` calls, but with a single mapped-region
         check for the whole block — the dispatcher pre-reads every declared
         argument on every API call, which made this the hottest read path
-        in API-dense samples."""
+        in API-dense samples.  An unrecorded run over untainted memory
+        (every unrecorded run: nothing mints taint there) takes a loop that
+        reads values only.  The returned lists are fresh; callers keep them."""
         esp = self.regs["esp"]
         a0 = esp & 0xFFFFFFFF
         last = a0 + 4 * count - 1
@@ -493,6 +495,16 @@ class CPU:
                     data = mem._bytes
                     tmap = mem._taint
                     track = self.record_instructions
+                    if not track and not tmap:
+                        get = data.get
+                        values = [
+                            get(a, 0)
+                            | get(a + 1, 0) << 8
+                            | get(a + 2, 0) << 16
+                            | get(a + 3, 0) << 24
+                            for a in range(a0, a0 + 4 * count, 4)
+                        ]
+                        return values, [EMPTY] * count
                     for k in range(count):
                         a = a0 + 4 * k
                         values.append(

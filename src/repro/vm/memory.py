@@ -283,11 +283,33 @@ class Memory:
             self.write_byte(addr + i, b, taint)
 
     def write_bytes_tainted(
-        self, addr: int, data: bytes, taints: Iterable[TagSet]
+        self, addr: int, data: bytes, taints: List[TagSet]
     ) -> None:
-        """Write bytes each with its own tag set (string taint transfer)."""
-        for i, (b, t) in enumerate(zip(data, taints)):
-            self.write_byte(addr + i, b, t)
+        """Write bytes each with its own tag set (string taint transfer).
+
+        Equivalent to a ``write_byte`` loop over ``zip(data, taints)``: a
+        span inside one region is stored in one pass (stale taint replaced
+        or dropped), anything else walks byte by byte so earlier bytes stay
+        written when a later one faults."""
+        size = min(len(data), len(taints))
+        a0 = addr & 0xFFFFFFFF
+        last = a0 + size - 1
+        if size and last <= 0xFFFFFFFF:
+            for start, end in self._regions:
+                if start <= a0 and last < end:
+                    store = self._bytes
+                    tmap = self._taint
+                    for i in range(size):
+                        a = a0 + i
+                        store[a] = data[i]
+                        t = taints[i]
+                        if t:
+                            tmap[a] = t
+                        elif tmap:
+                            tmap.pop(a, None)
+                    return
+        for i in range(size):
+            self.write_byte(addr + i, data[i], taints[i])
 
     def read_bytes(self, addr: int, size: int) -> bytes:
         a0 = addr & 0xFFFFFFFF
@@ -304,25 +326,32 @@ class Memory:
     ) -> Tuple[str, List[TagSet]]:
         """Read a NUL-terminated ASCII string and its per-byte taint.
 
-        API argument decoding reads strings constantly; caching the region
-        containing the cursor avoids one mapped-region scan per byte while
-        keeping the byte loop's fault order (first unmapped byte raises)."""
+        API argument decoding reads strings constantly, so the cursor's
+        region is found once and the scan runs inside it; only leaving that
+        region (into an adjacent one, onto an unmapped byte, or across the
+        2^32 wrap) looks the next one up.  Fault order is the byte loop's:
+        the first unmapped byte raises."""
         raw = bytearray()
-        data = self._bytes
-        taint = self._taint
-        lo = hi = 0
-        for i in range(max_len):
+        get = self._bytes.get
+        i = 0
+        while i < max_len:
             a = (addr + i) & 0xFFFFFFFF
-            if not lo <= a < hi:
-                for lo, hi in self._regions:
-                    if lo <= a < hi:
-                        break
-                else:
-                    raise MemoryFault(a)
-            byte = data.get(a, 0)
-            if byte == 0:
-                break
-            raw.append(byte)
+            for lo, hi in self._regions:
+                if lo <= a < hi:
+                    break
+            else:
+                raise MemoryFault(a)
+            stop = a + min(hi - a, max_len - i)
+            for b in range(a, stop):
+                byte = get(b, 0)
+                if byte == 0:
+                    return self._cstring_result(addr, raw)
+                raw.append(byte)
+            i += stop - a
+        return self._cstring_result(addr, raw)
+
+    def _cstring_result(self, addr: int, raw: bytearray) -> Tuple[str, List[TagSet]]:
+        taint = self._taint
         if taint:
             taints = [taint.get((addr + i) & 0xFFFFFFFF, EMPTY) for i in range(len(raw))]
         else:

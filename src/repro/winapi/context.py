@@ -10,6 +10,7 @@ from __future__ import annotations
 from typing import List, Optional, Tuple
 
 from ..taint.labels import EMPTY, TagSet, TaintClass, TaintTag, union
+from ..vm.memory import MemoryFault
 from ..winenv.environment import SystemEnvironment
 from ..winenv.errors import ResourceFault, Win32Error
 from ..winenv.objects import Handle, HandleKind, Resource
@@ -17,7 +18,14 @@ from ..winenv.processes import Process
 
 
 class ApiContext:
-    """Everything an API implementation needs for one invocation."""
+    """Everything an API implementation needs for one invocation.
+
+    The helpers serve recorded and unrecorded runs alike: guest bytes move
+    through the memory's block accessors (each equivalent to a byte loop,
+    fault order included), and the byte-level def/use records a backward
+    slice needs are appended only when ``cpu.record_instructions`` is set.
+    Taint is minted only there too (:meth:`mint_tag`), so on an unrecorded
+    run every tag the helpers see is empty."""
 
     __slots__ = (
         "cpu",
@@ -91,9 +99,7 @@ class ApiContext:
         Equivalent to ``arg(0..argc-1)`` — same values, taints, and stack
         use records — via one block read instead of one per slot."""
         if not self.args:
-            values, taints = self.cpu.read_stack_args(argc)
-            self.args.extend(values)
-            self.arg_taints.extend(taints)
+            self.args, self.arg_taints = self.cpu.read_stack_args(argc)
         elif argc > 0:
             self.arg(argc - 1)
 
@@ -115,8 +121,6 @@ class ApiContext:
         too.  Use records stay byte-level, matching memory."""
         if addr == 0:
             return "", []
-        from ..vm.memory import MemoryFault
-
         try:
             raw_text, byte_taints = self.cpu.memory.read_cstring(addr, max_len)
         except MemoryFault:
@@ -148,23 +152,30 @@ class ApiContext:
         ``taints`` is per *character* (matching what :meth:`read_string`
         returns); each character's taint is expanded over every byte of its
         encoding.  Def records stay byte-level, matching memory."""
-        mem = self.cpu.memory
         if taints is None:
-            data = text.encode("utf-8", "surrogateescape")
-            for i, b in enumerate(data):
-                mem.write_byte(addr + i, b, taint)
-            length = len(data)
+            data = text.encode("utf-8", "surrogateescape") + b"\x00"
+            if taint:
+                byte_taints = [taint] * (len(data) - 1)
+        elif text.isascii():
+            data = text.encode("ascii") + b"\x00"
+            byte_taints = list(taints[: len(text)])
+            byte_taints.extend([EMPTY] * (len(text) - len(byte_taints)))
         else:
-            pos = addr
+            data = bytearray()
+            byte_taints = []
             for i, ch in enumerate(text):
                 t = taints[i] if i < len(taints) else EMPTY
-                for b in ch.encode("utf-8", "surrogateescape"):
-                    mem.write_byte(pos, b, t)
-                    pos += 1
-            length = pos - addr
-        mem.write_byte(addr + length, 0, EMPTY)
+                encoded = ch.encode("utf-8", "surrogateescape")
+                data += encoded
+                byte_taints.extend([t] * len(encoded))
+            data.append(0)
+        if taints is None and not taint:
+            self.cpu.memory.write_bytes(addr, data)
+        else:
+            byte_taints.append(EMPTY)  # the terminator is untainted
+            self.cpu.memory.write_bytes_tainted(addr, data, byte_taints)
         if self.cpu.record_instructions:
-            self.cpu._defs.extend(("mem", addr + i) for i in range(length + 1))
+            self.cpu._defs.extend(("mem", addr + i) for i in range(len(data)))
 
     def read_u32(self, addr: int) -> int:
         value, _ = self.cpu.read_mem(addr, 4)
@@ -180,8 +191,7 @@ class ApiContext:
         return data
 
     def write_buffer(self, addr: int, data: bytes, taint: TagSet = EMPTY) -> None:
-        for i, b in enumerate(data):
-            self.cpu.memory.write_byte(addr + i, b, taint)
+        self.cpu.memory.write_bytes(addr, data, taint)
         if self.cpu.record_instructions:
             self.cpu._defs.extend(("mem", addr + i) for i in range(len(data)))
 

@@ -12,17 +12,20 @@ from __future__ import annotations
 
 import enum
 import time
+from collections import Counter
 from typing import Iterable, List, Optional, Protocol
 
 from .. import obs
 from ..taint.labels import EMPTY, union
 from ..tracing.events import ApiCallEvent
+from ..vm.cpu import CpuFault
 from ..winenv.environment import SystemEnvironment
-from ..winenv.errors import ResourceFault, Win32Error
+from ..winenv.errors import NtStatus, ResourceFault, Win32Error
 from ..winenv.objects import HandleKind, Resource
 from ..winenv.processes import Process
+from ..winenv.registry import normalize_key
 from .context import ApiContext
-from .labels import REGISTRY, ApiDef, Calling, Returns, lookup
+from .labels import HIVE_NAMES, REGISTRY, ApiDef, Calling, Returns, lookup
 
 
 class Interception(enum.Enum):
@@ -90,17 +93,28 @@ class Dispatcher:
     # ------------------------------------------------------------------
 
     def invoke(self, cpu, name: str, caller_pc: int, seq: int) -> None:
+        """Execute one ``call @Api``: pre-read the declared arguments,
+        resolve the identifier, offer the event to the interceptors, run the
+        handler (or the forced outcome), then set ``eax``, last-error and
+        the stdcall stack pop.
+
+        Recorded and unrecorded runs share this one path.  The work only a
+        recorded run consumes — minting taint, the register def/use records
+        of ``eax``/``esp``, the API pseudo-step's ``InstructionRecord`` —
+        sits behind ``cpu.record_instructions``.  An unrecorded run is
+        taint-free, so it writes ``eax`` and the stack pop straight into
+        ``cpu.regs``.
+        """
         apidef = REGISTRY.get(name)
         if apidef is None:
             # An unresolvable import is a *guest* fault (crashed process),
             # not a host error.
-            from ..vm.cpu import CpuFault
-
             raise CpuFault(f"unknown API {name!r}; is repro.winapi imported?") from None
         prof = self._prof
         t_start = time.perf_counter() if prof is not None else 0.0
         args_seconds = 0.0
-        event_id = cpu.trace.next_event_id()
+        trace = cpu.trace
+        event_id = trace.next_event_id()
         ctx = ApiContext(cpu, self.env, self.process, apidef, event_id)
 
         # Pre-read the declared arguments (records their stack-slot uses).
@@ -122,7 +136,8 @@ class Dispatcher:
             resource_type=apidef.resource_type,
             operation=apidef.operation,
         )
-        self._resolve_identifier(ctx, apidef, event)
+        if apidef.resolves_identifier:
+            self._resolve_identifier(ctx, apidef, event)
 
         verdict = Interception.PASS
         hit: Optional[Interceptor] = None
@@ -133,27 +148,46 @@ class Dispatcher:
                 hit = interceptor
                 break
 
-        retval, success, error = self._execute(ctx, apidef, event, verdict)
+        if verdict is Interception.PASS:
+            try:
+                retval = apidef.impl(ctx)
+                retval = int(retval) if retval is not None else 0
+                success, error = True, 0
+            except ResourceFault as fault:
+                retval = apidef.failure.retval
+                # NT APIs return the specific status; Win32 APIs use the
+                # labelled failure retval and report detail via GetLastError.
+                if apidef.returns is Returns.NTSTATUS:
+                    retval = _nt_status_for(fault.error)
+                success, error = False, int(fault.error)
+        else:
+            retval, success, error = self._forced_outcome(ctx, apidef, event, verdict)
 
         event.retval = retval
         event.success = success
         event.error = error
-        cpu.trace.api_calls.append(event)
+        trace.api_calls.append(event)
 
-        tag = ctx.mint_tag() if apidef.taint_class is not None else EMPTY
+        record = cpu.record_instructions
+        tag = ctx.mint_tag() if record and apidef.taint_class is not None else EMPTY
         if not success:
             ctx.set_last_error(error, tag)
         elif not ctx.explicit_last_error:
             ctx.set_last_error(0, EMPTY)
 
-        # Return value in eax, tainted per the label.
-        retval_taint = union(tag, ctx.retval_taint)
-        cpu.set_reg("eax", retval, retval_taint)
-
-        # stdcall: callee pops its arguments.
-        if apidef.calling is Calling.STDCALL:
-            esp, esp_taint = cpu.get_reg("esp")
-            cpu.set_reg("esp", esp + 4 * apidef.argc, esp_taint)
+        if record:
+            # Return value in eax, tainted per the label.
+            cpu.set_reg("eax", retval, union(tag, ctx.retval_taint))
+            # stdcall: callee pops its arguments.
+            if apidef.calling is Calling.STDCALL:
+                esp, esp_taint = cpu.get_reg("esp")
+                cpu.set_reg("esp", esp + 4 * apidef.argc, esp_taint)
+        else:
+            regs = cpu.regs
+            regs["eax"] = retval & 0xFFFFFFFF
+            cpu.reg_taint["eax"] = ctx.retval_taint or EMPTY
+            if apidef.stack_pop:
+                regs["esp"] = (regs["esp"] + apidef.stack_pop) & 0xFFFFFFFF
 
         if event.identifier is None and ctx.identifier is not None:
             # Implementations may resolve identifiers themselves (OpenProcess).
@@ -161,10 +195,11 @@ class Dispatcher:
             event.identifier_taints = ctx.identifier_taints
         if ctx.operation_override is not None:
             event.operation = ctx.operation_override
-        event.extra.update(ctx.extra)
+        if ctx.extra:
+            event.extra.update(ctx.extra)
         if obs.flight.enabled:
             self._flight_record(event, tag, verdict, hit)
-        if cpu.record_instructions:
+        if record:
             cpu.record_api_step(seq=seq, pc=caller_pc, text=f"call @{name}", event_id=event_id)
         else:
             cpu._api_step_recorded = True
@@ -191,11 +226,15 @@ class Dispatcher:
         Unlabelled, untainted, uninstrumented calls stay off the journal.
         """
         flight = obs.flight
-        if not event.mutated and flight.recall(("api", event.event_id)) is not None:
-            # Re-runs (capture, resumed mutations, determinism) replay the
-            # same trace event ids; the first-wins binding below already
-            # journaled this call, so a duplicate would add no provenance.
-            return
+        if not event.mutated:
+            if not tag and (event.resource_type is None or event.identifier is None):
+                return
+            if flight.recall(("api", event.event_id)) is not None:
+                # Re-runs (capture, resumed mutations, determinism) replay
+                # the same trace event ids; the first-wins binding below
+                # already journaled this call, so a duplicate would add no
+                # provenance.
+                return
         if event.mutated:
             flight_id = flight.record(
                 "api.intercept",
@@ -218,7 +257,7 @@ class Dispatcher:
                 success=event.success,
                 trace_event_id=event.event_id,
             )
-        elif event.resource_type is not None and event.identifier is not None:
+        else:
             flight_id = flight.record(
                 "api.call",
                 api=event.api,
@@ -228,8 +267,6 @@ class Dispatcher:
                 success=event.success,
                 trace_event_id=event.event_id,
             )
-        else:
-            return
         # First-wins: the phase-1 run's binding is canonical (capture and
         # resumed runs replay the same event ids — see repro.core.snapshot).
         flight.remember(("api", event.event_id), flight_id)
@@ -243,9 +280,7 @@ class Dispatcher:
         are ~10x a dict get, and the label universe is small and stable)."""
         if not self._obs_enabled:
             return
-        from collections import Counter as _Counter
-
-        counts = _Counter(
+        counts = Counter(
             (e.api, e.success, e.resource_type, e.operation, e.mutated)
             for e in api_calls
         )
@@ -291,9 +326,6 @@ class Dispatcher:
                 event.identifier, event.identifier_taints = text, taints
                 event.extra["identifier_addr"] = addr
         elif apidef.registry_path_args is not None:
-            from ..winenv.registry import normalize_key
-            from .labels import HIVE_NAMES
-
             hkey_arg, subkey_arg = apidef.registry_path_args
             hkey = ctx.arg(hkey_arg)
             subkey, taints = ctx.read_string_arg(subkey_arg)
@@ -319,8 +351,8 @@ class Dispatcher:
                 if origin is not None:
                     event.extra["origin_event"] = origin
 
-    def _execute(self, ctx, apidef: ApiDef, event: ApiCallEvent, verdict: Interception):
-        """Run the implementation (or a forced outcome).
+    def _forced_outcome(self, ctx, apidef: ApiDef, event: ApiCallEvent, verdict: Interception):
+        """An interceptor's verdict in place of the implementation.
 
         Returns ``(retval, success, error)`` following the API's labelled
         encodings.
@@ -337,19 +369,7 @@ class Dispatcher:
                 retval = _nt_status_for(error)
             return retval, False, int(error)
 
-        if verdict is Interception.FORCE_SUCCESS:
-            return self._fabricate_success(ctx, apidef, event), True, 0
-
-        try:
-            retval = apidef.impl(ctx)
-            return int(retval) if retval is not None else 0, True, 0
-        except ResourceFault as fault:
-            retval = apidef.failure.retval
-            # NT APIs return the specific status; Win32 APIs use the labelled
-            # failure retval and report detail via GetLastError.
-            if apidef.returns is Returns.NTSTATUS:
-                retval = _nt_status_for(fault.error)
-            return retval, False, int(fault.error)
+        return self._fabricate_success(ctx, apidef, event), True, 0
 
     def _fabricate_success(self, ctx: ApiContext, apidef: ApiDef, event: ApiCallEvent) -> int:
         """Simulate success without touching the environment.
@@ -385,16 +405,16 @@ _PHANTOM_KINDS = {
 }
 
 
-def _nt_status_for(error: Win32Error) -> int:
-    from ..winenv.errors import NtStatus
+_NT_STATUS_FOR = {
+    Win32Error.FILE_NOT_FOUND: NtStatus.OBJECT_NAME_NOT_FOUND,
+    Win32Error.PATH_NOT_FOUND: NtStatus.OBJECT_PATH_NOT_FOUND,
+    Win32Error.ACCESS_DENIED: NtStatus.ACCESS_DENIED,
+    Win32Error.FILE_EXISTS: NtStatus.OBJECT_NAME_COLLISION,
+    Win32Error.ALREADY_EXISTS: NtStatus.OBJECT_NAME_COLLISION,
+    Win32Error.INVALID_HANDLE: NtStatus.INVALID_HANDLE,
+    Win32Error.SHARING_VIOLATION: NtStatus.SHARING_VIOLATION,
+}
 
-    mapping = {
-        Win32Error.FILE_NOT_FOUND: NtStatus.OBJECT_NAME_NOT_FOUND,
-        Win32Error.PATH_NOT_FOUND: NtStatus.OBJECT_PATH_NOT_FOUND,
-        Win32Error.ACCESS_DENIED: NtStatus.ACCESS_DENIED,
-        Win32Error.FILE_EXISTS: NtStatus.OBJECT_NAME_COLLISION,
-        Win32Error.ALREADY_EXISTS: NtStatus.OBJECT_NAME_COLLISION,
-        Win32Error.INVALID_HANDLE: NtStatus.INVALID_HANDLE,
-        Win32Error.SHARING_VIOLATION: NtStatus.SHARING_VIOLATION,
-    }
-    return int(mapping.get(error, NtStatus.UNSUCCESSFUL))
+
+def _nt_status_for(error: Win32Error) -> int:
+    return int(_NT_STATUS_FOR.get(error, NtStatus.UNSUCCESSFUL))

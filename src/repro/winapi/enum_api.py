@@ -4,7 +4,9 @@ enumeration, drives, window text, shell execution."""
 from __future__ import annotations
 
 from ..taint.labels import TaintClass
+from ..winenv.acl import Access
 from ..winenv.errors import NULL, ResourceFault, TRUE, Win32Error
+from ..winenv.filesystem import basename
 from ..winenv.objects import HandleKind, Operation, ResourceType
 from .context import ApiContext
 from .labels import FailureSpec, Returns, api
@@ -133,7 +135,6 @@ def set_file_attributes(ctx: ApiContext) -> int:
     node = ctx.env.filesystem.lookup(ctx.identifier or "")
     if node is None:
         raise ResourceFault(Win32Error.FILE_NOT_FOUND, ctx.identifier or "")
-    from ..winenv.acl import Access
 
     node.acl.check(ctx.integrity, Access.WRITE)
     return TRUE
@@ -210,7 +211,6 @@ def win_exec(ctx: ApiContext) -> int:
     node = ctx.env.filesystem.lookup(command)
     if node is None:
         raise ResourceFault(Win32Error.FILE_NOT_FOUND, command)
-    from ..winenv.filesystem import basename
 
     child = ctx.env.processes.spawn(
         basename(command), image_path=command, integrity=ctx.integrity,
@@ -236,7 +236,6 @@ def shell_execute(ctx: ApiContext) -> int:
     node = ctx.env.filesystem.lookup(target)
     if node is None:
         raise ResourceFault(Win32Error.FILE_NOT_FOUND, target)
-    from ..winenv.filesystem import basename
 
     ctx.env.processes.spawn(
         basename(target), image_path=target.lower(), integrity=ctx.integrity,

@@ -10,7 +10,7 @@ from ..winenv.errors import (
     TRUE,
     Win32Error,
 )
-from ..winenv.filesystem import normalize_path
+from ..winenv.filesystem import normalize_path, TEMP_DIR
 from ..winenv.objects import HandleKind, Operation, ResourceType
 from .context import ApiContext
 from .labels import FailureSpec, Returns, api
@@ -309,8 +309,6 @@ def get_temp_file_name(ctx: ApiContext) -> int:
     taint=TaintClass.ENV_DETERMINISTIC,
 )
 def get_temp_path(ctx: ApiContext) -> int:
-    from ..winenv.filesystem import TEMP_DIR
-
     buf = ctx.arg(1)
     ctx.write_string(buf, TEMP_DIR + "\\", taint=ctx.mint_tag())
     return len(TEMP_DIR) + 1

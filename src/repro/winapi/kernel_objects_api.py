@@ -12,6 +12,7 @@ carry the MUTEX resource label (Figure 3 groups them the same way).
 from __future__ import annotations
 
 from ..taint.labels import TaintClass
+from ..winenv.acl import Access
 from ..winenv.errors import NULL, ResourceFault, TRUE, Win32Error
 from ..winenv.objects import HandleKind, Operation, ResourceType
 from .context import ApiContext
@@ -25,7 +26,6 @@ def _create_named_object(ctx: ApiContext) -> int:
     if not name:
         raise ResourceFault(Win32Error.INVALID_PARAMETER, "anonymous object")
     obj, existed = ctx.env.mutexes.create(name, ctx.integrity, created_by=ctx.process.pid)
-    from ..winenv.acl import Access
 
     obj.acl.check(ctx.integrity, Access.CREATE if not existed else Access.READ)
     handle = ctx.alloc_handle(HandleKind.MUTEX, obj)

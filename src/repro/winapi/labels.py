@@ -74,6 +74,19 @@ class ApiDef:
     network: bool = False
     #: Short human description for docs/tests.
     doc: str = ""
+    #: Derived from the label once, for the dispatcher: bytes the callee
+    #: pops off the stack (stdcall), and whether an identifier is resolved
+    #: before interception.
+    stack_pop: int = field(init=False, repr=False, compare=False)
+    resolves_identifier: bool = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self.stack_pop = 4 * self.argc if self.calling is Calling.STDCALL else 0
+        self.resolves_identifier = (
+            self.identifier_arg is not None
+            or self.registry_path_args is not None
+            or self.identifier_handle_arg is not None
+        )
 
     @property
     def is_resource_api(self) -> bool:

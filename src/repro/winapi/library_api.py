@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from ..taint.labels import TaintClass
 from ..winenv.errors import NULL, ResourceFault, TRUE, Win32Error
+from ..winenv.filesystem import normalize_path, SYSTEM32
 from ..winenv.objects import HandleKind, Operation, ResourceType
 from .context import ApiContext
 from .labels import FailureSpec, Returns, api
@@ -26,7 +27,6 @@ def load_library(ctx: ApiContext) -> int:
     try:
         lib = ctx.env.libraries.load(name, ctx.integrity)
     except ResourceFault:
-        from ..winenv.filesystem import SYSTEM32, normalize_path
 
         candidates = [normalize_path(name)] if "\\" in name else []
         candidates.append(f"{SYSTEM32}\\{name.lower()}")

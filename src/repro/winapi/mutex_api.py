@@ -8,6 +8,7 @@ identifier = 3rd parameter ``lpName``, success = valid handle in EAX, failure
 from __future__ import annotations
 
 from ..taint.labels import TaintClass
+from ..winenv.acl import Access
 from ..winenv.errors import NULL, ResourceFault, TRUE, Win32Error
 from ..winenv.objects import HandleKind, Operation, ResourceType
 from .context import ApiContext
@@ -31,7 +32,6 @@ def create_mutex(ctx: ApiContext) -> int:
     if not name:
         raise ResourceFault(Win32Error.INVALID_PARAMETER, "anonymous mutex")
     mutex, existed = ctx.env.mutexes.create(name, ctx.integrity, created_by=ctx.process.pid)
-    from ..winenv.acl import Access
 
     mutex.acl.check(ctx.integrity, Access.CREATE if not existed else Access.READ)
     handle = ctx.alloc_handle(HandleKind.MUTEX, mutex)

@@ -6,7 +6,9 @@ from __future__ import annotations
 from ..taint.labels import TaintClass
 from ..winenv.acl import Access, IntegrityLevel
 from ..winenv.errors import NULL, ResourceFault, TRUE, Win32Error
+from ..winenv.filesystem import basename
 from ..winenv.objects import HandleKind, Operation, ResourceType
+from ..winenv.processes import RemoteWrite
 from .context import ApiContext
 from .labels import FailureSpec, Returns, api
 
@@ -32,7 +34,6 @@ def create_process(ctx: ApiContext) -> int:
     if node is None:
         raise ResourceFault(Win32Error.FILE_NOT_FOUND, norm)
     node.acl.check(ctx.integrity, Access.EXECUTE)
-    from ..winenv.filesystem import basename
 
     child = ctx.env.processes.spawn(
         basename(norm), image_path=norm, integrity=ctx.integrity, parent_pid=ctx.process.pid
@@ -112,7 +113,6 @@ def write_process_memory(ctx: ApiContext) -> int:
         raise ResourceFault(Win32Error.INVALID_HANDLE)
     if target.integrity > ctx.integrity:
         raise ResourceFault(Win32Error.ACCESS_DENIED, target.name)
-    from ..winenv.processes import RemoteWrite
 
     target.remote_writes.append(RemoteWrite(writer_pid=ctx.process.pid, size=size))
     ctx.extra["target_process"] = target.name

@@ -4,6 +4,7 @@ persistence signals)."""
 from __future__ import annotations
 
 from ..taint.labels import TaintClass
+from ..winenv.acl import IntegrityLevel
 from ..winenv.errors import NULL, ResourceFault, TRUE, Win32Error
 from ..winenv.objects import HandleKind, Operation, ResourceType
 from .context import ApiContext
@@ -21,8 +22,6 @@ from .labels import FailureSpec, Returns, api
     doc="Open the SCM — the gateway call of kernel-driver injection (§IV-B).",
 )
 def open_sc_manager(ctx: ApiContext) -> int:
-    from ..winenv.acl import IntegrityLevel
-
     ctx.identifier = "scmanager"
     if ctx.integrity < IntegrityLevel.MEDIUM:
         raise ResourceFault(Win32Error.ACCESS_DENIED, "SCM requires medium integrity")
@@ -123,8 +122,6 @@ def close_service_handle(ctx: ApiContext) -> int:
     doc="Undocumented driver load — unambiguous kernel injection.",
 )
 def nt_load_driver(ctx: ApiContext) -> int:
-    from ..winenv.acl import IntegrityLevel
-
     if ctx.integrity < IntegrityLevel.HIGH:
         raise ResourceFault(Win32Error.ACCESS_DENIED, "driver load requires high integrity")
     svc = ctx.env.services.lookup(ctx.identifier or "")

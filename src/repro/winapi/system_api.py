@@ -9,7 +9,9 @@ identifier algorithm-deterministic; ``RANDOM`` outputs make it unpredictable
 from __future__ import annotations
 
 from ..taint.labels import EMPTY, TaintClass
-from ..winenv.errors import TRUE, Win32Error
+from ..vm.memory import HEAP_BASE
+from ..winenv.errors import ResourceFault, TRUE, Win32Error
+from ..winenv.filesystem import SYSTEM32
 from .context import ApiContext
 from .labels import FailureSpec, Returns, api
 
@@ -74,8 +76,6 @@ def get_version(ctx: ApiContext) -> int:
     taint=TaintClass.ENV_DETERMINISTIC,
 )
 def get_system_directory(ctx: ApiContext) -> int:
-    from ..winenv.filesystem import SYSTEM32
-
     buf = ctx.arg(0)
     ctx.write_string(buf, SYSTEM32, taint=ctx.mint_tag())
     return len(SYSTEM32)
@@ -111,7 +111,6 @@ def get_environment_variable(ctx: ApiContext) -> int:
     }
     value = table.get(name.upper())
     if value is None:
-        from ..winenv.errors import ResourceFault
 
         raise ResourceFault(Win32Error.FILE_NOT_FOUND, name)
     ctx.write_string(buf, value, taint=ctx.mint_tag())
@@ -165,8 +164,6 @@ def set_last_error(ctx: ApiContext) -> int:
 
 @api("GetCommandLineA", argc=0, returns=Returns.VALUE, taint=TaintClass.ENV_DETERMINISTIC)
 def get_command_line(ctx: ApiContext) -> int:
-    from ..vm.memory import HEAP_BASE
-
     addr = HEAP_BASE + 0x8000
     ctx.write_string(addr, ctx.process.image_path, taint=ctx.mint_tag())
     return addr

@@ -13,6 +13,7 @@ from dataclasses import replace
 from ..taint.labels import TaintClass
 from ..winenv.errors import ResourceFault, TRUE, Win32Error
 from ..winenv.objects import HandleKind, Operation, ResourceType
+from ..winenv.services import ServiceState
 from .context import ApiContext
 from .labels import REGISTRY, FailureSpec, Returns, api
 
@@ -95,8 +96,6 @@ def control_service(ctx: ApiContext) -> int:
     failure=FailureSpec(0, Win32Error.INVALID_HANDLE),
 )
 def query_service_status(ctx: ApiContext) -> int:
-    from ..winenv.services import ServiceState
-
     handle = ctx.handle_arg(0)
     out = ctx.arg(1)
     if handle.resource is None:

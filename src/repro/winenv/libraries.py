@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterator, Optional
 
-from .acl import Acl, IntegrityLevel, open_acl
+from .acl import Access, Acl, IntegrityLevel, open_acl
 from .errors import ResourceFault, Win32Error
 from .objects import Resource, ResourceTable, ResourceType
 
@@ -73,8 +73,6 @@ class LibraryManager(ResourceTable):
         lib = self._libs.get(name.lower())
         if lib is None or lib.blocked:
             raise ResourceFault(Win32Error.FILE_NOT_FOUND, name)
-        from .acl import Access
-
         lib.acl.check(requester, Access.EXECUTE)
         return lib
 

@@ -311,6 +311,13 @@ class TestConfigPlumbing:
         with pytest.raises(ValueError, match="clinic"):
             config_for(autovac)
 
+    def test_cached_sequential_refusal_names_the_cache(self, tmp_path):
+        """jobs=1 with a cache goes through config_for too: the refusal must
+        say to drop the cache, not to run with jobs=1 (which it already is)."""
+        autovac = AutoVac(clinic_programs=[build_family("zeus")])
+        with pytest.raises(ValueError, match="clinic.*jobs=1 and no cache"):
+            autovac.analyze_population([build_family("sality")], jobs=1, cache=tmp_path)
+
     @pytest.mark.parametrize("setup", ["environment", "search_engine"])
     def test_config_for_rejects_custom_machine(self, setup):
         custom = {"environment": SystemEnvironment(), "search_engine": SearchEngine()}

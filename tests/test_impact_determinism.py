@@ -100,7 +100,7 @@ class TestImpactAnalysis:
         outcome = ImpactAnalyzer().analyze_mechanism(
             program, cand, report.trace, Mechanism.ENFORCE_FAILURE
         )
-        events = outcome.mutated_run.trace.events_for_api("CreateMutexA")
+        events = outcome.mutated_trace.events_for_api("CreateMutexA")
         assert not events[0].success and events[1].success
 
 

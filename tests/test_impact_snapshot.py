@@ -10,6 +10,8 @@ fingerprints in ``tests/test_golden.py``.
 
 from __future__ import annotations
 
+import gc
+
 import pytest
 
 from repro.core import snapshot as snapshot_mod
@@ -18,6 +20,7 @@ from repro.core.impact import ImpactAnalyzer
 from repro.core.pipeline import AutoVac
 from repro.core.runner import run_sample
 from repro.core.snapshot import SnapshotRecorder, mutation_matches
+from repro.corpus import GeneratorConfig, generate_population
 from repro.winapi.dispatcher import Interception
 
 
@@ -72,9 +75,9 @@ class TestAnalyzeCandidatesDirect:
                 e.context_key() for e in l.alignment.delta_natural
             ]
             assert (
-                f.mutated_run.trace.exit_status == l.mutated_run.trace.exit_status
+                f.mutated_trace.exit_status == l.mutated_trace.exit_status
             )
-            assert f.mutated_run.trace.steps == l.mutated_run.trace.steps
+            assert f.mutated_trace.steps == l.mutated_trace.steps
 
     def test_resumed_traces_are_complete(self, family_programs):
         """A resumed run's trace contains the shared prefix events too —
@@ -84,11 +87,11 @@ class TestAnalyzeCandidatesDirect:
         fast = ImpactAnalyzer().analyze_candidates(program, candidates, report.run)
         legacy = rerun_all(ImpactAnalyzer(), program, candidates, report.trace)
         for f, l in zip(fast, legacy):
-            assert [e.context_key() for e in f.mutated_run.trace.api_calls] == [
-                e.context_key() for e in l.mutated_run.trace.api_calls
+            assert [e.context_key() for e in f.mutated_trace.api_calls] == [
+                e.context_key() for e in l.mutated_trace.api_calls
             ]
-            assert [e.event_id for e in f.mutated_run.trace.api_calls] == [
-                e.event_id for e in l.mutated_run.trace.api_calls
+            assert [e.event_id for e in f.mutated_trace.api_calls] == [
+                e.event_id for e in l.mutated_trace.api_calls
             ]
 
     def test_unmatched_candidates_are_classified_against_phase1(self, family_programs):
@@ -102,13 +105,13 @@ class TestAnalyzeCandidatesDirect:
             (o.candidate.key, o.mechanism): o
             for o in rerun_all(ImpactAnalyzer(), program, candidates, report.trace)
         }
-        unmatched = [o for o in fast if o.mutated_run is report.run]
+        unmatched = [o for o in fast if o.mutated_trace is report.run.trace]
         assert unmatched  # conficker has such a candidate
         for outcome in unmatched:
             full = legacy[(outcome.candidate.key, outcome.mechanism)]
             assert outcome.mutation_hits == full.mutation_hits == 0
             assert outcome.immunization == full.immunization
-            run, rerun = outcome.mutated_run.trace, full.mutated_run.trace
+            run, rerun = outcome.mutated_trace, full.mutated_trace
             assert [e.context_key() for e in run.api_calls] == [
                 e.context_key() for e in rerun.api_calls
             ]
@@ -173,3 +176,25 @@ def test_capture_run_ends_at_last_candidates_first_match(family, family_programs
     assert [call for call, _ in spy.seen] == [
         (e.event_id, e.api, e.caller_pc) for e in natural[: last + 1]
     ]
+
+
+def test_analysis_leaves_no_cyclic_garbage(family_programs):
+    """An analysis is freed by reference counting alone: the capture run's
+    machine (CPU, cloned environment, snapshots) must not sit in a
+    recorder <-> CPU cycle, and impact outcomes keep traces, not machines.
+    With the cyclic GC off, nothing is left for it to find."""
+    programs = list(family_programs.values()) + [
+        s.program for s in generate_population(GeneratorConfig(size=10, seed=5))
+    ]
+    av = AutoVac()
+    gc.collect()
+    gc.disable()
+    try:
+        for program in programs:
+            analysis = av.analyze(program)
+            assert all(o.mutated_trace is not None for o in analysis.impacts)
+            del analysis
+        garbage = gc.collect()
+    finally:
+        gc.enable()
+    assert garbage == 0

@@ -194,12 +194,13 @@ class TestStackArgParity:
     """``read_stack_args`` must be bit-for-bit equivalent to repeated
     ``stack_arg`` calls — values, taints, and per-byte use records — even
     when the block read straddles region boundaries or the top of the
-    address space (where its single-region fast path must decline)."""
+    address space (where its single-region fast path must decline), and on
+    an unrecorded run over untainted memory (its value-only loop)."""
 
     N = 4
 
     @staticmethod
-    def _fill_slots(cpu, esp, n):
+    def _fill_slots(cpu, esp, n, tainted=True):
         from repro.taint.labels import EMPTY, TaintClass, TaintTag
 
         tag = frozenset({TaintTag(3, "GetTickCount", TaintClass.ENV_DETERMINISTIC)})
@@ -208,12 +209,12 @@ class TestStackArgParity:
             for j in range(4):
                 cpu.memory.write_byte(
                     (a + j) & 0xFFFFFFFF, (17 * k + j + 1) & 0xFF,
-                    tag if k % 2 else EMPTY,
+                    tag if tainted and k % 2 else EMPTY,
                 )
 
-    def _assert_parity(self, cpu, esp):
+    def _assert_parity(self, cpu, esp, tainted=True):
         cpu.regs["esp"] = esp
-        self._fill_slots(cpu, esp, self.N)
+        self._fill_slots(cpu, esp, self.N, tainted)
         cpu._uses.clear()
         slow = [cpu.stack_arg(k) for k in range(self.N)]
         slow_uses = list(cpu._uses)
@@ -222,7 +223,10 @@ class TestStackArgParity:
         assert values == [v for v, _ in slow]
         assert taints == [t for _, t in slow]
         assert list(cpu._uses) == slow_uses
-        assert any(taints) and not all(taints)  # the fixture mixed both
+        if tainted:
+            assert any(taints) and not all(taints)  # the fixture mixed both
+        else:
+            assert not any(taints) and len(taints) == self.N
 
     def test_parity_inside_one_region(self):
         cpu = run("    halt\n")
@@ -245,3 +249,20 @@ class TestStackArgParity:
         cpu.memory.map_region(0xFFFFF000, 0x1000)
         cpu.memory.map_region(0, 0x1000)
         self._assert_parity(cpu, 0xFFFFFFF4)
+
+    @pytest.mark.parametrize("layout", ["one_region", "region_boundary", "wrap"])
+    def test_parity_unrecorded_taint_free(self, layout):
+        """An unrecorded run's memory carries no taint: the value-only loop
+        (and the fallbacks it defers to) read what ``stack_arg`` reads and
+        record no uses."""
+        cpu = CPU(assemble("    halt\n"), record_instructions=False)
+        esp = STACK_TOP - 0x100
+        if layout == "region_boundary":
+            esp = STACK_TOP + 0x1000 - 8
+            cpu.memory.map_region(STACK_TOP + 0x1000, 0x1000)
+        elif layout == "wrap":
+            esp = 0xFFFFFFF4
+            cpu.memory.map_region(0xFFFFF000, 0x1000)
+            cpu.memory.map_region(0, 0x1000)
+        self._assert_parity(cpu, esp, tainted=False)
+        assert not cpu.memory._taint and cpu._uses == []
