@@ -43,7 +43,7 @@ from repro.vm import CPU, assemble
 from repro.winapi import Dispatcher
 from repro.winenv import SystemEnvironment
 
-from benchutil import min_wall_seconds, write_artifact
+from benchutil import min_wall_seconds, paired_overhead, write_artifact
 
 #: 6-instruction unpack loop body → 24k-step compute preamble.
 UNPACK_ROUNDS = 4000
@@ -163,6 +163,12 @@ def test_snapshot_speedup():
     }
 
 
+#: Paired full-rerun/snapshot rounds per family (the median ratio is the
+#: speedup), each side the best of ``SPEEDUP_REPEATS`` runs.
+SPEEDUP_PAIRS = 21
+SPEEDUP_REPEATS = 3
+
+
 def test_per_family_snapshot_speedup(family_analyses):
     """Snapshot-resume vs full rerun on the real corpus families.
 
@@ -170,7 +176,10 @@ def test_per_family_snapshot_speedup(family_analyses):
     identical outcomes — then the wall-clock claim: snapshot-resume beats
     full reruns by >=1.3x on at least two families (the crafted sample
     above pins >=2x; real families carry more API-call payload per step,
-    so the floor is lower)."""
+    so the floor is lower).  The speedup is the median of
+    ``SPEEDUP_PAIRS`` paired full-rerun/snapshot wall-time ratios
+    (:func:`benchutil.paired_overhead`: warm, alternating order, GC off
+    inside a pair); the equivalence runs warm both sides up."""
     results = {}
     with obs.disabled(), vm_superblock.overridden(False):
         for family, (program, _analysis) in sorted(family_analyses.items()):
@@ -182,21 +191,28 @@ def test_per_family_snapshot_speedup(family_analyses):
             ]
             if not candidates:
                 continue
-            legacy_s, legacy = min_wall_seconds(
-                lambda: _full_rerun(program, candidates, report.trace),
-                repeats=3,
-            )
-            snap_s, structured = min_wall_seconds(
-                lambda: ImpactAnalyzer().analyze_candidates(
+
+            def full_rerun():
+                return _full_rerun(program, candidates, report.trace)
+
+            def snapshot_resume():
+                return ImpactAnalyzer().analyze_candidates(
                     program, candidates, report.run
-                ),
-                repeats=3,
-            )
+                )
+
+            legacy = full_rerun()
+            structured = snapshot_resume()
             assert _outcome_fingerprint(structured) == _outcome_fingerprint(legacy)
+            overhead, legacy_s, snap_s, _ = paired_overhead(
+                full_rerun,
+                snapshot_resume,
+                pairs=SPEEDUP_PAIRS,
+                side_repeats=SPEEDUP_REPEATS,
+            )
             results[family] = {
                 "legacy_seconds": legacy_s,
                 "snapshot_seconds": snap_s,
-                "speedup": legacy_s / snap_s,
+                "speedup": 1.0 + overhead,
             }
 
     assert results
@@ -205,7 +221,10 @@ def test_per_family_snapshot_speedup(family_analyses):
         f: round(r["speedup"], 2) for f, r in results.items()
     }
 
-    lines = ["Per-family snapshot-resume speedup (superblocks off, best of 3):"]
+    lines = [
+        "Per-family snapshot-resume speedup (superblocks off; best times, "
+        f"median ratio of {SPEEDUP_PAIRS} pairs):"
+    ]
     for family, r in results.items():
         lines.append(
             f"  {family:<12} full rerun {r['legacy_seconds'] * 1e3:8.2f} ms"

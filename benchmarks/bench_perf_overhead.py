@@ -17,6 +17,7 @@ import pytest
 from repro import AutoVac, SystemEnvironment, VaccinePackage, deploy, obs
 from repro.core import run_sample, select_candidates
 from repro.core.determinism import analyze_determinism
+from repro.core.runner import record_prefix
 from repro.corpus import benign_suite, build_family
 from repro.delivery import DirectInjector
 from repro.taint.backward import backward_slice
@@ -46,13 +47,17 @@ def test_perf_full_pipeline_per_sample(benchmark):
 
 @pytest.mark.benchmark(group="perf-generation")
 def test_perf_backward_slicing_per_identifier(benchmark):
-    """Backward slicing cost per identifier (paper: ~214 s)."""
+    """Backward slicing cost per identifier (paper: ~214 s).
+
+    Phase I keeps no def/use records, so the records come from the same
+    prefix re-run determinism analysis makes; only the slice is timed."""
     program = build_family("conficker")
     report = select_candidates(program)
     event = next(e for e in report.trace.api_calls
                  if e.api == "OpenMutexA" and e.identifier)
+    records = record_prefix(program, report.run, event)
 
-    benchmark(lambda: backward_slice(report.trace, event, memory=report.run.cpu.memory))
+    benchmark(lambda: backward_slice(records, event, memory=report.run.cpu.memory))
 
 
 @pytest.mark.benchmark(group="perf-generation")

@@ -87,6 +87,7 @@ def explore_resource_paths(
             environment=environment,
             interceptors=[flip],
             max_steps=max_steps,
+            def_use=False,
         )
         result.runs += 1
         result.flipped_sites.append((api, caller_pc, not natural_success))

@@ -78,12 +78,17 @@ def select_candidates(
     ``taint_addresses`` enables the pointer-taint policy (see
     :class:`~repro.vm.cpu.CPU`) — catches table-lookup taint laundering at
     the cost of over-tainting.
+
+    The run tracks taint but builds no def/use records: only the tainted
+    predicates decide candidates.  Determinism analysis re-records the
+    prefix a backward slice needs (:func:`~repro.core.runner.record_prefix`).
     """
     run = run_sample(
         program,
         environment=environment,
         max_steps=max_steps,
         taint_addresses=taint_addresses,
+        def_use=False,
     )
     return analyze_trace(program.name, run)
 

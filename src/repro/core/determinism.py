@@ -27,7 +27,7 @@ from ..taint.slicing import VaccineSlice, extract_slice
 from ..tracing.events import ApiCallEvent
 from ..tracing.trace import Trace
 from ..vm.program import Program
-from .runner import RunResult
+from .runner import RunResult, record_prefix
 from .vaccine import IdentifierKind
 
 #: Minimum literal characters for a partial-static pattern to be
@@ -144,8 +144,10 @@ def _classify_identifier(
             )
         return DeterminismResult(kind=IdentifierKind.PARTIAL_STATIC, pattern=pattern)
 
-    # env-deterministic bytes, no random: algorithm-deterministic.
-    backward = backward_slice(run.trace, event, memory=run.cpu.memory)
+    # env-deterministic bytes, no random: algorithm-deterministic.  A run
+    # without def/use records (Phase I's) is re-recorded up to the event.
+    records = run.trace if run.trace.instructions else record_prefix(program, run, event)
+    backward = backward_slice(records, event, memory=run.cpu.memory)
     if backward.has_random_sources:
         # Over-approximation in byte classes; the root cause says random.
         pattern = build_pattern(event.identifier, classes)

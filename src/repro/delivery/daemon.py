@@ -167,7 +167,8 @@ class VaccineDaemon:
             elapsed = time.perf_counter() - started
             self.seconds_intercepting += elapsed
             if obs.prof.enabled:
-                obs.prof.add("rules;daemon", elapsed)
+                # Runs inside the intercepted handler: claimed from it.
+                obs.prof.add_nested("rules;daemon", elapsed)
 
     def _intercept(self, event: ApiCallEvent) -> Interception:
         self.calls_seen += 1

@@ -26,6 +26,9 @@ frames:
   - snapshot capture/resume — ``snapshot;capture`` / ``snapshot;resume``
     with the structured environment walk as ``env_snapshot`` /
     ``env_restore`` child nodes;
+  - determinism's slice re-run — ``slice_rerun`` (the whole re-run, see
+    :func:`~repro.core.runner.record_prefix`) with its own ``vm;slow`` and
+    ``api;<Name>`` children;
   - rule matching — ``rules;daemon`` / ``rules;clinic`` /
     ``rules;campaign``, one node per
     :class:`~repro.delivery.engine.RuleEngine` consumer.
@@ -45,11 +48,18 @@ Design rules (the cheap-hook contract, like metrics and flight):
 * Paths follow the collapsed/folded-stack convention, so ``to_folded()``
   output feeds ``flamegraph.pl`` / speedscope directly.
 
-Within a stage, two subtrees overlap rather than partition: ``api;*`` time
-is a refinement of part of ``vm;slow`` (API calls dispatch from the slow
-step), and ``snapshot;resume`` contains the resumed run's ``vm;*`` time.
-A node's self time is its total minus its nearest recorded descendants,
-clamped at zero.
+Each timed second is counted on one node.  Some timers run inside an
+enclosing timer whose node is not their ancestor in the tree: an API
+handler (``api;<Name>``) runs inside the ``vm;slow`` step that called it,
+and a snapshot capture (``snapshot;capture``) or the daemon's rule match
+(``rules;daemon``) inside a handler.  Such a timer records through
+:meth:`Profiler.add_nested`, and the enclosing timer subtracts what was
+recorded that way during its span, so ``vm;slow`` is step time outside
+the handlers and ``api;<Name>`` is handler time outside captures and rule
+matches.  ``snapshot;resume`` is reconstruction only: the resumed run's
+execution lands on the ``vm;*`` tiers.  A node's children therefore sum to
+at most its total, and its self time is the difference (clamped at zero
+against float rounding).
 """
 
 from __future__ import annotations
@@ -75,7 +85,7 @@ class Profiler:
     completion order cannot change the result).
     """
 
-    __slots__ = ("enabled", "prefix", "_paths")
+    __slots__ = ("enabled", "prefix", "nested", "_paths")
 
     def __init__(self) -> None:
         #: Off by default — hot-path profiling is opt-in (``repro profile``,
@@ -84,6 +94,10 @@ class Profiler:
         #: Frames :meth:`add` records under: ``""`` outside a pipeline
         #: stage, ``"pipeline.analyze;<stage>;"`` while one runs.
         self.prefix = ""
+        #: Running total of the seconds :meth:`add_nested` has recorded.  A
+        #: timer enclosing such nodes reads it at both ends of its span and
+        #: subtracts the growth from its own time.
+        self.nested = 0.0
         self._paths: ProfileDict = {}
 
     # -- collection (hot-ish; callers gate on .enabled first) ----------------
@@ -93,6 +107,15 @@ class Profiler:
         under the active stage prefix (no-op when disabled)."""
         if self.enabled:
             self.record(self.prefix + path, seconds, count)
+
+    def add_nested(self, path: str, seconds: float, count: int = 1) -> None:
+        """:meth:`add` for a timer that runs inside an enclosing timer whose
+        node is not its tree ancestor (a handler inside a slow step): the
+        seconds also grow :attr:`nested`, which the enclosing timer
+        subtracts, so they are counted once."""
+        if self.enabled:
+            self.record(self.prefix + path, seconds, count)
+            self.nested += seconds
 
     def record(self, path: str, seconds: float, count: int = 1) -> None:
         """Fold into the absolute ``path``, whether or not hot-path
@@ -158,6 +181,7 @@ class Profiler:
         ``MetricsRegistry.reset``)."""
         self._paths.clear()
         self.prefix = ""
+        self.nested = 0.0
 
     def __len__(self) -> int:
         return len(self._paths)

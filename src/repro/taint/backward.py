@@ -88,7 +88,10 @@ def backward_slice(
     if not workset:
         return result
     if not trace.instructions:
-        raise ValueError("trace has no instruction records; run with record_instructions=True")
+        raise ValueError(
+            "trace has no def/use records; re-record the run's prefix with "
+            "repro.core.runner.record_prefix(program, run, event)"
+        )
 
     # Index of the consuming API step; the walk starts just before it.
     start_idx = len(trace.instructions)

@@ -88,7 +88,6 @@ def _replay_instances(
         cpu.regs["esp"] = step.esp
         cpu.regs["ebp"] = step.ebp
         cpu.pc = step.pc
-        cpu._uses, cpu._defs = [], []
         if step.api is not None:
             dispatcher.invoke(cpu, step.api, caller_pc=step.pc, seq=i)
             continue

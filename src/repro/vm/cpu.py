@@ -1,12 +1,14 @@
 """Interpreting CPU with inline forward taint propagation.
 
 The CPU executes one :class:`Program` inside one guest process.  It is the
-DynamoRIO-replacement: on a recorded (analysis) run every step records a
-def/use :class:`~repro.tracing.events.InstructionRecord` (for backward
-slicing) and every tainted ``cmp``/``test`` records a
+DynamoRIO-replacement: on a recorded (analysis) run every tainted
+``cmp``/``test`` records a
 :class:`~repro.tracing.events.TaintedPredicateEvent` (Phase-I candidate
-signal).  An unrecorded run carries no taint and runs on the untainted fast
-and superblock tiers.  API calls trap into an injected dispatcher.
+signal), and unless the run opts out (``def_use=False``, Phase I) every step
+also records a def/use :class:`~repro.tracing.events.InstructionRecord`
+(for backward slicing).  An unrecorded run carries no taint and runs on the
+untainted fast and superblock tiers.  API calls trap into an injected
+dispatcher.
 """
 
 from __future__ import annotations
@@ -96,12 +98,17 @@ class _ProfAcc:
     per-instruction path — accumulate into plain attributes, and flush once
     into ``obs.prof`` when the run ends (same once-per-run discipline as
     ``_flush_obs``), so even profiling-on overhead stays at segment
-    granularity.
+    granularity.  Slow-step time excludes what the API handlers called from
+    those steps recorded themselves (``prof.nested``), so each second lands
+    on one node.
     """
 
-    __slots__ = ("slow_s", "slow_n", "fast_s", "fast_n", "region_s", "region_n", "regions")
+    __slots__ = (
+        "prof", "slow_s", "slow_n", "fast_s", "fast_n", "region_s", "region_n", "regions"
+    )
 
-    def __init__(self) -> None:
+    def __init__(self, prof) -> None:
+        self.prof = prof
         self.slow_s = 0.0
         self.slow_n = 0
         self.fast_s = 0.0
@@ -114,11 +121,33 @@ class _ProfAcc:
         self.regions: Dict[int, list] = {}
 
     def step(self, cpu: "CPU") -> None:
-        """One exact slow step, timed into ``vm;slow``."""
+        """One exact slow step, timed into ``vm;slow``.  A step that raises
+        (an interceptor ending the run) is timed but not counted."""
+        nested0 = self.prof.nested
         t0 = time.perf_counter()
-        cpu.step()
-        self.slow_s += time.perf_counter() - t0
+        try:
+            cpu.step()
+        finally:
+            self.slow_s += time.perf_counter() - t0 - (self.prof.nested - nested0)
         self.slow_n += 1
+
+    def run_slow(self, cpu: "CPU") -> None:
+        """A recorded run's steps, timed as one stretch into ``vm;slow``; a
+        step that raises is timed but not counted, as in :meth:`step`."""
+        nested0 = self.prof.nested
+        steps0 = cpu.steps
+        t0 = time.perf_counter()
+        interrupted = 0
+        try:
+            while cpu.status is ExitStatus.RUNNING:
+                cpu.step()
+        except BaseException:
+            # step() advances the step counter before the instruction runs.
+            interrupted = 1
+            raise
+        finally:
+            self.slow_s += time.perf_counter() - t0 - (self.prof.nested - nested0)
+            self.slow_n += cpu.steps - steps0 - interrupted
 
     def dispatch(self, cpu: "CPU", entry: int, fn: Callable):
         """One compiled-region dispatch, timed into the region's node (a
@@ -167,11 +196,17 @@ class CPU:
         Execution budget; the paper caps profiling runs at one minute, we cap
         at an instruction count.
     record_instructions:
-        Analysis run: keep per-step def/use records (for backward slicing)
-        and taint (for tainted-predicate events).  An unrecorded run is
-        taint-free — no API mints a tag — and executes on the fast tier,
-        plus compiled superblocks when ``superblocks`` (default: on outside
-        ``AutoVac.analyze``) allows.
+        Analysis run: carry taint (for tainted-predicate events) and keep
+        per-step def/use records (for backward slicing), every step on the
+        slow tier.  An unrecorded run is taint-free — no API mints a tag —
+        and executes on the fast tier, plus compiled superblocks when
+        ``superblocks`` (default: on outside ``AutoVac.analyze``) allows.
+    def_use:
+        With ``record_instructions``, ``False`` keeps the taint but builds no
+        def/use records: Phase I needs only its tainted predicates, and
+        determinism re-records the prefix it slices
+        (:func:`~repro.core.runner.record_prefix`).  Ignored on an
+        unrecorded run.
     taint_addresses:
         Pointer-taint policy (off by default, matching the paper): when on,
         a memory load's result also carries the taint of the registers used
@@ -192,6 +227,7 @@ class CPU:
         taint_addresses: bool = False,
         superblocks: Optional[bool] = None,
         superblock_threshold: Optional[int] = None,
+        def_use: bool = True,
     ) -> None:
         memory = Memory()
         program.load_into(memory)
@@ -212,6 +248,7 @@ class CPU:
             trace=trace if trace is not None else Trace(program_name=program.name),
             max_steps=max_steps,
             record_instructions=record_instructions,
+            def_use=def_use,
             taint_addresses=taint_addresses,
             superblocks=superblocks,
             superblock_threshold=superblock_threshold,
@@ -261,6 +298,7 @@ class CPU:
             trace=trace,
             max_steps=max_steps,
             record_instructions=False,
+            def_use=False,
             taint_addresses=False,
             superblocks=superblocks,
             superblock_threshold=superblock_threshold,
@@ -283,6 +321,7 @@ class CPU:
         trace: Trace,
         max_steps: int,
         record_instructions: bool,
+        def_use: bool,
         taint_addresses: bool,
         superblocks: Optional[bool],
         superblock_threshold: Optional[int],
@@ -293,9 +332,12 @@ class CPU:
         self.process = process
         self.dispatcher = dispatcher
         self.max_steps = max_steps
-        # Def/use accumulation only feeds InstructionRecords; an unrecorded
-        # run skips the per-access bookkeeping entirely.
+        #: Taint on, every step slow (the analysis tier).
         self.record_instructions = record_instructions
+        #: Per-step def/use records on.  The accumulation only feeds
+        #: InstructionRecords, so a run without them skips the per-access
+        #: bookkeeping entirely.
+        self.def_use = record_instructions and def_use
         self.taint_addresses = taint_addresses
 
         self.memory = memory
@@ -313,10 +355,13 @@ class CPU:
         self.trace = trace
         trace.program_name = program.name
 
-        # Per-step def/use accumulators (reset each step).
+        # Per-step def/use accumulators and stack pins (reset each step of
+        # a def/use run).
         self._uses: List[Tuple] = []
         self._defs: List[Tuple] = []
         self._api_step_recorded = False
+        self._step_esp = regs["esp"]
+        self._step_ebp = regs["ebp"]
         self._last_addr_taint: TagSet = EMPTY
 
         #: Predecoded (full, fast, text) handler per instruction.
@@ -355,12 +400,12 @@ class CPU:
     # ------------------------------------------------------------------
 
     def get_reg(self, name: str) -> Tuple[int, TagSet]:
-        if self.record_instructions:
+        if self.def_use:
             self._uses.append(("reg", name))
         return self.regs[name], self.reg_taint[name]
 
     def set_reg(self, name: str, value: int, taint: TagSet = EMPTY) -> None:
-        if self.record_instructions:
+        if self.def_use:
             self._defs.append(("reg", name))
         self.regs[name] = mask32(value)
         self.reg_taint[name] = taint
@@ -386,10 +431,10 @@ class CPU:
             value, taint = self.memory.read_span(addr, size)
         except MemoryFault as exc:
             # Byte-loop parity: bytes before the faulting one were used.
-            if self.record_instructions:
+            if self.def_use:
                 self._note_partial(self._uses, addr, size, exc.addr)
             raise
-        if self.record_instructions:
+        if self.def_use:
             uses = self._uses
             a0 = addr & 0xFFFFFFFF
             if a0 + size <= 0x1_0000_0000:
@@ -405,10 +450,10 @@ class CPU:
             self.memory.write_span(addr, value, size, taint)
         except MemoryFault as exc:
             # Byte-loop parity: bytes before the faulting one were written.
-            if self.record_instructions:
+            if self.def_use:
                 self._note_partial(self._defs, addr, size, exc.addr)
             raise
-        if self.record_instructions:
+        if self.def_use:
             defs = self._defs
             a0 = addr & 0xFFFFFFFF
             if a0 + size <= 0x1_0000_0000:
@@ -480,9 +525,10 @@ class CPU:
         individual :meth:`stack_arg` calls, but with a single mapped-region
         check for the whole block — the dispatcher pre-reads every declared
         argument on every API call, which made this the hottest read path
-        in API-dense samples.  An unrecorded run over untainted memory
-        (every unrecorded run: nothing mints taint there) takes a loop that
-        reads values only.  The returned lists are fresh; callers keep them."""
+        in API-dense samples.  A run without def/use records over untainted
+        memory (every unrecorded run: nothing mints taint there) takes a
+        loop that reads values only.  The returned lists are fresh; callers
+        keep them."""
         esp = self.regs["esp"]
         a0 = esp & 0xFFFFFFFF
         last = a0 + 4 * count - 1
@@ -494,7 +540,7 @@ class CPU:
                 if start <= a0 and last < end:
                     data = mem._bytes
                     tmap = mem._taint
-                    track = self.record_instructions
+                    track = self.def_use
                     if not track and not tmap:
                         get = data.get
                         values = [
@@ -551,8 +597,8 @@ class CPU:
         Three execution tiers share one exact machine model, and a run
         picks its tiers once, from ``record_instructions``:
 
-        1. ``step()`` — full slow path (taint, def/use, events); a recorded
-           run executes every instruction here;
+        1. ``step()`` — full slow path (taint, def/use records, events); a
+           recorded run executes every instruction here;
         2. ``_run_fast()`` — predecoded per-instruction loop for an
            unrecorded (taint-free) run, which takes one slow step per
            instruction without a fast form (an API call);
@@ -566,7 +612,7 @@ class CPU:
         compiled regions per dispatch.
         """
         prof = obs.prof
-        acc = _ProfAcc() if prof.enabled else None
+        acc = _ProfAcc(prof) if prof.enabled else None
         guard_exits0 = self._sb_guard_exits
         try:
             if self._allow_fast:
@@ -578,15 +624,11 @@ class CPU:
                     # The instruction the fast loop stopped at (an API
                     # call, typically) needs one full slow step.
                     step()
+            elif acc is not None:
+                acc.run_slow(self)
             else:
-                if acc is not None:
-                    t0 = time.perf_counter()
-                    steps0 = self.steps
                 while self.status is ExitStatus.RUNNING:
                     self.step()
-                if acc is not None:
-                    acc.slow_s += time.perf_counter() - t0
-                    acc.slow_n += self.steps - steps0
         finally:
             if acc is not None:
                 acc.flush(prof, self._sb_guard_exits - guard_exits0)
@@ -721,12 +763,13 @@ class CPU:
             self.fault_reason = f"pc 0x{self.pc:08x} outside .text"
             return
         full, _fast, text = self._decoded[idx]
-        if self.record_instructions:
+        def_use = self.def_use
+        if def_use:
             self._uses = []
             self._defs = []
-        self._api_step_recorded = False
-        self._step_esp = self.regs["esp"]
-        self._step_ebp = self.regs["ebp"]
+            self._api_step_recorded = False
+            self._step_esp = self.regs["esp"]
+            self._step_ebp = self.regs["ebp"]
         seq = self.steps
         pc = self.pc
         self.steps += 1
@@ -740,7 +783,7 @@ class CPU:
             # instruction that actually faulted.
             self.fault_reason = f"{exc} (pc 0x{pc:08x})"
             return
-        if self.record_instructions and not self._api_step_recorded:
+        if def_use and not self._api_step_recorded:
             self.trace.instructions.append(
                 InstructionRecord(
                     seq=seq,
@@ -811,7 +854,7 @@ class CPU:
         if cf is not None:
             self.flags["cf"] = cf
         self.flag_taint = taint
-        if self.record_instructions:
+        if self.def_use:
             self._defs.append(("flags",))
 
     def _compare(self, m: str, lhs: Operand, rhs: Operand, pc: int, seq: int, text: str) -> None:
@@ -855,7 +898,7 @@ class CPU:
     def _jump(self, cond: Optional[Callable[[dict], bool]], target: Operand) -> None:
         """``cond`` is ``None`` for ``jmp``, else the flags predicate."""
         if cond is not None:
-            if self.record_instructions:
+            if self.def_use:
                 self._uses.append(("flags",))
             if not cond(self.flags):
                 return
@@ -878,26 +921,26 @@ class CPU:
     # ------------------------------------------------------------------
 
     def note_use(self, location: Tuple) -> None:
-        if self.record_instructions:
+        if self.def_use:
             self._uses.append(location)
 
     def note_def(self, location: Tuple) -> None:
-        if self.record_instructions:
+        if self.def_use:
             self._defs.append(location)
 
     def record_api_step(self, seq: int, pc: int, text: str, event_id: int) -> None:
-        """Append the API pseudo-instruction's def/use record."""
-        if self.record_instructions:
-            self.trace.instructions.append(
-                InstructionRecord(
-                    seq=seq,
-                    pc=pc,
-                    text=text,
-                    defs=tuple(self._defs),
-                    uses=tuple(self._uses),
-                    api_event_id=event_id,
-                    esp=getattr(self, "_step_esp", self.regs["esp"]),
-                    ebp=getattr(self, "_step_ebp", self.regs["ebp"]),
-                )
+        """Append the API pseudo-instruction's def/use record (the
+        dispatcher calls this on def/use runs only)."""
+        self.trace.instructions.append(
+            InstructionRecord(
+                seq=seq,
+                pc=pc,
+                text=text,
+                defs=tuple(self._defs),
+                uses=tuple(self._uses),
+                api_event_id=event_id,
+                esp=self._step_esp,
+                ebp=self._step_ebp,
             )
+        )
         self._api_step_recorded = True

@@ -23,9 +23,10 @@ class ApiContext:
     The helpers serve recorded and unrecorded runs alike: guest bytes move
     through the memory's block accessors (each equivalent to a byte loop,
     fault order included), and the byte-level def/use records a backward
-    slice needs are appended only when ``cpu.record_instructions`` is set.
-    Taint is minted only there too (:meth:`mint_tag`), so on an unrecorded
-    run every tag the helpers see is empty."""
+    slice needs are appended only when ``cpu.def_use`` is set.  Taint is
+    minted only on a recorded run (``cpu.record_instructions``,
+    :meth:`mint_tag`), so on an unrecorded run every tag the helpers see is
+    empty."""
 
     __slots__ = (
         "cpu",
@@ -127,7 +128,7 @@ class ApiContext:
             # A bogus guest pointer is the API's problem, not the host's:
             # real APIs validate and fail gracefully.
             return "", []
-        if self.cpu.record_instructions:
+        if self.cpu.def_use:
             self.cpu._uses.extend(("mem", addr + i) for i in range(len(raw_text) + 1))
         if raw_text.isascii():
             # One byte per character: byte taints are character taints.
@@ -174,7 +175,7 @@ class ApiContext:
         else:
             byte_taints.append(EMPTY)  # the terminator is untainted
             self.cpu.memory.write_bytes_tainted(addr, data, byte_taints)
-        if self.cpu.record_instructions:
+        if self.cpu.def_use:
             self.cpu._defs.extend(("mem", addr + i) for i in range(len(data)))
 
     def read_u32(self, addr: int) -> int:
@@ -186,13 +187,13 @@ class ApiContext:
 
     def read_buffer(self, addr: int, size: int) -> bytes:
         data = self.cpu.memory.read_bytes(addr, size)
-        if self.cpu.record_instructions:
+        if self.cpu.def_use:
             self.cpu._uses.extend(("mem", addr + i) for i in range(size))
         return data
 
     def write_buffer(self, addr: int, data: bytes, taint: TagSet = EMPTY) -> None:
         self.cpu.memory.write_bytes(addr, data, taint)
-        if self.cpu.record_instructions:
+        if self.cpu.def_use:
             self.cpu._defs.extend(("mem", addr + i) for i in range(len(data)))
 
     def read_buffer_taints(self, addr: int, size: int) -> List[TagSet]:

@@ -98,12 +98,17 @@ class Dispatcher:
         handler (or the forced outcome), then set ``eax``, last-error and
         the stdcall stack pop.
 
-        Recorded and unrecorded runs share this one path.  The work only a
-        recorded run consumes — minting taint, the register def/use records
-        of ``eax``/``esp``, the API pseudo-step's ``InstructionRecord`` —
-        sits behind ``cpu.record_instructions``.  An unrecorded run is
-        taint-free, so it writes ``eax`` and the stack pop straight into
+        Recorded and unrecorded runs share this one path.  Minting taint
+        sits behind ``cpu.record_instructions``; the register def/use
+        records of ``eax``/``esp`` and the API pseudo-step's
+        ``InstructionRecord`` sit behind ``cpu.def_use``.  A run without
+        def/use records writes ``eax`` and the stack pop straight into
         ``cpu.regs``.
+
+        Under profiling the handler's time goes to ``api;<Name>``, less what
+        nested timers (a snapshot capture, the daemon's rule match) recorded
+        themselves, and is claimed from the slow step that called it (see
+        :mod:`repro.obs.prof`).
         """
         apidef = REGISTRY.get(name)
         if apidef is None:
@@ -111,7 +116,9 @@ class Dispatcher:
             # not a host error.
             raise CpuFault(f"unknown API {name!r}; is repro.winapi imported?") from None
         prof = self._prof
-        t_start = time.perf_counter() if prof is not None else 0.0
+        if prof is not None:
+            nested0 = prof.nested
+            t_start = time.perf_counter()
         args_seconds = 0.0
         trace = cpu.trace
         event_id = trace.next_event_id()
@@ -175,7 +182,8 @@ class Dispatcher:
         elif not ctx.explicit_last_error:
             ctx.set_last_error(0, EMPTY)
 
-        if record:
+        def_use = cpu.def_use
+        if def_use:
             # Return value in eax, tainted per the label.
             cpu.set_reg("eax", retval, union(tag, ctx.retval_taint))
             # stdcall: callee pops its arguments.
@@ -185,7 +193,9 @@ class Dispatcher:
         else:
             regs = cpu.regs
             regs["eax"] = retval & 0xFFFFFFFF
-            cpu.reg_taint["eax"] = ctx.retval_taint or EMPTY
+            cpu.reg_taint["eax"] = (
+                union(tag, ctx.retval_taint) if tag else ctx.retval_taint or EMPTY
+            )
             if apidef.stack_pop:
                 regs["esp"] = (regs["esp"] + apidef.stack_pop) & 0xFFFFFFFF
 
@@ -199,10 +209,8 @@ class Dispatcher:
             event.extra.update(ctx.extra)
         if obs.flight.enabled:
             self._flight_record(event, tag, verdict, hit)
-        if record:
+        if def_use:
             cpu.record_api_step(seq=seq, pc=caller_pc, text=f"call @{name}", event_id=event_id)
-        else:
-            cpu._api_step_recorded = True
         if prof is not None:
             # Handler total; the argument pre-read is split out as a child so
             # the handler node's *self* time is its body cost.
@@ -212,7 +220,8 @@ class Dispatcher:
                     f"api;{name}",
                     f"api;{name};read_args",
                 )
-            prof.add(paths[0], time.perf_counter() - t_start)
+            elapsed = time.perf_counter() - t_start
+            prof.add_nested(paths[0], elapsed - (prof.nested - nested0))
             if args_seconds:
                 prof.add(paths[1], args_seconds)
 

@@ -11,15 +11,23 @@ way metrics snapshots already are.
 from __future__ import annotations
 
 import json
+import time
 
 import pytest
 
-from repro import AutoVac, obs
+from repro import AutoVac, SystemEnvironment, obs
 from repro.cli import main as cli_main
 from repro.core.executor import PipelineConfig, analyze_population
 from repro.core.report import render_report
 from repro.core.stages import ImpactStage
-from repro.corpus import GeneratorConfig, build_family, generate_population
+from repro.corpus import (
+    FAMILIES,
+    GeneratorConfig,
+    all_families,
+    build_family,
+    generate_population,
+)
+from repro.delivery.daemon import VaccineDaemon
 from repro.obs.prof import (
     Profiler,
     merge_profiles,
@@ -29,6 +37,8 @@ from repro.obs.prof import (
     to_tree,
 )
 from repro.tracing import serialize
+from repro.vm.cpu import CPU
+from repro.winapi.dispatcher import Dispatcher
 
 
 @pytest.fixture(autouse=True)
@@ -44,6 +54,23 @@ def _clean_prof():
 def counts(profile):
     """The deterministic projection of a profile: path -> count."""
     return {path: cell[0] for path, cell in profile.items()}
+
+
+def overflowing_nodes(profile):
+    """Nodes whose children's totals sum to more than the node's own total,
+    beyond the rounding ``to_tree`` applies (1 ns per value)."""
+    bad = []
+
+    def walk(nodes):
+        for node in nodes:
+            children = node["children"]
+            below = sum(child["total_seconds"] for child in children)
+            if below > node["total_seconds"] + 1e-9 * (len(children) + 1):
+                bad.append((node["path"], below, node["total_seconds"]))
+            walk(children)
+
+    walk(to_tree(profile))
+    return bad
 
 
 # ---------------------------------------------------------------------------
@@ -98,6 +125,19 @@ class TestProfilerCore:
         p.add("x", 1.0)
         p.reset()
         assert p.enabled and len(p) == 0
+
+    def test_add_nested_records_and_grows_the_claim(self):
+        p = Profiler()
+        p.add_nested("api;X", 1.0)
+        assert len(p) == 0 and p.nested == 0.0  # disabled: no-op
+        p.enabled = True
+        p.prefix = "stage;"
+        p.add_nested("api;X", 0.25)
+        p.add_nested("api;X", 0.5)
+        assert p.snapshot() == {"stage;api;X": [2, 0.75]}
+        assert p.nested == 0.75
+        p.reset()
+        assert p.nested == 0.0
 
 
 class TestExportFormats:
@@ -186,6 +226,39 @@ class TestPipelineCollection:
         assert any(p.endswith(";read_args") for p in paths)
         assert "pipeline.analyze;impact;snapshot;capture;env_snapshot" in paths
         assert "pipeline.analyze;impact;snapshot;resume;env_restore" in paths
+
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_children_never_exceed_their_node(self, family):
+        """Each timed second is counted once: a handler's time is not also
+        in the slow step that called it, nor a capture's in its handler."""
+        with obs.profiled():
+            analysis = AutoVac().analyze(build_family(family))
+        assert overflowing_nodes(analysis.profile) == []
+
+    def test_host_run_counts_each_second_once(self):
+        """On a protected host the daemon's rule match runs inside the
+        handler, which runs inside the slow step: the root nodes (``vm``,
+        ``api``, ``rules``) share out the runs' wall time."""
+        analyses = [AutoVac().analyze(p) for p in all_families()]
+        daemon = VaccineDaemon(vaccines=[v for a in analyses for v in a.vaccines])
+        host = SystemEnvironment()
+        daemon.install(host)
+        obs.prof.reset()
+        wall = 0.0
+        with obs.profiled():
+            for program in all_families():
+                env = host.clone()
+                process = env.spawn_process(f"{program.name}.exe")
+                dispatcher = Dispatcher(env, process, interceptors=env.global_interceptors)
+                cpu = CPU(program, env, process, dispatcher, record_instructions=False)
+                started = time.perf_counter()
+                cpu.run()
+                wall += time.perf_counter() - started
+        profile = obs.prof.snapshot()
+        assert daemon.calls_seen and "rules;daemon" in profile
+        roots = to_tree(profile)
+        assert {node["name"] for node in roots} == {"api", "rules", "vm"}
+        assert sum(node["total_seconds"] for node in roots) <= wall
 
     def test_profile_off_analysis_has_only_stage_cells(self):
         analysis = AutoVac().analyze(build_family("sality"))
