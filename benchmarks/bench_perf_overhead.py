@@ -350,3 +350,65 @@ def test_instrumentation_overhead(case):
         "paired alternating-order ratios, best of 2 per side)\n",
     )
     assert overhead <= budget
+
+
+def test_instrumentation_overhead_flight_steady():
+    """``flight_steady`` — the journal in a long-lived process: a 48-sample
+    population slice (seed 42) analyzed with nothing reset between
+    samples, against the same slice with the flight recorder reset before
+    every sample.  A recorder that kept analysis events past their
+    sample's window would grow here and make every collection walk them,
+    so each side runs with the collector on (``paired_overhead`` turns it
+    off around a pair).  Only the recorder is reset on the baseline side:
+    ``obs.reset()`` also drops the metric handles and the timing tree,
+    which costs that side more than a retained journal would cost the
+    other.  Budget 5%."""
+    import gc
+
+    from repro.corpus import GeneratorConfig, generate_population
+
+    budget = 0.05
+    programs = [
+        s.program for s in generate_population(GeneratorConfig(size=48, seed=42))
+    ]
+    autovac = AutoVac()
+
+    @contextmanager
+    def collector_on():
+        gc.enable()
+        try:
+            yield
+        finally:
+            gc.disable()
+
+    def steady():
+        with collector_on():
+            for program in programs:
+                result = autovac.analyze(program)
+        return result
+
+    def reset_per_sample():
+        with collector_on():
+            for program in programs:
+                obs.flight.reset()
+                autovac.analyze(program)
+
+    obs.reset()
+    # Warm up with as many samples as one 240-sample population pass, so
+    # the recorder starts in the state a survey leaves it in.
+    for _ in range(5):
+        steady()
+    reset_per_sample()
+    overhead, a_s, b_s, result = paired_overhead(steady, reset_per_sample)
+    assert result.journal is not None and len(result.journal) > 0
+    assert obs.flight.window is None and not obs.flight.outside_window()
+    write_artifact(
+        "flight_steady_overhead.txt",
+        "flight-recorder journal in steady state (48-sample population "
+        "slice, seed 42)\n"
+        f"{'no reset between samples:':<40} {a_s * 1000:.2f} ms\n"
+        f"{'recorder reset before every sample:':<40} {b_s * 1000:.2f} ms\n"
+        f"overhead: {overhead:+.2%}  (budget: <={budget:.0%}; median of 11 "
+        "paired alternating-order ratios, best of 2 per side, collector on)\n",
+    )
+    assert overhead <= budget

@@ -315,8 +315,8 @@ def cmd_profile(args: argparse.Namespace) -> int:
 def _explain_failure(args, program, exc) -> int:
     """``repro explain`` on a sample whose analysis died (the executor
     would have quarantined it as a :class:`SampleFailure`): print the
-    failure record and whatever partial journal the flight recorder holds
-    instead of an unhandled traceback."""
+    failure record and the partial journal the analysis left open instead
+    of an unhandled traceback."""
     import json as _json
 
     from .core.faults import InjectedHang
@@ -329,7 +329,9 @@ def _explain_failure(args, program, exc) -> int:
         error_type=type(exc).__name__,
         message=str(exc),
     )
-    partial = obs.flight.events()
+    # The failed analysis never closed its window: close it and take it.
+    window = obs.flight.end_sample(obs.flight.window)
+    partial = window.events if window is not None else []
     print(f"{program.name}: analysis failed — no SampleAnalysis to explain")
     print(f"  {failure.describe()}")
     if partial:

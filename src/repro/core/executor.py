@@ -553,28 +553,20 @@ def analyze_population(
             time.sleep(backoff * (2 ** (attempt - 1)))
         return True
 
-    # Decoded analyses (cache hits, worker payloads) carry journals recorded
-    # in another process/run; their events are re-recorded into this
-    # process's flight recorder in *input order* — not completion order — so
-    # ``obs.flight.events()`` is identical for any jobs/cache combination.
-    # Quarantine events follow, also in input order.
-    adopt_indices: List[int] = []
-
+    # Every analysis carries its own journal (decoded ones through the
+    # codec), so the recorder gets only the quarantine events, outside any
+    # sample window and in *input order* — not completion order — so they
+    # are identical for any jobs/cache combination.
     def finalize_flight() -> None:
-        for i in sorted(adopt_indices):
-            analysis = results[i]
-            if analysis is not None and analysis.journal is not None:
-                obs.flight.adopt(analysis.journal)
-        if obs.flight.enabled:
-            for i in sorted(failures_by_index):
-                f = failures_by_index[i]
-                obs.flight.record(
-                    "sample.failed",
-                    sample=f.sample,
-                    failure_kind=f.kind,
-                    error=f.error_type,
-                    attempts=f.attempts,
-                )
+        for i in sorted(failures_by_index):
+            f = failures_by_index[i]
+            obs.flight.record(
+                "sample.failed",
+                sample=f.sample,
+                failure_kind=f.kind,
+                error=f.error_type,
+                attempts=f.attempts,
+            )
 
     def assemble() -> PopulationResult:
         finalize_flight()
@@ -601,7 +593,6 @@ def analyze_population(
         if isinstance(entry, SampleAnalysis):
             emit("cache.hit", sample=program.name, index=i, negative=False)
             finish(i, entry)
-            adopt_indices.append(i)
             # Cached profiles were collected in another run/process; fold
             # them in like worker payloads (the jobs=1 in-process path never
             # absorbs — its deltas are already in the global profiler).
@@ -629,16 +620,14 @@ def analyze_population(
                 try:
                     if plan:
                         plan.raise_inline(i, program.name, attempt)
-                    # Analyzed live in this process: the recorder already
-                    # holds the events, so no adoption pass is needed.
                     analysis = local.analyze(program)
                 except Exception as exc:
-                    # Drop the failed attempt's cells, as a jobs=N run drops
-                    # the failed worker's payload: same tree for any jobs.
+                    # Drop the failed attempt's cells and partial journal, as
+                    # a jobs=N run drops the failed worker's payload: same
+                    # tree and out-of-window events for any jobs.
                     obs.prof.restore(prof_mark)
+                    obs.flight.end_sample(None)
                     kind = "timeout" if isinstance(exc, InjectedHang) else "crash"
-                    # Retried in place, so the live flight journal stays in
-                    # input order.
                     if not attempt_failed(
                         i, attempt, kind, type(exc).__name__, str(exc), _tb_summary(exc)
                     ):
@@ -742,7 +731,6 @@ def analyze_population(
                     obs.metrics.merge(snapshot)
                     obs.prof.absorb(analysis.profile)
                     finish(task.index, analysis, task.attempt)
-                    adopt_indices.append(task.index)
                     suspects.discard(task.index)
 
             if broken_tasks:

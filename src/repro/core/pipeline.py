@@ -320,6 +320,8 @@ class AutoVac:
             # already written has its root.
             seconds = time.perf_counter() - started
             obs.prof.record(ANALYZE_PATH, seconds)
+        # Reached only on success: a stage that raised left the window open
+        # for `repro explain` to print, and the next begin_sample drops it.
         analysis.journal = obs.flight.end_sample(journal_token)
         analysis.profile = obs.prof.since(prof_mark)
         obs.metrics.counter("pipeline.samples").inc()

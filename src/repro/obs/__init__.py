@@ -8,9 +8,9 @@ this package is the instrumentation substrate those measurements come from:
   with labels; JSON + Prometheus text exporters (:mod:`repro.obs.metrics`);
 * :func:`get_logger` — structured key=value stdlib logging, enabled via the
   ``REPRO_LOG`` environment variable (:mod:`repro.obs.log`);
-* :data:`flight` — bounded flight recorder journaling analysis-causal
-  events into a per-sample provenance DAG (:mod:`repro.obs.flight`),
-  rendered by ``repro explain``;
+* :data:`flight` — flight recorder journaling analysis-causal events
+  into one provenance DAG per sample (:mod:`repro.obs.flight`), rendered
+  by ``repro explain``;
 * :data:`prof` — the one timing tree (:mod:`repro.obs.prof`): wall time
   and counts per path, rooted at ``pipeline.analyze`` and its stages
   (always recorded; ``SampleAnalysis.timings`` reads them), refined by
@@ -39,14 +39,7 @@ from typing import Dict, Iterator
 
 from . import ledger
 from .export import load, render_prometheus, render_stats, snapshot, write_json
-from .flight import (
-    MAX_FLIGHT_EVENTS,
-    FlightEvent,
-    FlightRecorder,
-    Journal,
-    render_chain,
-    summarize_event,
-)
+from .flight import FlightEvent, FlightRecorder, Journal, render_chain, summarize_event
 from .ledger import LedgerFold, ProgressView, RunTelemetry
 from .log import configure as configure_logging
 from .log import get_logger
@@ -117,7 +110,6 @@ __all__ = [
     "Histogram",
     "Journal",
     "LedgerFold",
-    "MAX_FLIGHT_EVENTS",
     "MAX_LABEL_SETS",
     "MetricsRegistry",
     "Profiler",

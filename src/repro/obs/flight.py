@@ -1,4 +1,4 @@
-"""Flight recorder: a bounded journal of analysis-causal events.
+"""Flight recorder: one journal of analysis-causal events per sample.
 
 ``repro.obs`` answers *how fast* (metrics, the timing tree); this module
 answers *why* — which API interception seeded the taint that reached which
@@ -11,13 +11,18 @@ originating API call (``repro explain``).
 Design constraints (mirroring the rest of ``repro.obs``):
 
 * one process-global :class:`FlightRecorder` lives at ``obs.flight``;
-  recording is a single ``enabled`` check plus a deque append — the
+  recording is a single ``enabled`` check plus a list append — the
   interpreter fast path never touches it, and emission sites on warmer
   paths (the API dispatcher, tainted predicates) guard on
   ``flight.enabled`` before building attrs;
-* the buffer is a ring (:data:`MAX_FLIGHT_EVENTS`): a runaway sample drops
-  the *oldest* events and counts them in ``recorder.dropped`` instead of
-  growing without bound;
+* an event goes straight into the open sample's :class:`Journal`, whose ids
+  count from 0, so a sample journals identically wherever (and in whichever
+  worker process) it is analyzed; ``end_sample`` hands that journal back
+  as it is;
+* an event recorded while no window is open (the daemon's
+  ``policy.violation`` on host runs, the executor's ``sample.failed``) goes
+  to a small bounded log (:data:`MAX_FLIGHT_EVENTS`) that drops the
+  *oldest* events and counts them in ``recorder.dropped``;
 * cross-layer correlation goes through ``remember(key, id)`` /
   ``recall(key)`` with **first-wins** semantics: trace event ids restart
   per run (the phase-1 run, the snapshot-capture run, and every resumed
@@ -25,9 +30,8 @@ Design constraints (mirroring the rest of ``repro.obs``):
   phase-1 timeline canonical — the capture run reproduces a prefix of it
   identically and resumed runs re-execute the interception call with the same rewound
   event id, so the first binding is the right one;
-* worker journals ship inside the versioned ``SampleAnalysis`` codec and
-  are re-filed into the parent recorder via :meth:`FlightRecorder.adopt`
-  (id-remapped), as ``Profiler.absorb`` folds their profiles.
+* worker and cache-hit journals travel inside the versioned
+  ``SampleAnalysis`` codec; the parent keeps no copy of them.
 """
 
 from __future__ import annotations
@@ -35,11 +39,9 @@ from __future__ import annotations
 from collections import deque
 from typing import Dict, Iterable, List, Optional, Tuple
 
-#: Ring-buffer capacity of the process-global recorder.  Sized for a full
-#: survey shard (a family sample journals a few dozen events; population
-#: runs re-begin the window per sample, so the ring only has to hold the
-#: current sample plus adopted history).
-MAX_FLIGHT_EVENTS = 16_384
+#: Capacity of the out-of-window log (events recorded while no sample
+#: window is open).
+MAX_FLIGHT_EVENTS = 1_024
 
 
 class FlightEvent:
@@ -138,16 +140,17 @@ class Journal:
 
 
 class FlightRecorder:
-    """Process-global bounded event journal. Lives at ``obs.flight``."""
+    """Process-global event journal. Lives at ``obs.flight``."""
 
     def __init__(self, capacity: int = MAX_FLIGHT_EVENTS) -> None:
         self.enabled = True
+        #: Out-of-window events the bounded log has pushed out.
         self.dropped = 0
-        self._events: deque = deque(maxlen=capacity)
-        self._next_id = 0
+        #: The open sample's journal (None between samples).
+        self.window: Optional[Journal] = None
+        self._outside: deque = deque(maxlen=capacity)
         #: Cross-layer correlation map; see module docstring (first-wins).
         self._corr: Dict[tuple, int] = {}
-        self._sample: Optional[str] = None
 
     # -- recording ---------------------------------------------------------
 
@@ -161,14 +164,19 @@ class FlightRecorder:
         """
         if not self.enabled:
             return None
-        return self._append(kind, tuple(c for c in causes if c is not None), attrs)
-
-    def _append(self, kind: str, causes: Tuple[int, ...], attrs: Dict[str, object]) -> int:
-        event_id = self._next_id
-        self._next_id += 1
-        if len(self._events) == self._events.maxlen:
+        causes = tuple(c for c in causes if c is not None)
+        window = self.window
+        if window is not None:
+            events = window.events
+            event_id = len(events)
+            events.append(FlightEvent(event_id, kind, causes, attrs))
+            return event_id
+        # Out-of-window ids count every such event since the last reset.
+        outside = self._outside
+        event_id = self.dropped + len(outside)
+        if len(outside) == outside.maxlen:
             self.dropped += 1
-        self._events.append(FlightEvent(event_id, kind, causes, attrs))
+        outside.append(FlightEvent(event_id, kind, causes, attrs))
         return event_id
 
     def remember(self, key: tuple, event_id: Optional[int]) -> None:
@@ -181,77 +189,37 @@ class FlightRecorder:
 
     # -- per-sample windows ------------------------------------------------
 
-    def begin_sample(self, sample: str) -> Optional[int]:
-        """Open a journal window; returns the window token for
-        :meth:`end_sample` (None while disabled).  Clears the correlation
-        map: keys never leak across samples."""
+    def begin_sample(self, sample: str) -> Optional[Journal]:
+        """Open a fresh journal window for ``sample`` and return it as the
+        token for :meth:`end_sample` (None while disabled).  Discards a
+        window a failed analysis left open and clears the correlation map:
+        nothing leaks across samples."""
         if not self.enabled:
             return None
         self._corr.clear()
-        self._sample = sample
-        return self._next_id
+        self.window = Journal(sample, [])
+        return self.window
 
-    def end_sample(self, token: Optional[int]) -> Optional[Journal]:
-        """Close the window opened at ``token``; returns that window's
-        :class:`Journal` (None when disabled or the recorder was toggled
-        off mid-window).
-
-        Journal ids are rebased to start at 0: the same sample journals
-        identically no matter where in a population run (or in which worker
-        process) it was analyzed, so encoded payloads — and the cache
-        entries built from them — are deterministic."""
+    def end_sample(self, token: Optional[Journal]) -> Optional[Journal]:
+        """Close the open window and return ``token``, the journal
+        :meth:`begin_sample` opened (None when disabled or the recorder was
+        toggled off mid-window).  ``end_sample(None)`` just closes it."""
+        self.window = None
         if token is None or not self.enabled:
-            self._sample = None
             return None
-        window: List[FlightEvent] = []
-        for event in reversed(self._events):
-            if event.event_id < token:
-                break
-            window.append(event)
-        window.reverse()
-        events = [
-            FlightEvent(
-                event_id=e.event_id - token,
-                kind=e.kind,
-                causes=tuple(c - token for c in e.causes if c >= token),
-                attrs=dict(e.attrs),
-            )
-            for e in window
-        ]
-        journal = Journal(self._sample or "", events)
-        self._sample = None
-        return journal
-
-    # -- merging -----------------------------------------------------------
-
-    def adopt(self, journal: Optional[Journal]) -> None:
-        """Re-file a journal's events (e.g. decoded from a worker process)
-        under fresh local ids, remapping intra-journal cause edges.  Causes
-        pointing outside the journal are dropped — they referenced worker
-        state that did not ship."""
-        if journal is None or not self.enabled:
-            return
-        mapping: Dict[int, int] = {}
-        for event in journal.events:
-            # _append, not record(**attrs): attr keys are free-form and may
-            # shadow record()'s own parameter names (e.g. "causes").
-            mapping[event.event_id] = self._append(
-                event.kind,
-                tuple(mapping[c] for c in event.causes if c in mapping),
-                dict(event.attrs),
-            )
+        return token
 
     # -- housekeeping ------------------------------------------------------
 
-    def events(self) -> List[FlightEvent]:
-        return list(self._events)
+    def outside_window(self) -> List[FlightEvent]:
+        """Events recorded while no sample window was open, oldest first."""
+        return list(self._outside)
 
     def reset(self) -> None:
-        self._events.clear()
+        self._outside.clear()
         self._corr.clear()
-        self._next_id = 0
         self.dropped = 0
-        self._sample = None
+        self.window = None
 
 
 # ---------------------------------------------------------------------------

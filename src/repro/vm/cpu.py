@@ -614,6 +614,7 @@ class CPU:
         prof = obs.prof
         acc = _ProfAcc(prof) if prof.enabled else None
         guard_exits0 = self._sb_guard_exits
+        raised = True
         try:
             if self._allow_fast:
                 step = self.step if acc is None else partial(acc.step, self)
@@ -629,14 +630,17 @@ class CPU:
             else:
                 while self.status is ExitStatus.RUNNING:
                     self.step()
+            raised = False
         finally:
             if acc is not None:
                 acc.flush(prof, self._sb_guard_exits - guard_exits0)
+            # Also when an interceptor ends the run by raising (impact's
+            # capture run, determinism's slice re-run): it executed too.
+            self._flush_obs(raised)
         self.trace.exit_status = self.status.value
         self.trace.steps = self.steps
         if self.process is not None and self.process.exit_code is not None:
             self.trace.exit_code = self.process.exit_code
-        self._flush_obs()
         return self.trace
 
     def _run_fast(self, acc: Optional[_ProfAcc]) -> None:
@@ -711,12 +715,14 @@ class CPU:
                 acc.fast_s += elapsed - (acc.region_s - region_s0)
                 acc.fast_n += (self.steps - steps0) - (acc.region_n - region_n0)
 
-    def _flush_obs(self) -> None:
+    def _flush_obs(self, raised: bool = False) -> None:
         """Report run totals into the metrics registry.
 
         The per-instruction loop stays uninstrumented (every added branch
         there is ~1% interpreter overhead); counts the interpreter already
         keeps are flushed once per run instead — the cheap-hook contract.
+        A ``raised`` run stopped inside a slow step that never finished;
+        like the profile tree, the totals leave that step out.
         """
         metrics = obs.metrics
         if not metrics.enabled:
@@ -725,17 +731,17 @@ class CPU:
         # the registry generation (same scheme as Dispatcher.flush_obs).
         cache = _VM_FLUSH_CACHE
         cache.refresh(metrics)
-        status = self.status.value
+        status = "interrupted" if raised else self.status.value
         runs = cache.runs.get(status)
         if runs is None:
             runs = cache.runs[status] = metrics.counter("vm.runs", status=status)
-        executed = self.steps - self._steps_at_start
+        executed = self.steps - self._steps_at_start - raised
         cache.instructions.inc(executed)
         runs.inc()
         cache.api_calls.inc(len(self.trace.api_calls) - self._events_at_start)
         cache.tainted_predicates.inc(len(self.trace.predicates) - self._predicates_at_start)
         # Steps that avoided the slow path (fast loop + superblocks).
-        cache.fast_steps.inc(executed - self._slow_steps)
+        cache.fast_steps.inc(executed - (self._slow_steps - raised))
         sb = self._superblocks
         if sb is not None:
             cache.sb_compiled.inc(sb.compiled - self._sb_compiled_base)

@@ -125,6 +125,30 @@ class TestExplainCommand:
         out = capsys.readouterr().out
         assert "decision(s) to explain" in out
 
+    def test_explain_failure_shows_only_the_failed_samples_journal(
+        self, capsys, monkeypatch, tmp_path
+    ):
+        # An earlier analysis in the same process must not leak into the
+        # partial journal of a sample whose analysis dies mid-way.
+        import json
+
+        from repro.core.stages import ImpactStage
+
+        assert main(["explain", "zeus"]) == 0
+
+        def boom(self, ctx):
+            raise RuntimeError("impact stage exploded")
+
+        monkeypatch.setattr(ImpactStage, "run", boom)
+        path = tmp_path / "partial.json"
+        assert main(["explain", "conficker", "--json", str(path)]) == 1
+        out = capsys.readouterr().out
+        assert "RuntimeError" in out and "partial journal" in out
+        events = json.loads(path.read_text())["journal"]["events"]
+        assert events and [e["id"] for e in events] == list(range(len(events)))
+        assert not any("zeus" in json.dumps(e).lower() for e in events)
+        assert any(e["kind"] == "candidate" for e in events)
+
 
 class TestStatsCommand:
     def test_corrupt_snapshot_names_file_and_reason(self, tmp_path):

@@ -143,7 +143,7 @@ class TestInlineFailures:
         analyze_population(
             programs[:3], config=fast_config(sample_retries=0), jobs=1, faults=plan
         )
-        events = [e for e in obs.flight.events() if e.kind == "sample.failed"]
+        events = [e for e in obs.flight.outside_window() if e.kind == "sample.failed"]
         assert len(events) == 1
         attrs = events[0].attrs
         assert attrs["sample"] == programs[1].name

@@ -18,6 +18,8 @@ from repro import obs
 from repro.cli import main
 from repro.core import AutoVac
 from repro.core.executor import PipelineConfig, analyze_population
+from repro.core.faults import FaultPlan
+from repro.core.stages import ImpactStage
 from repro.corpus import GeneratorConfig, build_family, generate_population
 from repro.obs import FlightRecorder, Journal, render_chain, summarize_event
 from repro.obs.flight import FlightEvent
@@ -40,7 +42,7 @@ class TestRecorder:
         a = rec.record("x")
         b = rec.record("y", causes=(a, None), note="hi")
         assert (a, b) == (0, 1)
-        events = rec.events()
+        events = rec.outside_window()
         assert events[1].causes == (a,)
         assert events[1].attrs == {"note": "hi"}
 
@@ -50,14 +52,20 @@ class TestRecorder:
         assert rec.record("x") is None
         assert rec.begin_sample("s") is None
         assert rec.end_sample(None) is None
-        assert rec.events() == []
+        assert rec.outside_window() == []
 
     def test_ring_drops_oldest_and_counts(self):
+        # Only the out-of-window log is bounded; a sample's journal is not.
         rec = FlightRecorder(capacity=4)
         for i in range(6):
             rec.record("e", i=i)
         assert rec.dropped == 2
-        assert [e.attrs["i"] for e in rec.events()] == [2, 3, 4, 5]
+        assert [e.attrs["i"] for e in rec.outside_window()] == [2, 3, 4, 5]
+        token = rec.begin_sample("s")
+        for i in range(6):
+            rec.record("w", i=i)
+        assert len(rec.end_sample(token)) == 6
+        assert rec.dropped == 2
 
     def test_remember_is_first_wins(self):
         rec = FlightRecorder()
@@ -66,7 +74,7 @@ class TestRecorder:
         rec.remember(("k",), b)
         assert rec.recall(("k",)) == a
 
-    def test_end_sample_rebases_ids_to_zero(self):
+    def test_window_ids_start_at_zero(self):
         rec = FlightRecorder()
         rec.record("noise")  # pre-window event
         token = rec.begin_sample("s")
@@ -76,35 +84,35 @@ class TestRecorder:
         assert [e.event_id for e in journal.events] == [0, 1]
         assert journal.events[1].causes == (0,)
         assert journal.sample == "s"
+        # The pre-window event stays out of the journal, and events after
+        # the window closes go to the out-of-window log.
+        rec.record("after")
+        assert [e.kind for e in journal.events] == ["root", "child"]
+        assert [e.kind for e in rec.outside_window()] == ["noise", "after"]
+
+    def test_begin_sample_discards_a_stale_window(self):
+        rec = FlightRecorder()
+        rec.begin_sample("failed")  # an analysis that raised never closes it
+        rec.record("partial")
+        token = rec.begin_sample("next")
+        rec.record("fresh")
+        journal = rec.end_sample(token)
+        assert journal.sample == "next"
+        assert [(e.event_id, e.kind) for e in journal.events] == [(0, "fresh")]
+        assert rec.window is None and rec.outside_window() == []
+
+    def test_end_sample_returns_none_when_toggled_off_mid_window(self):
+        rec = FlightRecorder()
+        token = rec.begin_sample("s")
+        rec.enabled = False
+        assert rec.end_sample(token) is None
+        assert rec.window is None
 
     def test_begin_sample_clears_correlation_keys(self):
         rec = FlightRecorder()
         rec.remember(("stale",), rec.record("x"))
         rec.begin_sample("s")
         assert rec.recall(("stale",)) is None
-
-    def test_adopt_remaps_ids_and_drops_foreign_causes(self):
-        rec = FlightRecorder()
-        rec.record("local")  # occupy id 0 so remapping is visible
-        journal = Journal(
-            "w",
-            [
-                FlightEvent(0, "a"),
-                FlightEvent(1, "b", causes=(0, 99)),  # 99 not in journal
-            ],
-        )
-        rec.adopt(journal)
-        events = rec.events()
-        assert [e.kind for e in events] == ["local", "a", "b"]
-        assert events[2].causes == (events[1].event_id,)
-
-    def test_adopt_survives_reserved_attr_names(self):
-        # Attr keys are free-form; "kind"/"causes" must not collide with
-        # record()'s own parameters during adoption.
-        rec = FlightRecorder()
-        journal = Journal("w", [FlightEvent(0, "verdict", attrs={"kind": "static"})])
-        rec.adopt(journal)
-        assert rec.events()[0].attrs == {"kind": "static"}
 
     def test_ancestors_walks_the_dag_inclusive(self):
         journal = Journal(
@@ -240,18 +248,23 @@ class TestExecutorMerge:
             for s in generate_population(GeneratorConfig(size=self.SIZE, seed=9))
         ]
 
-    def _run(self, jobs):
+    def _run(self, jobs, cache=None, faults=None):
         obs.reset()
         result = analyze_population(
-            self._programs(), config=PipelineConfig(), jobs=jobs
+            self._programs(),
+            config=PipelineConfig(sample_retries=0),
+            jobs=jobs,
+            cache=cache,
+            faults=faults,
         )
         journals = [
             a.journal.to_dict() for a in result.analyses if a.journal is not None
         ]
-        recorder = [
-            (e.kind, e.causes, e.attrs) for e in obs.flight.events()
-        ]
-        return journals, recorder
+        # Analysis events live only in the returned journals; the recorder
+        # keeps the quarantine records, outside any sample window.
+        assert obs.flight.window is None
+        outside = [(e.kind, e.attrs) for e in obs.flight.outside_window()]
+        return journals, outside
 
     def test_parallel_journals_match_sequential(self):
         seq_journals, _ = self._run(jobs=1)
@@ -259,10 +272,36 @@ class TestExecutorMerge:
         assert len(seq_journals) == self.SIZE
         assert par_journals == seq_journals
 
-    def test_parallel_adoption_is_input_ordered(self):
-        _, first = self._run(jobs=2)
-        _, second = self._run(jobs=2)
-        assert first and first == second
+    def test_journals_and_failures_match_across_jobs_and_cache(self, tmp_path):
+        plan = FaultPlan.parse("crash:1,crash:4")
+        cache = tmp_path / "cache"
+        reference = self._run(jobs=1, faults=plan)
+        journals, outside = reference
+        assert len(journals) == self.SIZE - 2
+        programs = self._programs()
+        assert [(kind, attrs["sample"]) for kind, attrs in outside] == [
+            ("sample.failed", programs[1].name),
+            ("sample.failed", programs[4].name),
+        ]
+        assert self._run(jobs=2, faults=plan) == reference
+        assert self._run(jobs=2, cache=cache, faults=plan) == reference  # cold
+        assert self._run(jobs=1, cache=cache, faults=plan) == reference  # warm
+
+    def test_failed_analysis_leaves_no_open_window(self, monkeypatch):
+        # A stage that raises mid-analysis leaves its partial journal open;
+        # the executor closes it, so the quarantine record lands outside.
+        def boom(self, ctx):
+            raise RuntimeError("impact stage exploded")
+
+        monkeypatch.setattr(ImpactStage, "run", boom)
+        programs = [build_family("conficker")]
+        obs.reset()
+        result = analyze_population(
+            programs, config=PipelineConfig(sample_retries=0), jobs=1
+        )
+        assert [f.sample for f in result.failures] == ["conficker"]
+        assert obs.flight.window is None
+        assert [e.kind for e in obs.flight.outside_window()] == ["sample.failed"]
 
 
 # ---------------------------------------------------------------------------

@@ -247,6 +247,24 @@ class TestPipelineIntegration:
         assert obs.metrics.total("vm.tainted_predicates") > 0
         assert obs.metrics.value("pipeline.samples") == 1
 
+    def test_runs_ended_by_raising_are_counted(self):
+        # Impact's capture run and determinism's slice re-run end when an
+        # interceptor raises; their steps and calls still reach the metrics,
+        # so the totals agree with the profile tree's counts.
+        with obs.profiled():
+            analysis = AutoVac().analyze(build_family("conficker"))
+
+        def count(parent):
+            return sum(
+                n for path, (n, _s) in analysis.profile.items()
+                if path.split(";")[-2:-1] == [parent]
+            )
+
+        assert obs.metrics.total("vm.instructions") == count("vm")
+        assert obs.metrics.total("vm.api_calls") == count("api")
+        assert obs.metrics.total("winapi.calls") == count("api")
+        assert obs.metrics.value("vm.runs", status="interrupted") > 0
+
     def test_analysis_without_span_has_empty_timings(self):
         from repro.core.pipeline import SampleAnalysis
 

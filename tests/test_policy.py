@@ -399,7 +399,7 @@ class TestPolicyEnforcement:
         )
         assert daemon.policy_violations > 0
         violations = [
-            e for e in obs.flight.events() if e.kind == "policy.violation"
+            e for e in obs.flight.outside_window() if e.kind == "policy.violation"
         ]
         assert violations
         summary = summarize_event(violations[0])
