@@ -6,8 +6,6 @@ import os
 import time
 from pathlib import Path
 
-from repro import obs
-
 ARTIFACTS = Path(__file__).parent / "_artifacts"
 ARTIFACTS.mkdir(exist_ok=True)
 
@@ -21,16 +19,6 @@ POPULATION_CACHE = os.environ.get("REPRO_CACHE") or None
 
 def write_artifact(name: str, text: str) -> None:
     (ARTIFACTS / name).write_text(text)
-
-
-def metric_total(name: str) -> float:
-    """Sum of a counter family in the global ``repro.obs`` registry — benches
-    report what the instrumentation already counted instead of re-counting."""
-    return obs.metrics.total(name)
-
-
-def metric_value(name: str, **labels) -> float:
-    return obs.metrics.value(name, **labels)
 
 
 def min_wall_seconds(fn, repeats: int = 5):

@@ -18,14 +18,13 @@ Three alignment strategies are provided:
   pair) is stripped in linear time, and only the divergent middle pays the
   diff cost, proportional to the edit distance D instead of ``n*m``.
 
-The pipeline uses the Myers aligner by default and vaccine verification
-always does.  LCS and Algorithm 1 stay selectable (``AutoVac``'s
-``aligner``, ``PipelineConfig.aligner`` by name), and the
-alignment-granularity ablation bench diffs with LCS.  Note LCS-maximal
-alignments are not unique: when a delta can be attributed to either side,
-``align_myers`` and ``align_lcs`` may pick different (equally maximal)
-difference sets, but they always agree on ``is_identical`` and on the
-number of aligned pairs.
+Impact analysis and vaccine verification align with Myers.  Algorithm 1
+and LCS stay as plain functions: LCS is the reference the property tests
+check Myers against, and the alignment-granularity ablation bench diffs
+with it.  Note LCS-maximal alignments are not unique: when a delta can be
+attributed to either side, ``align_myers`` and ``align_lcs`` may pick
+different (equally maximal) difference sets, but they always agree on
+``is_identical`` and on the number of aligned pairs.
 """
 
 from __future__ import annotations

@@ -25,8 +25,8 @@ worker processes and ``--cache DIR`` makes an interrupted survey resumable
 (already-analyzed samples are served from the content-addressed result
 cache).  ``--metrics`` captures the run's
 observability snapshot (``repro.obs``: the timing tree rooted at
-``pipeline.analyze`` and its stages, per-API counters, VM instruction
-counts) to a JSON file; ``stats`` pretty-prints such a file or re-emits it
+``pipeline.analyze`` and its stages, and the per-sample counters) to a
+JSON file; ``stats`` pretty-prints such a file or re-emits it
 as Prometheus text.  ``explain`` re-analyzes one sample with the
 flight recorder on and prints, per vaccine, the causal chain of journal
 events that led to it (mutation, divergence, verdicts, back to the original

@@ -70,7 +70,6 @@ from pathlib import Path
 from typing import Deque, Dict, Iterable, List, Optional, Set, Tuple, Union
 
 from .. import obs
-from ..analysis.alignment import align_lcs, align_linear, align_myers
 from ..obs.ledger import ProgressView, RunTelemetry, pid_alive
 from ..tracing import serialize
 from ..vm.program import Program
@@ -79,9 +78,6 @@ from .pipeline import AutoVac, PopulationResult, SampleAnalysis, SampleFailure
 from .runner import DEFAULT_BUDGET
 
 _log = obs.get_logger("executor")
-
-#: Aligner registry — configs name the aligner so they stay picklable.
-ALIGNERS = {"lcs": align_lcs, "linear": align_linear, "myers": align_myers}
 
 #: PipelineConfig fields that change how a survey *runs*, not what a
 #: sample's analysis contains — excluded from the cache fingerprint so
@@ -109,7 +105,6 @@ class PipelineConfig:
 
     profile_budget: int = DEFAULT_BUDGET
     explore_paths: bool = False
-    aligner: str = "myers"
     #: Collect hot-path profiles (``obs.prof``) during analysis.  Part of
     #: the cache fingerprint — not an execution knob — because it changes
     #: what the encoded payload *contains* (hot-path cells in the
@@ -125,14 +120,7 @@ class PipelineConfig:
     retry_backoff: float = 0.05
 
     def build(self) -> AutoVac:
-        try:
-            aligner = ALIGNERS[self.aligner]
-        except KeyError:
-            raise ValueError(
-                f"unknown aligner {self.aligner!r} (have: {sorted(ALIGNERS)})"
-            ) from None
         return AutoVac(
-            aligner=aligner,
             profile_budget=self.profile_budget,
             explore_paths=self.explore_paths,
         )
@@ -159,25 +147,16 @@ def config_for(autovac: AutoVac) -> PipelineConfig:
     """Derive the worker recipe from an existing pipeline instance.
 
     Raises :class:`ValueError` for setups a worker cannot reproduce from a
-    config alone (clinic programs, custom aligner callables, custom stage
-    lists, a caller-supplied analysis machine or search engine) — those run
-    sequentially via ``jobs=1``.  A config also keys the result cache, so
-    the same setups cannot use one either.
+    config alone (clinic programs, custom stage lists, a caller-supplied
+    analysis machine or search engine) — those run sequentially via
+    ``jobs=1``.  A config also keys the result cache, so the same setups
+    cannot use one either.
     """
     if autovac.custom_setup:
         raise ValueError(
             "cannot parallelize or cache: a custom analysis machine or search "
             "engine does not ship to workers or into the cache key; run with "
             "jobs=1 and no cache"
-        )
-    aligner_name = next(
-        (name for name, fn in ALIGNERS.items() if fn is autovac.impact.aligner), None
-    )
-    if aligner_name is None:
-        raise ValueError(
-            "cannot parallelize or cache: a custom aligner callable does not "
-            "ship to workers or into the cache key; use aligner='lcs'/'linear' "
-            "via PipelineConfig, or run with jobs=1 and no cache"
         )
     if autovac.clinic_programs:
         raise ValueError(
@@ -197,7 +176,6 @@ def config_for(autovac: AutoVac) -> PipelineConfig:
     return PipelineConfig(
         profile_budget=autovac.profile_budget,
         explore_paths=autovac.explore_paths,
-        aligner=aligner_name,
         profile=obs.prof.enabled,
     )
 
@@ -789,7 +767,6 @@ def analyze_population(
 
 
 __all__ = [
-    "ALIGNERS",
     "PipelineConfig",
     "ResultCache",
     "analyze_population",

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, List, Optional, Sequence, Set, Tuple
 
 from .. import obs
-from ..analysis.alignment import Aligner, AlignmentResult, align_myers
+from ..analysis.alignment import AlignmentResult, align_myers
 from ..tracing.events import ApiCallEvent
 from ..tracing.trace import Trace
 from ..vm.program import Program
@@ -116,11 +116,11 @@ class ImpactAnalyzer:
     def __init__(
         self,
         environment: Optional[SystemEnvironment] = None,
-        aligner: Aligner = align_myers,
         max_steps: int = DEFAULT_BUDGET,
     ) -> None:
         self.environment = environment
-        self.aligner = aligner
+        #: Held per instance, so one analyzer's aligner can be wrapped.
+        self.aligner = align_myers
         self.max_steps = max_steps
 
     def analyze(

@@ -19,7 +19,6 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .. import obs
-from ..analysis.alignment import Aligner, align_myers
 from ..obs import Journal
 from ..search.engine import SearchEngine
 from ..vm import superblock as vm_superblock
@@ -261,9 +260,10 @@ class AutoVac:
     """The AUTOVAC analysis system.
 
     Parameters mirror the paper's setup: a pristine analysis machine, the
-    search engine for exclusiveness, the trace aligner, and the profiling
-    budget (1-minute analogue).  The clinic test runs when
-    ``clinic_programs`` is non-empty.
+    search engine for exclusiveness, and the profiling budget (1-minute
+    analogue); traces are aligned with
+    :func:`~repro.analysis.alignment.align_myers`.  The clinic test runs
+    when ``clinic_programs`` is non-empty.
 
     ``stages`` makes the pipeline order explicit and reorderable: pass a
     sequence of :class:`~repro.core.stages.Stage` objects to replace the
@@ -276,7 +276,6 @@ class AutoVac:
         self,
         environment: Optional[SystemEnvironment] = None,
         search_engine: Optional[SearchEngine] = None,
-        aligner: Aligner = align_myers,
         profile_budget: int = DEFAULT_BUDGET,
         clinic_programs: Sequence[Program] = (),
         explore_paths: bool = False,
@@ -290,7 +289,6 @@ class AutoVac:
         self.exclusiveness = ExclusivenessAnalyzer(search=search_engine or SearchEngine())
         self.impact = ImpactAnalyzer(
             environment=self.environment,
-            aligner=aligner,
             max_steps=profile_budget,
         )
         self.profile_budget = profile_budget

@@ -5,7 +5,10 @@ generation time, per-identifier slicing time, daemon hook overhead <4.5%);
 this package is the instrumentation substrate those measurements come from:
 
 * :data:`metrics` — process-local registry of counters/gauges/histograms
-  with labels; JSON + Prometheus text exporters (:mod:`repro.obs.metrics`);
+  with labels; JSON + Prometheus text exporters (:mod:`repro.obs.metrics`).
+  It holds per-sample and per-survey facts; per-run VM and API counts stay
+  in the trace, the journal and the timing tree (only the VM tier
+  counters perfbench reads are still flushed once per run);
 * :func:`get_logger` — structured key=value stdlib logging, enabled via the
   ``REPRO_LOG`` environment variable (:mod:`repro.obs.log`);
 * :data:`flight` — flight recorder journaling analysis-causal events

@@ -64,9 +64,9 @@ def load(path) -> Dict[str, object]:
 def render_stats(
     data: Dict[str, object], max_depth: int = 6, top: Optional[int] = None
 ) -> str:
-    """Human-readable summary of a snapshot: counters/gauges table, a VM
-    execution-tier digest, histogram summaries, then the profile tree
-    (``max_depth`` frames deep, ``top`` widest nodes per level)."""
+    """Human-readable summary of a snapshot: counters/gauges table,
+    histogram summaries, then the profile tree (``max_depth`` frames deep,
+    ``top`` widest nodes per level; VM tiers are its ``vm;`` nodes)."""
     metrics: Dict[str, Dict] = data.get("metrics", {})  # type: ignore[assignment]
     lines: List[str] = []
 
@@ -89,11 +89,6 @@ def render_stats(
     if scalars:
         lines.append("== counters / gauges ==")
         lines.extend(scalars)
-    tiers = _render_vm_tiers(metrics)
-    if tiers:
-        lines.append("")
-        lines.append("== vm execution tiers ==")
-        lines.extend(tiers)
     if histograms:
         lines.append("")
         lines.append("== histograms ==")
@@ -105,36 +100,6 @@ def render_stats(
         lines.append("== profile ==")
         lines.append(render_tree(profile, max_depth=max_depth, top=top).rstrip("\n"))
     return "\n".join(lines) + "\n"
-
-
-def _metric_total(metrics: Dict[str, Dict], name: str) -> float:
-    family = metrics.get(name)
-    if not family:
-        return 0.0
-    return sum(series.get("value", 0.0) for series in family.get("series", []))
-
-
-def _render_vm_tiers(metrics: Dict[str, Dict]) -> List[str]:
-    """Digest of the three-tier interpreter counters (PR 8): how many steps
-    avoided the slow path, and what the superblock compiler did."""
-    instructions = _metric_total(metrics, "vm.instructions")
-    if not instructions:
-        return []
-    fast = _metric_total(metrics, "vm.fast_steps")
-    share = 100.0 * fast / instructions
-    lines = [
-        f"  instructions {instructions:>14,.0f}",
-        f"  fast+superblock steps {fast:>5,.0f} ({share:.1f}% off the slow path)",
-    ]
-    compiled = _metric_total(metrics, "vm.superblocks.compiled")
-    entries = _metric_total(metrics, "vm.superblocks.entries")
-    guard_exits = _metric_total(metrics, "vm.superblocks.guard_exits")
-    if compiled or entries or guard_exits:
-        lines.append(
-            f"  superblocks: {compiled:,.0f} compiled, {entries:,.0f} entries, "
-            f"{guard_exits:,.0f} guard exits"
-        )
-    return lines
 
 
 def render_prometheus(data: Dict[str, object]) -> str:

@@ -44,47 +44,27 @@ class CpuFault(Exception):
 class _VmFlushCache:
     """Counter handles reused by ``CPU._flush_obs`` across runs.
 
-    Keyed on the obs registry generation the same way as
-    ``Dispatcher._FlushCache``: ``obs.reset()`` bumps ``metrics.generation``
-    and discards the counter families these handles point into, so a
-    generation mismatch drops every handle.
+    Keyed on the obs registry generation: ``obs.reset()`` bumps
+    ``metrics.generation`` and discards the counter families these handles
+    point into, so a generation mismatch drops every handle.
     """
 
-    __slots__ = (
-        "generation",
-        "instructions",
-        "api_calls",
-        "tainted_predicates",
-        "fast_steps",
-        "sb_compiled",
-        "sb_entries",
-        "sb_guard_exits",
-        "runs",
-    )
+    __slots__ = ("generation", "fast_steps", "sb_compiled", "sb_entries", "sb_guard_exits")
 
     def __init__(self) -> None:
         self.generation = -1
-        self.instructions = None
-        self.api_calls = None
-        self.tainted_predicates = None
         self.fast_steps = None
         self.sb_compiled = None
         self.sb_entries = None
         self.sb_guard_exits = None
-        #: status value -> vm.runs counter handle.
-        self.runs: dict = {}
 
     def refresh(self, metrics) -> None:
         if self.generation != metrics.generation:
             self.generation = metrics.generation
-            self.instructions = metrics.counter("vm.instructions")
-            self.api_calls = metrics.counter("vm.api_calls")
-            self.tainted_predicates = metrics.counter("vm.tainted_predicates")
             self.fast_steps = metrics.counter("vm.fast_steps")
             self.sb_compiled = metrics.counter("vm.superblocks.compiled")
             self.sb_entries = metrics.counter("vm.superblocks.entries")
             self.sb_guard_exits = metrics.counter("vm.superblocks.guard_exits")
-            self.runs = {}
 
 
 _VM_FLUSH_CACHE = _VmFlushCache()
@@ -366,12 +346,10 @@ class CPU:
 
         #: Predecoded (full, fast, text) handler per instruction.
         self._decoded = decoded_program(program)
-        #: Steps/events already accounted before this CPU started (0 for a
-        #: fresh run; the snapshot's prefix for a resumed one) — so
-        #: ``_flush_obs`` reports only what *this* CPU executed.
+        #: Steps already taken before this CPU started (0 for a fresh run;
+        #: the snapshot's prefix for a resumed one) — so ``_flush_obs``
+        #: reports only what *this* CPU executed.
         self._steps_at_start = steps
-        self._events_at_start = len(trace.api_calls)
-        self._predicates_at_start = len(trace.predicates)
         # The run's tier, chosen once: an unrecorded run carries no taint,
         # so it takes the fast loop and compiled regions; a recorded run
         # takes exact slow steps throughout.
@@ -614,7 +592,6 @@ class CPU:
         prof = obs.prof
         acc = _ProfAcc(prof) if prof.enabled else None
         guard_exits0 = self._sb_guard_exits
-        raised = True
         try:
             if self._allow_fast:
                 step = self.step if acc is None else partial(acc.step, self)
@@ -630,13 +607,12 @@ class CPU:
             else:
                 while self.status is ExitStatus.RUNNING:
                     self.step()
-            raised = False
         finally:
             if acc is not None:
                 acc.flush(prof, self._sb_guard_exits - guard_exits0)
             # Also when an interceptor ends the run by raising (impact's
             # capture run, determinism's slice re-run): it executed too.
-            self._flush_obs(raised)
+            self._flush_obs()
         self.trace.exit_status = self.status.value
         self.trace.steps = self.steps
         if self.process is not None and self.process.exit_code is not None:
@@ -715,41 +691,29 @@ class CPU:
                 acc.fast_s += elapsed - (acc.region_s - region_s0)
                 acc.fast_n += (self.steps - steps0) - (acc.region_n - region_n0)
 
-    def _flush_obs(self, raised: bool = False) -> None:
-        """Report run totals into the metrics registry.
+    def _flush_obs(self) -> None:
+        """Report the run's tier counters into the metrics registry.
 
-        The per-instruction loop stays uninstrumented (every added branch
-        there is ~1% interpreter overhead); counts the interpreter already
-        keeps are flushed once per run instead — the cheap-hook contract.
-        A ``raised`` run stopped inside a slow step that never finished;
-        like the profile tree, the totals leave that step out.
+        Only ``vm.fast_steps`` and ``vm.superblocks.*`` remain, and only
+        until perfbench (the repo benchmark) reads them from the timing tree;
+        every other per-run count lives in the trace, the journal or the
+        profile tree.  The per-instruction loop stays uninstrumented: the
+        counts the interpreter already keeps are flushed once per run.  A
+        slow step an interceptor ended by raising counts as slow, so it
+        never lands in ``vm.fast_steps``.
         """
         metrics = obs.metrics
         if not metrics.enabled:
             return
-        # Handles are cached across runs and dropped when obs.reset() bumps
-        # the registry generation (same scheme as Dispatcher.flush_obs).
         cache = _VM_FLUSH_CACHE
         cache.refresh(metrics)
-        status = "interrupted" if raised else self.status.value
-        runs = cache.runs.get(status)
-        if runs is None:
-            runs = cache.runs[status] = metrics.counter("vm.runs", status=status)
-        executed = self.steps - self._steps_at_start - raised
-        cache.instructions.inc(executed)
-        runs.inc()
-        cache.api_calls.inc(len(self.trace.api_calls) - self._events_at_start)
-        cache.tainted_predicates.inc(len(self.trace.predicates) - self._predicates_at_start)
         # Steps that avoided the slow path (fast loop + superblocks).
-        cache.fast_steps.inc(executed - (self._slow_steps - raised))
+        cache.fast_steps.inc(self.steps - self._steps_at_start - self._slow_steps)
         sb = self._superblocks
         if sb is not None:
             cache.sb_compiled.inc(sb.compiled - self._sb_compiled_base)
             cache.sb_entries.inc(self._sb_entries)
             cache.sb_guard_exits.inc(self._sb_guard_exits)
-        flush = getattr(self.dispatcher, "flush_obs", None)
-        if flush is not None:
-            flush(self.trace.api_calls[self._events_at_start:])
 
     def terminate(self, exit_code: int = 0) -> None:
         """Called by ExitProcess-style APIs."""

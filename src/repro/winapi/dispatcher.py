@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import enum
 import time
-from collections import Counter
 from typing import Iterable, List, Optional, Protocol
 
 from .. import obs
@@ -46,21 +45,6 @@ class Interceptor(Protocol):
         ...  # pragma: no cover
 
 
-class _FlushCache:
-    """Counter handles reused across flush_obs() calls.
-
-    Keyed by the registry generation: ``obs.reset()`` discards the families
-    these handles point into, so a generation mismatch drops the cache."""
-
-    __slots__ = ("generation", "handles")
-
-    def __init__(self) -> None:
-        self.generation = -1
-        self.handles: dict = {}
-
-
-_FLUSH_CACHE = _FlushCache()
-
 #: api name -> ("api;Name", "api;Name;read_args").  Interned once: the
 #: profiled invoke() path must not pay string formatting per call.
 _API_PROF_PATHS: dict = {}
@@ -78,13 +62,10 @@ class Dispatcher:
         self.env = environment
         self.process = process
         self.interceptors: List[Interceptor] = list(interceptors or [])
-        # Observability is sampled once per dispatcher (== once per guest
-        # run).  The invoke() hot path records nothing extra: per-API
-        # counters are derived from the event log in flush_obs() at end of
-        # run (the cheap-hook rule — the trace already has every field).
-        self._obs_enabled = obs.metrics.enabled
         # Hot-path profiler handle, or None: invoke() pays exactly one
-        # attribute load when profiling is off.
+        # attribute load when profiling is off.  Nothing else counts calls:
+        # the trace holds every call and the profile tree counts them per
+        # handler (``api;<Name>``).
         self._prof = obs.prof if obs.prof.enabled else None
 
     def add_interceptor(self, interceptor: Interceptor) -> None:
@@ -279,50 +260,6 @@ class Dispatcher:
         # First-wins: the phase-1 run's binding is canonical (capture and
         # resumed runs replay the same event ids — see repro.core.snapshot).
         flight.remember(("api", event.event_id), flight_id)
-
-    def flush_obs(self, api_calls: Iterable[ApiCallEvent]) -> None:
-        """Publish per-API call counts into the metrics registry — the
-        §VI-B / Figure 3 accounting the paper derives from its DynamoRIO
-        hook log.  Called once per guest run (see ``CPU._flush_obs``) with
-        the run's event log; aggregation happens here, off the hot path,
-        through a generation-checked handle cache (registry label lookups
-        are ~10x a dict get, and the label universe is small and stable)."""
-        if not self._obs_enabled:
-            return
-        counts = Counter(
-            (e.api, e.success, e.resource_type, e.operation, e.mutated)
-            for e in api_calls
-        )
-        metrics = obs.metrics
-        cache = _FLUSH_CACHE
-        if cache.generation != metrics.generation:
-            cache.generation = metrics.generation
-            cache.handles = {}
-        handles = cache.handles
-        for key, n in counts.items():
-            triple = handles.get(key)
-            if triple is None:
-                name, success, rtype, op, mutated = key
-                triple = (
-                    metrics.counter(
-                        "winapi.calls",
-                        api=name,
-                        outcome="success" if success else "failure",
-                    ),
-                    metrics.counter(
-                        "winapi.resource_ops", resource=rtype.value, operation=op.value
-                    )
-                    if rtype is not None and op is not None
-                    else None,
-                    metrics.counter("winapi.intercepted", api=name) if mutated else None,
-                )
-                handles[key] = triple
-            calls, resource_ops, intercepted = triple
-            calls.inc(n)
-            if resource_ops is not None:
-                resource_ops.inc(n)
-            if intercepted is not None:
-                intercepted.inc(n)
 
     # ------------------------------------------------------------------
 

@@ -343,11 +343,6 @@ class TestConfigPlumbing:
         }
         assert mutexes == {"Global\\OTHER-HOST-77-3a062d"}
 
-    def test_config_for_rejects_custom_aligner(self):
-        autovac = AutoVac(aligner=lambda a, b: None)
-        with pytest.raises(ValueError, match="aligner"):
-            config_for(autovac)
-
     def test_config_for_rejects_reparameterized_stage(self):
         """Stage lists compare by value: a default-typed list whose
         exclusiveness stage lets everything through must not ship the
@@ -364,10 +359,6 @@ class TestConfigPlumbing:
         autovac = AutoVac(explore_paths=True, profile_budget=12_345)
         cfg = config_for(autovac)
         assert cfg == PipelineConfig(profile_budget=12_345, explore_paths=True)
-
-    def test_unknown_aligner_name_raises(self):
-        with pytest.raises(ValueError, match="unknown aligner"):
-            PipelineConfig(aligner="nope").build()
 
 
 def test_build_fleet_package_matches_direct_analysis(programs):

@@ -143,7 +143,9 @@ class TestLogging:
 
 class TestExporters:
     def _populate(self):
-        obs.metrics.counter("winapi.calls", api="OpenMutexA", outcome="success").inc(7)
+        obs.metrics.counter(
+            "daemon.calls_matched", resource="mutex", mechanism="simulate_presence"
+        ).inc(7)
         obs.metrics.gauge("campaign.infected").set(3)
         obs.metrics.histogram("pipeline.analyze_seconds").observe(0.02)
         obs.prof.record("pipeline.analyze", 0.02)
@@ -155,7 +157,7 @@ class TestExporters:
         written = obs.export_json(path)
         loaded = obs.load(path)
         assert loaded == json.loads(json.dumps(written))
-        calls = loaded["metrics"]["winapi.calls"]
+        calls = loaded["metrics"]["daemon.calls_matched"]
         assert calls["kind"] == "counter"
         assert calls["series"][0]["value"] == 7
         assert loaded["profile"] == {
@@ -172,8 +174,11 @@ class TestExporters:
     def test_prometheus_text(self):
         self._populate()
         text = obs.metrics.to_prometheus()
-        assert "# TYPE repro_winapi_calls counter" in text
-        assert 'repro_winapi_calls_total{api="OpenMutexA",outcome="success"} 7' in text
+        assert "# TYPE repro_daemon_calls_matched counter" in text
+        assert (
+            'repro_daemon_calls_matched_total{mechanism="simulate_presence",'
+            'resource="mutex"} 7' in text
+        )
         assert "repro_campaign_infected 3" in text
         assert "repro_pipeline_analyze_seconds_count 1" in text
         assert 'le="+Inf"' in text
@@ -190,7 +195,7 @@ class TestExporters:
     def test_render_stats_text(self):
         self._populate()
         text = obs.render_stats(obs.export_snapshot())
-        assert "winapi.calls{api=OpenMutexA,outcome=success}" in text
+        assert "daemon.calls_matched{mechanism=simulate_presence,resource=mutex}" in text
         assert "== profile ==" in text
         (phase1,) = [line for line in text.splitlines() if "phase1" in line]
         assert phase1.startswith("  phase1")  # one level below the root
@@ -241,29 +246,39 @@ class TestPipelineIntegration:
 
     def test_dispatcher_and_vm_counters_populate(self):
         AutoVac().analyze(build_family("conficker"))
-        assert obs.metrics.total("winapi.calls") > 0
-        assert obs.metrics.total("winapi.resource_ops") > 0
-        assert obs.metrics.total("vm.instructions") > 0
-        assert obs.metrics.total("vm.tainted_predicates") > 0
+        assert obs.metrics.total("vm.fast_steps") > 0
         assert obs.metrics.value("pipeline.samples") == 1
+
+    def test_default_analysis_writes_only_these_families(self):
+        # Per-run counts live in the trace, the journal and the timing
+        # tree; the registry holds per-sample facts and the tier counters
+        # perfbench reads.  A per-run copy creeping back shows up here.
+        AutoVac().analyze(build_family("conficker"))
+        assert set(obs.metrics.snapshot()) == {
+            "pipeline.analyze_seconds",
+            "pipeline.policies",
+            "pipeline.samples",
+            "pipeline.vaccines",
+            "runner.instructions_skipped",
+            "runner.resumes",
+            "vm.fast_steps",
+            "vm.superblocks.compiled",
+            "vm.superblocks.entries",
+            "vm.superblocks.guard_exits",
+        }
 
     def test_runs_ended_by_raising_are_counted(self):
         # Impact's capture run and determinism's slice re-run end when an
-        # interceptor raises; their steps and calls still reach the metrics,
-        # so the totals agree with the profile tree's counts.
+        # interceptor raises; their fast steps still reach the metrics, so
+        # the total agrees with the profile tree's ``vm;fast`` counts.
         with obs.profiled():
             analysis = AutoVac().analyze(build_family("conficker"))
-
-        def count(parent):
-            return sum(
-                n for path, (n, _s) in analysis.profile.items()
-                if path.split(";")[-2:-1] == [parent]
-            )
-
-        assert obs.metrics.total("vm.instructions") == count("vm")
-        assert obs.metrics.total("vm.api_calls") == count("api")
-        assert obs.metrics.total("winapi.calls") == count("api")
-        assert obs.metrics.value("vm.runs", status="interrupted") > 0
+        fast = sum(
+            n for path, (n, _s) in analysis.profile.items()
+            if path.endswith(";vm;fast")
+        )
+        assert fast > 0
+        assert obs.metrics.total("vm.fast_steps") == fast
 
     def test_analysis_without_span_has_empty_timings(self):
         from repro.core.pipeline import SampleAnalysis
@@ -279,7 +294,7 @@ class TestPipelineIntegration:
         # The stage cells are part of the result; no hot-path cell is.
         assert all(path.count(";") <= 1 for path in analysis.profile)
         assert "impact" in analysis.timings
-        assert obs.metrics.total("vm.instructions") == 0
+        assert obs.metrics.total("vm.fast_steps") == 0
 
     def test_campaign_gauges(self):
         from repro.campaign import Fleet, simulate_outbreak
@@ -318,21 +333,20 @@ class TestCliMetrics:
         path = tmp_path / "m.json"
         assert main(["analyze", "conficker", "--metrics", str(path)]) == 0
         data = obs.load(path)
-        # Acceptance: per-stage cells, per-API counters, VM instruction counts.
+        # Acceptance: per-stage cells and the VM tier counters.
         profile = data["profile"]
         assert profile["pipeline.analyze"][0] == 1
         for stage in ("phase1", "exclusiveness", "impact", "determinism", "policy"):
             assert profile[f"pipeline.analyze;{stage}"][0] == 1
         assert "pipeline.analyze;clinic" not in profile  # no clinic programs
-        assert any(k.startswith("winapi.calls") for k in data["metrics"])
-        assert data["metrics"]["vm.instructions"]["series"][0]["value"] > 0
+        assert data["metrics"]["vm.fast_steps"]["series"][0]["value"] > 0
 
         capsys.readouterr()
         assert main(["stats", str(path)]) == 0
         out = capsys.readouterr().out
         assert "pipeline.analyze" in out and "phase1" in out
         assert main(["stats", str(path), "--prom"]) == 0
-        assert "repro_vm_instructions_total" in capsys.readouterr().out
+        assert "repro_vm_fast_steps_total" in capsys.readouterr().out
 
     def test_survey_metrics(self, tmp_path, capsys):
         from repro.cli import main

@@ -145,12 +145,6 @@ class TestPipelineControls:
         timing = analyses["zeus"].timings
         assert {"phase1", "exclusiveness", "impact", "determinism"} <= set(timing)
 
-    def test_linear_aligner_also_works(self, family_programs):
-        from repro.analysis import align_linear
-
-        analysis = AutoVac(aligner=align_linear).analyze(family_programs["zeus"])
-        assert analysis.vaccines
-
 
 class TestPopulation:
     @pytest.fixture(scope="class")

@@ -21,7 +21,9 @@ from repro.winapi import Dispatcher
 from repro.winenv import SystemEnvironment
 
 
-def _fresh_cpu(src: str, record_instructions: bool, max_steps: int = 50_000) -> CPU:
+def _fresh_cpu(
+    src: str, record_instructions: bool, max_steps: int = 50_000, **kwargs
+) -> CPU:
     env = SystemEnvironment()
     proc = env.spawn_process("t.exe")
     program = assemble(src, name="decode-test")
@@ -32,6 +34,7 @@ def _fresh_cpu(src: str, record_instructions: bool, max_steps: int = 50_000) -> 
         dispatcher=Dispatcher(env, proc),
         max_steps=max_steps,
         record_instructions=record_instructions,
+        **kwargs,
     )
     cpu.run()
     return cpu
@@ -145,7 +148,7 @@ class TestVmFlushCacheGeneration:
         obs.reset()
         try:
             cpu1 = _fresh_cpu("    mov eax, 1\n    halt\n", record_instructions=False)
-            assert obs.metrics.counter("vm.instructions").value == cpu1.steps
+            assert obs.metrics.counter("vm.fast_steps").value == cpu1.steps
             generation_before = _VM_FLUSH_CACHE.generation
 
             obs.reset()  # bumps the registry generation, discards families
@@ -155,19 +158,25 @@ class TestVmFlushCacheGeneration:
             # The stale handles must be dropped: the fresh registry sees
             # exactly the second run, not zero (lost to a dead handle) and
             # not first+second (leaked through a stale one).
-            assert obs.metrics.counter("vm.instructions").value == cpu2.steps
+            assert obs.metrics.counter("vm.fast_steps").value == cpu2.steps
             assert _VM_FLUSH_CACHE.generation == obs.metrics.generation
         finally:
             obs.reset()
 
-    def test_per_status_handles_refresh(self):
+    def test_superblock_handles_refresh(self):
+        src = "    mov ecx, 3\nspin:\n    dec ecx\n    jnz spin\n    halt\n"
         obs.reset()
         try:
-            _fresh_cpu("    halt\n", record_instructions=False)
-            assert obs.metrics.counter("vm.runs", status="halted").value == 1
+            cpu1 = _fresh_cpu(src, record_instructions=False,
+                              superblocks=True, superblock_threshold=0)
+            entries = cpu1._sb_entries
+            assert entries >= 1
+            assert obs.metrics.counter("vm.superblocks.entries").value == entries
             obs.reset()
-            _fresh_cpu("    halt\n", record_instructions=False)
-            assert obs.metrics.counter("vm.runs", status="halted").value == 1
+            cpu2 = _fresh_cpu(src, record_instructions=False,
+                              superblocks=True, superblock_threshold=0)
+            assert cpu2._sb_entries == entries
+            assert obs.metrics.counter("vm.superblocks.entries").value == entries
         finally:
             obs.reset()
 

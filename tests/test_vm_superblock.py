@@ -109,7 +109,7 @@ class TestCounters:
         assert cpu.status is ExitStatus.HALTED
         assert obs.metrics.total("vm.superblocks.compiled") >= 1
         assert obs.metrics.total("vm.superblocks.entries") >= 1
-        assert obs.metrics.total("vm.instructions") == cpu.steps
+        assert obs.metrics.total("vm.fast_steps") == cpu.steps
 
     def test_fast_steps_counted_without_superblocks(self):
         cpu = CPU(assemble(self.SRC), record_instructions=False, superblocks=False)
@@ -276,7 +276,7 @@ class TestRegionChaining:
         # lands in the counter.
         assert cpu._sb_entries >= 3
         assert obs.metrics.total("vm.superblocks.entries") == cpu._sb_entries
-        assert obs.metrics.total("vm.instructions") == cpu.steps
+        assert obs.metrics.total("vm.fast_steps") == cpu.steps
 
     def test_chaining_preserves_machine_state(self):
         chained = self._run()
