@@ -10,8 +10,9 @@ import pytest
 
 from repro import AutoVac
 from repro.analysis import align_lcs
-from repro.core import select_candidates
+from repro.core import run_sample, select_candidates
 from repro.core.determinism import build_pattern, byte_classes
+from repro.core.impact import ResourceMutation
 from repro.corpus import build_control_dependence_evader, build_family
 
 from benchutil import write_artifact
@@ -25,7 +26,8 @@ def test_ablation_alignment_granularity(benchmark, family_analyses):
     program, analysis = family_analyses["zeus"]
     natural = analysis.phase1.trace
     outcome = analysis.impacts[0]
-    mutated = outcome.mutated_trace
+    mutation = ResourceMutation(outcome.candidate, outcome.mechanism)
+    mutated = run_sample(program, interceptors=[mutation], record_instructions=False).trace
 
     full_key = align_lcs(mutated.api_calls, natural.api_calls)
 

@@ -83,14 +83,28 @@ def _bench_sample():
     return b.build(family="bench", category="bench")
 
 
-def _full_rerun(program, candidates, natural):
+def _full_rerun(program, candidates, natural, analyzer=None):
     """The full-rerun path (the restore-failure fallback) for every
     candidate: a loop of :meth:`ImpactAnalyzer.analyze` calls."""
-    analyzer = ImpactAnalyzer()
+    analyzer = analyzer or ImpactAnalyzer()
     return [o for c in candidates for o in analyzer.analyze(program, c, natural)]
 
 
-def _outcome_fingerprint(outcomes):
+def _outcome_fingerprint(analyze):
+    """Each outcome of ``analyze(analyzer)`` on a fresh analyzer, with the
+    step count and API-call context keys of the mutated trace its
+    ``_classify`` got."""
+    analyzer = ImpactAnalyzer()
+    classify = analyzer._classify
+    mutated = []
+
+    def recording_classify(candidate, mechanism, trace, natural, *args, **kwargs):
+        mutated.append((trace.steps, [e.context_key() for e in trace.api_calls]))
+        return classify(candidate, mechanism, trace, natural, *args, **kwargs)
+
+    analyzer._classify = recording_classify
+    outcomes = analyze(analyzer)
+    assert len(mutated) == len(outcomes)
     return [
         (
             o.candidate.key,
@@ -98,10 +112,10 @@ def _outcome_fingerprint(outcomes):
             o.immunization.value,
             sorted(e.value for e in o.effects),
             o.mutation_hits,
-            o.mutated_trace.steps,
-            [e.context_key() for e in o.mutated_trace.api_calls],
+            steps,
+            calls,
         )
-        for o in outcomes
+        for o, (steps, calls) in zip(outcomes, mutated)
     ]
 
 
@@ -117,27 +131,28 @@ def test_snapshot_speedup():
     # speed up full reruns (the long unpack preamble is exactly what they
     # compile), which would understate the *snapshot mechanism's* own win.
     # The combined number (both optimizations on) is recorded alongside.
+    def snapshot_resume(analyzer):
+        return analyzer.analyze_candidates(program, candidates, report.trace)
+
     with obs.disabled(), vm_superblock.overridden(False):
-        legacy_s, legacy = min_wall_seconds(
+        legacy = _outcome_fingerprint(
+            lambda analyzer: _full_rerun(program, candidates, report.trace, analyzer)
+        )
+        assert _outcome_fingerprint(snapshot_resume) == legacy
+        legacy_s, _ = min_wall_seconds(
             lambda: _full_rerun(program, candidates, report.trace),
             repeats=3,
         )
-        snap_s, fast = min_wall_seconds(
-            lambda: ImpactAnalyzer().analyze_candidates(
-                program, candidates, report.run
-            ),
+        snap_s, _ = min_wall_seconds(
+            lambda: snapshot_resume(ImpactAnalyzer()),
             repeats=3,
         )
     with obs.disabled():
-        combined_s, combined = min_wall_seconds(
-            lambda: ImpactAnalyzer().analyze_candidates(
-                program, candidates, report.run
-            ),
+        assert _outcome_fingerprint(snapshot_resume) == legacy
+        combined_s, _ = min_wall_seconds(
+            lambda: snapshot_resume(ImpactAnalyzer()),
             repeats=3,
         )
-
-    assert _outcome_fingerprint(fast) == _outcome_fingerprint(legacy)
-    assert _outcome_fingerprint(combined) == _outcome_fingerprint(legacy)
     speedup = legacy_s / snap_s
     assert speedup >= 2.0, f"snapshot-resume speedup {speedup:.2f}x < 2x"
 
@@ -192,17 +207,16 @@ def test_per_family_snapshot_speedup(family_analyses):
             if not candidates:
                 continue
 
-            def full_rerun():
-                return _full_rerun(program, candidates, report.trace)
+            def full_rerun(analyzer=None):
+                return _full_rerun(program, candidates, report.trace, analyzer)
 
-            def snapshot_resume():
-                return ImpactAnalyzer().analyze_candidates(
-                    program, candidates, report.run
+            def snapshot_resume(analyzer=None):
+                return (analyzer or ImpactAnalyzer()).analyze_candidates(
+                    program, candidates, report.trace
                 )
 
-            legacy = full_rerun()
-            structured = snapshot_resume()
-            assert _outcome_fingerprint(structured) == _outcome_fingerprint(legacy)
+            legacy = _outcome_fingerprint(full_rerun)
+            assert _outcome_fingerprint(snapshot_resume) == legacy
             overhead, legacy_s, snap_s, _ = paired_overhead(
                 full_rerun,
                 snapshot_resume,

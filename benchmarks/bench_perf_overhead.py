@@ -16,6 +16,7 @@ import pytest
 
 from repro import AutoVac, SystemEnvironment, VaccinePackage, deploy, obs
 from repro.core import run_sample, select_candidates
+from repro.core.candidate import run_phase1
 from repro.core.determinism import analyze_determinism
 from repro.core.runner import record_prefix
 from repro.corpus import benign_suite, build_family
@@ -52,12 +53,12 @@ def test_perf_backward_slicing_per_identifier(benchmark):
     Phase I keeps no def/use records, so the records come from the same
     prefix re-run determinism analysis makes; only the slice is timed."""
     program = build_family("conficker")
-    report = select_candidates(program)
-    event = next(e for e in report.trace.api_calls
+    run = run_phase1(program)
+    event = next(e for e in run.trace.api_calls
                  if e.api == "OpenMutexA" and e.identifier)
-    records = record_prefix(program, report.run, event)
+    records = record_prefix(program, run, event)
 
-    benchmark(lambda: backward_slice(records, event, memory=report.run.cpu.memory))
+    benchmark(lambda: backward_slice(records, event, memory=run.cpu.memory))
 
 
 @pytest.mark.benchmark(group="perf-generation")

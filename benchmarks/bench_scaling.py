@@ -6,7 +6,8 @@ results content-addressed on disk.  This bench records:
 
 * wall time and speedup for ``jobs = 1, 2, 4`` (asserting the ≥2× target at
   4 jobs only on machines with ≥4 CPUs — correctness is asserted on every
-  machine: all jobs levels must produce identical tables);
+  machine: all jobs levels and cache states must produce identical tables
+  and the same per-sample fingerprints, in input order);
 * cold vs warm cache wall time, and that a warm run is all cache hits;
 * the fault-tolerance machinery's cost on an all-healthy run, and that a
   survey with injected failures keeps every healthy analysis.
@@ -23,6 +24,7 @@ from repro import obs
 from repro.core.executor import PipelineConfig, analyze_population
 from repro.core.faults import FaultPlan
 from repro.corpus import GeneratorConfig, generate_population
+from repro.tracing.serialize import analysis_fingerprint
 
 from benchutil import write_artifact
 
@@ -40,6 +42,10 @@ def _tables(result):
     )
 
 
+def _fingerprints(result):
+    return [analysis_fingerprint(a) for a in result.analyses]
+
+
 def test_scaling_speedup(tmp_path):
     programs = [
         s.program
@@ -49,7 +55,7 @@ def test_scaling_speedup(tmp_path):
     cores = multiprocessing.cpu_count() or 1
 
     wall = {}
-    base_tables = None
+    base_tables = base_fingerprints = None
     for jobs in (1, 2, 4):
         obs.reset()
         started = time.perf_counter()
@@ -57,10 +63,12 @@ def test_scaling_speedup(tmp_path):
         wall[jobs] = time.perf_counter() - started
         tables = _tables(result)
         if base_tables is None:
-            base_tables = tables
+            base_tables, base_fingerprints = tables, _fingerprints(result)
         else:
-            # Identical tables at every jobs level, on every machine.
+            # Identical tables and per-sample results at every jobs level,
+            # on every machine.
             assert tables == base_tables, f"jobs={jobs} diverged from jobs=1"
+            assert _fingerprints(result) == base_fingerprints, f"jobs={jobs}"
         assert obs.metrics.value("pipeline.population_analyzed") == SCALING_SIZE
 
     cache_dir = tmp_path / "cache"
@@ -94,6 +102,8 @@ def test_scaling_speedup(tmp_path):
     write_artifact("scaling.txt", "\n".join(lines) + "\n")
 
     assert _tables(cold) == base_tables and _tables(warm) == base_tables
+    assert _fingerprints(cold) == base_fingerprints
+    assert _fingerprints(warm) == base_fingerprints
     assert warm_hits == SCALING_SIZE and warm_s < cold_s
     if cores >= 4:
         # The acceptance target: >=2x at 4 jobs on a 4-core runner.

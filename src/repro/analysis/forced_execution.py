@@ -91,7 +91,7 @@ def explore_resource_paths(
         )
         result.runs += 1
         result.flipped_sites.append((api, caller_pc, not natural_success))
-        report = analyze_trace(program.name, run)
+        report = analyze_trace(program.name, run.trace)
         for candidate in report.candidates:
             if candidate.key in known or candidate.key in discovered:
                 existing = discovered.get(candidate.key)

@@ -44,11 +44,11 @@ class CandidateResource:
 
 @dataclass
 class CandidateReport:
-    """Phase-I output for one sample."""
+    """Phase-I output for one sample: the normal run's trace and what was
+    read from it.  The machine that produced the trace is not kept."""
 
     program_name: str
     trace: Trace
-    run: RunResult
     candidates: List[CandidateResource] = field(default_factory=list)
     #: Resource-API occurrences whose taint reached a predicate (paper: 80.3%).
     influential_occurrences: int = 0
@@ -67,13 +67,13 @@ class CandidateReport:
         return None
 
 
-def select_candidates(
+def run_phase1(
     program: Program,
     environment: Optional[SystemEnvironment] = None,
     max_steps: int = DEFAULT_BUDGET,
     taint_addresses: bool = False,
-) -> CandidateReport:
-    """Run Phase I on one sample.
+) -> RunResult:
+    """Phase I's profiling run of one sample.
 
     ``taint_addresses`` enables the pointer-taint policy (see
     :class:`~repro.vm.cpu.CPU`) — catches table-lookup taint laundering at
@@ -83,19 +83,29 @@ def select_candidates(
     predicates decide candidates.  Determinism analysis re-records the
     prefix a backward slice needs (:func:`~repro.core.runner.record_prefix`).
     """
-    run = run_sample(
+    return run_sample(
         program,
         environment=environment,
         max_steps=max_steps,
         taint_addresses=taint_addresses,
         def_use=False,
     )
-    return analyze_trace(program.name, run)
 
 
-def analyze_trace(program_name: str, run: RunResult) -> CandidateReport:
-    """Candidate extraction from an already-collected normal run."""
-    trace = run.trace
+def select_candidates(
+    program: Program,
+    environment: Optional[SystemEnvironment] = None,
+    max_steps: int = DEFAULT_BUDGET,
+    taint_addresses: bool = False,
+) -> CandidateReport:
+    """Run Phase I on one sample (:func:`run_phase1`, then
+    :func:`analyze_trace`)."""
+    run = run_phase1(program, environment, max_steps, taint_addresses)
+    return analyze_trace(program.name, run.trace)
+
+
+def analyze_trace(program_name: str, trace: Trace) -> CandidateReport:
+    """Candidate extraction from an already-collected normal run's trace."""
     influential_ids = _influential_event_ids(trace)
 
     grouped: Dict[Tuple[ResourceType, str], CandidateResource] = {}
@@ -135,7 +145,6 @@ def analyze_trace(program_name: str, run: RunResult) -> CandidateReport:
     report = CandidateReport(
         program_name=program_name,
         trace=trace,
-        run=run,
         candidates=sorted(
             grouped.values(), key=lambda c: (c.resource_type.value, c.identifier)
         ),

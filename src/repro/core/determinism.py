@@ -37,10 +37,12 @@ MIN_STATIC_CONTEXT = 3
 
 @dataclass
 class DeterminismResult:
+    """An identifier's verdict and its deployable artifact (the pattern or
+    the slice).  The backward walk behind a verdict is not kept."""
+
     kind: IdentifierKind
     pattern: Optional[str] = None
     slice: Optional[VaccineSlice] = None
-    backward: Optional[BackwardResult] = None
     notes: str = ""
     #: Flight-recorder id of the "verdict.determinism" event (process-local).
     flight_id: Optional[int] = None
@@ -98,14 +100,14 @@ def analyze_determinism(
     event: ApiCallEvent,
 ) -> DeterminismResult:
     """Classify ``event``'s identifier and build its deployable artifact."""
-    result = _classify_identifier(program, run, event)
+    result, backward = _classify_identifier(program, run, event)
     flight = obs.flight
     if flight.enabled:
         result.flight_id = flight.record(
             "verdict.determinism",
             causes=(
                 flight.recall(("api", event.event_id)),
-                result.backward.flight_id if result.backward is not None else None,
+                backward.flight_id if backward is not None else None,
                 result.slice.flight_id if result.slice is not None else None,
             ),
             identifier=event.identifier,
@@ -120,20 +122,21 @@ def _classify_identifier(
     program: Program,
     run: RunResult,
     event: ApiCallEvent,
-) -> DeterminismResult:
+) -> Tuple[DeterminismResult, Optional[BackwardResult]]:
+    """The verdict, and the backward walk it took (``None`` if none)."""
     classes = byte_classes(event)
     if not classes:
         # Identifier came through the handle map (no in-memory string);
         # treat as static if non-empty — the name-carrying open event is the
         # canonical one and is analyzed separately.
         kind = IdentifierKind.STATIC if event.identifier else IdentifierKind.NON_DETERMINISTIC
-        return DeterminismResult(kind=kind, notes="handle-resolved identifier")
+        return DeterminismResult(kind=kind, notes="handle-resolved identifier"), None
 
     has_random = "random" in classes
     has_env = "env" in classes
 
     if not has_random and not has_env:
-        return DeterminismResult(kind=IdentifierKind.STATIC)
+        return DeterminismResult(kind=IdentifierKind.STATIC), None
 
     if has_random:
         pattern = build_pattern(event.identifier, classes)
@@ -141,8 +144,8 @@ def _classify_identifier(
             return DeterminismResult(
                 kind=IdentifierKind.NON_DETERMINISTIC,
                 notes="insufficient static context around random bytes",
-            )
-        return DeterminismResult(kind=IdentifierKind.PARTIAL_STATIC, pattern=pattern)
+            ), None
+        return DeterminismResult(kind=IdentifierKind.PARTIAL_STATIC, pattern=pattern), None
 
     # env-deterministic bytes, no random: algorithm-deterministic.  A run
     # without def/use records (Phase I's) is re-recorded up to the event.
@@ -152,18 +155,15 @@ def _classify_identifier(
         # Over-approximation in byte classes; the root cause says random.
         pattern = build_pattern(event.identifier, classes)
         if pattern is not None:
-            return DeterminismResult(
-                kind=IdentifierKind.PARTIAL_STATIC, pattern=pattern, backward=backward
-            )
-        return DeterminismResult(kind=IdentifierKind.NON_DETERMINISTIC, backward=backward)
+            result = DeterminismResult(kind=IdentifierKind.PARTIAL_STATIC, pattern=pattern)
+            return result, backward
+        return DeterminismResult(kind=IdentifierKind.NON_DETERMINISTIC), backward
 
     output_addr = event.extra.get("identifier_addr")
     if output_addr is None:
         return DeterminismResult(
-            kind=IdentifierKind.NON_DETERMINISTIC,
-            backward=backward,
-            notes="no identifier address recorded",
-        )
+            kind=IdentifierKind.NON_DETERMINISTIC, notes="no identifier address recorded"
+        ), backward
     slice_ = extract_slice(program, run.trace, backward, output_addr, target_event=event)
 
     # Sanity: replaying on a clone of the analysis machine must
@@ -172,20 +172,16 @@ def _classify_identifier(
         regenerated = replay_slice(slice_, run.environment.clone(), program=program)
     except SliceReplayError as exc:
         return DeterminismResult(
-            kind=IdentifierKind.NON_DETERMINISTIC,
-            backward=backward,
-            notes=f"slice replay failed: {exc}",
-        )
+            kind=IdentifierKind.NON_DETERMINISTIC, notes=f"slice replay failed: {exc}"
+        ), backward
     if regenerated != event.identifier:
         return DeterminismResult(
             kind=IdentifierKind.NON_DETERMINISTIC,
-            backward=backward,
             notes=f"slice replay mismatch: {regenerated!r}",
-        )
+        ), backward
 
     return DeterminismResult(
         kind=IdentifierKind.ALGORITHM_DETERMINISTIC,
         slice=slice_,
-        backward=backward,
         notes=f"inputs: {', '.join(slice_.env_inputs)}",
-    )
+    ), backward

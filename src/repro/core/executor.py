@@ -249,11 +249,6 @@ class ResultCache:
         obs.metrics.counter("pipeline.cache_hits").inc()
         return analysis
 
-    def load(self, key: str) -> Optional[SampleAnalysis]:
-        """Decoded analysis on hit, ``None`` on miss or negative entry."""
-        entry = self.load_entry(key)
-        return entry if isinstance(entry, SampleAnalysis) else None
-
     def _write(self, path: Path, payload: dict) -> None:
         path.parent.mkdir(parents=True, exist_ok=True)
         tmp = path.with_suffix(f".tmp.{os.getpid()}")

@@ -26,7 +26,7 @@ from ..winenv.objects import Operation, ResourceType
 from ..winenv.processes import STANDARD_PROCESSES
 from ..winenv.registry import is_persistence_key
 from .candidate import CandidateResource
-from .runner import DEFAULT_BUDGET, RunResult, resume_sample, run_sample
+from .runner import DEFAULT_BUDGET, resume_sample, run_sample
 from .snapshot import SnapshotRecorder, _CapturesTaken, mutation_matches
 from .vaccine import Immunization, Mechanism, normalize_identifier
 
@@ -68,15 +68,13 @@ class ResourceMutation:
 
 @dataclass
 class ImpactOutcome:
-    """Result of mutating one resource with one mechanism."""
+    """Result of mutating one resource with one mechanism: the verdict.
+    The mutated run's trace and its alignment are not kept."""
 
     candidate: CandidateResource
     mechanism: Mechanism
     immunization: Immunization
     effects: Set[Immunization] = field(default_factory=set)
-    alignment: Optional[AlignmentResult] = None
-    #: The mutated run's trace (the machine that produced it is not kept).
-    mutated_trace: Optional[Trace] = None
     mutation_hits: int = 0
     #: Flight-recorder id of the "verdict.impact" event (process-local,
     #: not serialized — provenance ships via the journal itself).
@@ -174,21 +172,21 @@ class ImpactAnalyzer:
         self,
         program: Program,
         candidates: Sequence[CandidateResource],
-        natural_run: RunResult,
+        natural: Trace,
         mechanisms: Iterable[Mechanism] = (Mechanism.SIMULATE_PRESENCE, Mechanism.ENFORCE_FAILURE),
     ) -> List[ImpactOutcome]:
         """Analyze every candidate, sharing prefix execution when possible.
 
-        ``natural_run`` is Phase I's run of ``program`` (same environment
-        and budget as this analyzer's runs); its trace is the alignment
-        baseline.  Outcome order matches a loop of :meth:`analyze` calls
-        exactly: candidate-major, mechanism-minor.
+        ``natural`` is the trace of Phase I's run of ``program`` (same
+        environment and budget as this analyzer's runs): the alignment
+        baseline, and the mutated trace of a candidate no call matches.
+        Outcome order matches a loop of :meth:`analyze` calls exactly:
+        candidate-major, mechanism-minor.
         """
         candidates = list(candidates)
         mechanisms = tuple(mechanisms)
         if not candidates:
             return []
-        natural = natural_run.trace
 
         recorder = SnapshotRecorder(candidates)
         try:
@@ -303,8 +301,6 @@ class ImpactAnalyzer:
             mechanism=mechanism,
             immunization=primary_immunization(effects),
             effects=effects,
-            alignment=alignment,
-            mutated_trace=mutated,
             mutation_hits=mutation_hits,
         )
         flight = obs.flight

@@ -355,21 +355,18 @@ class AutoVac:
     # ------------------------------------------------------------------
 
     def _build_vaccine(
-        self,
-        program: Program,
-        phase1: CandidateReport,
-        outcome: ImpactOutcome,
-        analysis: SampleAnalysis,
+        self, ctx: AnalysisContext, outcome: ImpactOutcome
     ) -> Optional[Vaccine]:
+        program, analysis = ctx.program, ctx.analysis
         candidate = outcome.candidate
-        event = self._representative_event(phase1, candidate)
+        event = self._representative_event(analysis.phase1, candidate)
         if event is None:
             return None
 
         det_key = f"{candidate.resource_type.value}:{candidate.identifier}"
         det = analysis.determinism.get(det_key)
         if det is None:
-            det = analyze_determinism(program, phase1.run, event)
+            det = analyze_determinism(program, ctx.phase1_run, event)
             analysis.determinism[det_key] = det
 
         flight = obs.flight

@@ -24,10 +24,10 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from .. import obs
-from .candidate import CandidateResource, select_candidates
+from .candidate import CandidateResource, analyze_trace, run_phase1
 from .clinic import clinic_test
 from .policy import synthesize_policy, validate_policy
 from .vaccine import Mechanism, Vaccine
@@ -35,6 +35,7 @@ from .vaccine import Mechanism, Vaccine
 if TYPE_CHECKING:  # pragma: no cover - annotations only
     from ..vm.program import Program
     from .pipeline import AutoVac, SampleAnalysis
+    from .runner import RunResult
 
 
 #: Root frame of every sample's timing tree; stage cells sit one frame below.
@@ -45,13 +46,17 @@ ANALYZE_PATH = "pipeline.analyze"
 class AnalysisContext:
     """Mutable state threaded through the stages for one sample.
 
-    ``candidates`` is the working set each Phase-II stage refines;
-    ``done`` short-circuits the remaining stages.
+    ``phase1_run`` is Phase I's run, machine included, for the stages
+    that re-execute from it; it lives only as long as the context, so a
+    :class:`SampleAnalysis` never holds it.  ``candidates`` is the working
+    set each Phase-II stage refines; ``done`` short-circuits the remaining
+    stages.
     """
 
     program: "Program"
     analysis: "SampleAnalysis"
     pipeline: "AutoVac"
+    phase1_run: Optional["RunResult"] = None
     candidates: List[CandidateResource] = field(default_factory=list)
     done: bool = False
 
@@ -95,11 +100,12 @@ class Phase1Stage(Stage):
 
     def run(self, ctx: AnalysisContext) -> None:
         pipeline = ctx.pipeline
-        phase1 = select_candidates(
+        ctx.phase1_run = run_phase1(
             ctx.program,
             environment=pipeline.environment,
             max_steps=pipeline.profile_budget,
         )
+        phase1 = analyze_trace(ctx.program.name, ctx.phase1_run.trace)
         ctx.analysis.phase1 = phase1
         if not phase1.has_vaccine_potential:
             ctx.analysis.filtered_reason = (
@@ -163,10 +169,10 @@ class ImpactStage(Stage):
     name = "impact"
 
     def run(self, ctx: AnalysisContext) -> None:
-        pipeline = ctx.pipeline
-        phase1 = ctx.analysis.phase1
         ctx.analysis.impacts.extend(
-            pipeline.impact.analyze_candidates(ctx.program, ctx.candidates, phase1.run)
+            ctx.pipeline.impact.analyze_candidates(
+                ctx.program, ctx.candidates, ctx.phase1_run.trace
+            )
         )
 
 
@@ -177,7 +183,6 @@ class DeterminismStage(Stage):
     name = "determinism"
 
     def run(self, ctx: AnalysisContext) -> None:
-        pipeline = ctx.pipeline
         analysis = ctx.analysis
         built: Dict[tuple, Vaccine] = {}
         ordered = sorted(
@@ -185,9 +190,7 @@ class DeterminismStage(Stage):
             key=lambda o: o.mechanism is not Mechanism.SIMULATE_PRESENCE,
         )
         for outcome in ordered:
-            vaccine = pipeline._build_vaccine(
-                ctx.program, analysis.phase1, outcome, analysis
-            )
+            vaccine = ctx.pipeline._build_vaccine(ctx, outcome)
             if vaccine is None:
                 continue
             # Both mutation directions of a create-checked resource deploy as

@@ -9,10 +9,10 @@ It also provides the **analysis codec**: a versioned JSON encoding of a
 whole :class:`~repro.core.pipeline.SampleAnalysis` (candidates, impacts,
 determinism, vaccines, the per-sample timing tree).  This is what crosses the
 process boundary in the parallel executor and what the content-addressed
-result cache stores on disk.  Hermeticity rule: anything holding live VM
-state (``RunResult``, alignments, mutated traces, backward-slice raw output)
-is dropped — a decoded analysis answers every population-level question
-(tables, stats, vaccine deployment) but cannot be re-executed.
+result cache stores on disk.  A ``SampleAnalysis`` holds no live VM state,
+so the codec ships every field it has except ``program`` (a decoded one
+is a name-and-metadata stub) and the process-local ``flight_id`` ints: an
+in-process result and its round trip hold the same data.
 """
 
 from __future__ import annotations
@@ -204,8 +204,6 @@ def candidate_from_dict(data: dict) -> "CandidateResource":
 
 
 def report_to_dict(report: "CandidateReport") -> dict:
-    """Phase-I report.  The live :class:`RunResult` (CPU + guest memory) is
-    deliberately dropped — it is process-local working state."""
     return {
         "program_name": report.program_name,
         "trace": trace_to_dict(report.trace),
@@ -221,7 +219,6 @@ def report_from_dict(data: dict) -> "CandidateReport":
     return CandidateReport(
         program_name=data["program_name"],
         trace=trace_from_dict(data["trace"]),
-        run=None,  # hermetic payload: live run state does not round-trip
         candidates=[candidate_from_dict(c) for c in data.get("candidates", [])],
         influential_occurrences=data.get("influential_occurrences", 0),
         total_occurrences=data.get("total_occurrences", 0),
@@ -249,8 +246,6 @@ def decision_from_dict(data: dict) -> "ExclusivenessDecision":
 
 
 def impact_to_dict(outcome: "ImpactOutcome") -> dict:
-    """Alignment and the mutated trace are dropped (in-process analysis
-    state); the classification they produced is what the pipeline consumes downstream."""
     return {
         "candidate": candidate_to_dict(outcome.candidate),
         "mechanism": outcome.mechanism.value,
@@ -274,8 +269,6 @@ def impact_from_dict(data: dict) -> "ImpactOutcome":
 
 
 def determinism_to_dict(result: "DeterminismResult") -> dict:
-    """The raw :class:`BackwardResult` is dropped; the extracted slice (the
-    deployable artifact) survives via its own codec."""
     return {
         "kind": result.kind.value,
         "pattern": result.pattern,

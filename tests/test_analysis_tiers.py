@@ -19,7 +19,8 @@ from __future__ import annotations
 import pytest
 
 from repro import SystemEnvironment, obs
-from repro.core import AutoVac, run_sample, select_candidates
+from repro.core import AutoVac, determinism, run_sample
+from repro.core.candidate import run_phase1
 from repro.core.runner import record_prefix
 from repro.core.vaccine import IdentifierKind
 from repro.corpus import FAMILIES, build_family
@@ -99,10 +100,18 @@ def test_phase1_tracks_taint_without_def_use_records(family):
     assert analysis.profile["pipeline.analyze;phase1;vm;slow"][0] == trace.steps
 
 
-def test_slice_rerun_stops_at_the_sliced_event():
+def test_slice_rerun_stops_at_the_sliced_event(monkeypatch):
     """conficker's mutex name is computed from the computer name, so its
     determinism verdict needs a backward slice: the re-run takes exactly the
     steps before the sliced call and records one def/use record each."""
+    walks = []
+    walk = determinism.backward_slice
+
+    def recorded_walk(*args, **kwargs):
+        walks.append(walk(*args, **kwargs))
+        return walks[-1]
+
+    monkeypatch.setattr(determinism, "backward_slice", recorded_walk)
     with obs.profiled():
         analysis = AutoVac().analyze(build_family("conficker"))
     sliced = [
@@ -114,7 +123,8 @@ def test_slice_rerun_stops_at_the_sliced_event():
     assert profile["pipeline.analyze;determinism;slice_rerun"][0] == 1
     assert profile["pipeline.analyze;determinism;slice_rerun;vm;slow"][0] == 131
     assert profile["pipeline.analyze;phase1;vm;slow"][0] == 349
-    assert sliced[0].backward.slice_records[-1].seq < 131
+    assert len(walks) == 1
+    assert walks[0].slice_records[-1].seq < 131
 
 
 @pytest.mark.parametrize("family", sorted(FAMILIES))
@@ -123,12 +133,12 @@ def test_record_prefix_matches_a_fully_recorded_run(family):
     prefix holds exactly the def/use records and API events a run recorded
     in full holds before that call."""
     program = build_family(family)
-    phase1 = select_candidates(program)
+    phase1 = run_phase1(program)
     full = run_sample(program).trace
     events = [e for e in phase1.trace.api_calls if e.identifier]
     assert events
     for event in events:
-        prefix = record_prefix(program, phase1.run, event)
+        prefix = record_prefix(program, phase1, event)
         cut = next(
             i for i, r in enumerate(full.instructions) if r.api_event_id == event.event_id
         )

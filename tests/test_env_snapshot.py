@@ -411,7 +411,7 @@ class TestChaosDegradation:
         ]
         monkeypatch.setattr(env_snapshot_mod, "_FAULT_EVERY", 1)
         monkeypatch.setattr(env_snapshot_mod, "_restore_count", 0)
-        degraded = analyzer.analyze_candidates(program, candidates, report.run)
+        degraded = analyzer.analyze_candidates(program, candidates, report.trace)
         assert env_snapshot_mod._restore_count > 0  # faults actually fired
         def verdicts(outcomes):
             return {
@@ -439,7 +439,7 @@ class TestChaosDegradation:
         monkeypatch.setattr(env_snapshot_mod, "_restore_count", 0)
         obs.reset()
         outcomes = ImpactAnalyzer().analyze_candidates(
-            program, candidates, report.run
+            program, candidates, report.trace
         )
         assert outcomes  # survey completed despite every-other restore failing
         failures = obs.metrics.counter("snapshot.resume_failures").value

@@ -145,12 +145,12 @@ class TestResultCache:
         path = cache._path(key)
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text("{not json")
-        assert cache.load(key) is None
+        assert cache.load_entry(key) is None
         # The undecodable file is unlinked, not left to be re-read forever.
         assert not path.exists()
         assert obs.metrics.value("pipeline.cache_evictions") == 1
         # A second probe is a plain miss on an absent file: no double-evict.
-        assert cache.load(key) is None
+        assert cache.load_entry(key) is None
         assert obs.metrics.value("pipeline.cache_evictions") == 1
 
     def test_version_skewed_entry_is_evicted(self, config, tmp_path):
@@ -161,7 +161,7 @@ class TestResultCache:
         path.parent.mkdir(parents=True, exist_ok=True)
         # Valid JSON, but not a decodable analysis payload.
         path.write_text(json.dumps({"format_version": 99}))
-        assert cache.load(key) is None
+        assert cache.load_entry(key) is None
         assert not path.exists()
 
     def test_stale_tmp_litter_swept_on_open(self, config, tmp_path):

@@ -10,8 +10,10 @@ from repro.core import (
     Mechanism,
     select_candidates,
 )
+from repro.core.candidate import run_phase1
 from repro.core.determinism import analyze_determinism, build_pattern
-from repro.core.impact import ImpactAnalyzer, primary_immunization
+from repro.core.impact import ImpactAnalyzer, ResourceMutation, primary_immunization
+from repro.core.runner import run_sample
 from repro.vm import assemble
 from repro.winenv import ResourceType
 
@@ -100,7 +102,10 @@ class TestImpactAnalysis:
         outcome = ImpactAnalyzer().analyze_mechanism(
             program, cand, report.trace, Mechanism.ENFORCE_FAILURE
         )
-        events = outcome.mutated_trace.events_for_api("CreateMutexA")
+        assert outcome.mutation_hits == 1
+        mutation = ResourceMutation(cand, Mechanism.ENFORCE_FAILURE)
+        mutated = run_sample(program, interceptors=[mutation], record_instructions=False)
+        events = mutated.trace.events_for_api("CreateMutexA")
         assert not events[0].success and events[1].success
 
 
@@ -190,9 +195,10 @@ d:
 
 class TestDeterminism:
     def _classify(self, src):
-        program, report = phase1(src)
-        event = next(e for e in report.trace.api_calls if e.api == "CreateMutexA")
-        return analyze_determinism(program, report.run, event), event
+        program = assemble(src, name="s")
+        run = run_phase1(program)
+        event = next(e for e in run.trace.api_calls if e.api == "CreateMutexA")
+        return analyze_determinism(program, run, event), event
 
     def test_static_identifier(self):
         result, _ = self._classify(MARKER_EXIT)
@@ -216,10 +222,11 @@ class TestDeterminism:
         assert result.kind is IdentifierKind.NON_DETERMINISTIC
 
     def test_replay_validation_catches_broken_slice(self):
-        program, report = phase1(ALGO_SRC)
-        event = next(e for e in report.trace.api_calls if e.api == "CreateMutexA")
+        program = assemble(ALGO_SRC, name="s")
+        run = run_phase1(program)
+        event = next(e for e in run.trace.api_calls if e.api == "CreateMutexA")
         event.extra["identifier_addr"] = None
-        result = analyze_determinism(program, report.run, event)
+        result = analyze_determinism(program, run, event)
         assert result.kind is IdentifierKind.NON_DETERMINISTIC
 
 

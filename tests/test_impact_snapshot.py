@@ -30,6 +30,32 @@ def rerun_all(analyzer, program, candidates, natural):
     return [o for c in candidates for o in analyzer.analyze(program, c, natural)]
 
 
+def observe(analyzer):
+    """Record what ``analyzer`` classifies: per (candidate key, mechanism),
+    the mutated trace its ``_classify`` got, the natural trace, and the
+    alignment its aligner returned for them."""
+    classify, aligner = analyzer._classify, analyzer.aligner
+    alignments = []
+    seen = {}
+
+    def recording_aligner(mutated, natural):
+        alignments.append(aligner(mutated, natural))
+        return alignments[-1]
+
+    def recording_classify(candidate, mechanism, mutated, natural, *args, **kwargs):
+        outcome = classify(candidate, mechanism, mutated, natural, *args, **kwargs)
+        seen[candidate.key, mechanism] = (mutated, natural, alignments.pop())
+        return outcome
+
+    analyzer.aligner = recording_aligner
+    analyzer._classify = recording_classify
+    return seen
+
+
+def context_keys(events):
+    return [e.context_key() for e in events]
+
+
 @pytest.fixture(scope="module")
 def snapshot_analyses(family_programs):
     av = AutoVac()
@@ -58,8 +84,11 @@ class TestAnalyzeCandidatesDirect:
         report, candidates = self._candidates(program)
         assert candidates
 
-        fast = ImpactAnalyzer().analyze_candidates(program, candidates, report.run)
-        legacy = rerun_all(ImpactAnalyzer(), program, candidates, report.trace)
+        natural = report.trace
+        fast_analyzer, legacy_analyzer = ImpactAnalyzer(), ImpactAnalyzer()
+        resumed, rerun = observe(fast_analyzer), observe(legacy_analyzer)
+        fast = fast_analyzer.analyze_candidates(program, candidates, natural)
+        legacy = rerun_all(legacy_analyzer, program, candidates, natural)
 
         assert len(fast) == len(legacy) == 2 * len(candidates)
         for f, l in zip(fast, legacy):
@@ -68,30 +97,31 @@ class TestAnalyzeCandidatesDirect:
             assert f.immunization == l.immunization
             assert f.effects == l.effects
             assert f.mutation_hits == l.mutation_hits
-            assert [e.context_key() for e in f.alignment.delta_mutated] == [
-                e.context_key() for e in l.alignment.delta_mutated
-            ]
-            assert [e.context_key() for e in f.alignment.delta_natural] == [
-                e.context_key() for e in l.alignment.delta_natural
-            ]
-            assert (
-                f.mutated_trace.exit_status == l.mutated_trace.exit_status
-            )
-            assert f.mutated_trace.steps == l.mutated_trace.steps
+
+        assert resumed.keys() == rerun.keys()
+        for key, (r, r_natural, fa) in resumed.items():
+            full, full_natural, la = rerun[key]
+            assert r_natural is full_natural is natural
+            assert context_keys(fa.delta_mutated) == context_keys(la.delta_mutated)
+            assert context_keys(fa.delta_natural) == context_keys(la.delta_natural)
+            assert r.exit_status == full.exit_status
+            assert r.steps == full.steps
 
     def test_resumed_traces_are_complete(self, family_programs):
         """A resumed run's trace contains the shared prefix events too —
         alignment consumes it exactly like a full rerun's trace."""
         program = family_programs["conficker"]
         report, candidates = self._candidates(program)
-        fast = ImpactAnalyzer().analyze_candidates(program, candidates, report.run)
-        legacy = rerun_all(ImpactAnalyzer(), program, candidates, report.trace)
-        for f, l in zip(fast, legacy):
-            assert [e.context_key() for e in f.mutated_trace.api_calls] == [
-                e.context_key() for e in l.mutated_trace.api_calls
-            ]
-            assert [e.event_id for e in f.mutated_trace.api_calls] == [
-                e.event_id for e in l.mutated_trace.api_calls
+        fast_analyzer, legacy_analyzer = ImpactAnalyzer(), ImpactAnalyzer()
+        resumed, rerun = observe(fast_analyzer), observe(legacy_analyzer)
+        fast_analyzer.analyze_candidates(program, candidates, report.trace)
+        rerun_all(legacy_analyzer, program, candidates, report.trace)
+        assert resumed.keys() == rerun.keys()
+        for key, (r, _, _) in resumed.items():
+            full = rerun[key][0]
+            assert context_keys(r.api_calls) == context_keys(full.api_calls)
+            assert [e.event_id for e in r.api_calls] == [
+                e.event_id for e in full.api_calls
             ]
 
     def test_unmatched_candidates_are_classified_against_phase1(self, family_programs):
@@ -100,21 +130,25 @@ class TestAnalyzeCandidatesDirect:
         for call with the full rerun it stands in for."""
         program = family_programs["conficker"]
         report, candidates = self._candidates(program)
-        fast = ImpactAnalyzer().analyze_candidates(program, candidates, report.run)
+        natural = report.trace
+        fast_analyzer, legacy_analyzer = ImpactAnalyzer(), ImpactAnalyzer()
+        classified, rerun_of = observe(fast_analyzer), observe(legacy_analyzer)
+        fast = fast_analyzer.analyze_candidates(program, candidates, natural)
         legacy = {
             (o.candidate.key, o.mechanism): o
-            for o in rerun_all(ImpactAnalyzer(), program, candidates, report.trace)
+            for o in rerun_all(legacy_analyzer, program, candidates, natural)
         }
-        unmatched = [o for o in fast if o.mutated_trace is report.run.trace]
+        unmatched = [
+            o for o in fast if classified[o.candidate.key, o.mechanism][0] is natural
+        ]
         assert unmatched  # conficker has such a candidate
         for outcome in unmatched:
-            full = legacy[(outcome.candidate.key, outcome.mechanism)]
+            key = (outcome.candidate.key, outcome.mechanism)
+            full = legacy[key]
             assert outcome.mutation_hits == full.mutation_hits == 0
             assert outcome.immunization == full.immunization
-            run, rerun = outcome.mutated_trace, full.mutated_trace
-            assert [e.context_key() for e in run.api_calls] == [
-                e.context_key() for e in rerun.api_calls
-            ]
+            run, rerun = classified[key][0], rerun_of[key][0]
+            assert context_keys(run.api_calls) == context_keys(rerun.api_calls)
             assert [e.event_id for e in run.api_calls] == [
                 e.event_id for e in rerun.api_calls
             ]
@@ -123,7 +157,7 @@ class TestAnalyzeCandidatesDirect:
     def test_no_candidates_short_circuits(self, family_programs):
         program = family_programs["conficker"]
         report, _ = self._candidates(program)
-        assert ImpactAnalyzer().analyze_candidates(program, [], report.run) == []
+        assert ImpactAnalyzer().analyze_candidates(program, [], report.trace) == []
 
 
 class _Spy:
@@ -181,20 +215,22 @@ def test_capture_run_ends_at_last_candidates_first_match(family, family_programs
 def test_analysis_leaves_no_cyclic_garbage(family_programs):
     """An analysis is freed by reference counting alone: the capture run's
     machine (CPU, cloned environment, snapshots) must not sit in a
-    recorder <-> CPU cycle, and impact outcomes keep traces, not machines.
-    With the cyclic GC off, nothing is left for it to find."""
+    recorder <-> CPU cycle, and Phase I's run goes with the analysis
+    context.  With the cyclic GC off, nothing is left for it to find."""
     programs = list(family_programs.values()) + [
         s.program for s in generate_population(GeneratorConfig(size=10, seed=5))
     ]
     av = AutoVac()
+    outcomes = 0
     gc.collect()
     gc.disable()
     try:
         for program in programs:
             analysis = av.analyze(program)
-            assert all(o.mutated_trace is not None for o in analysis.impacts)
+            outcomes += len(analysis.impacts)
             del analysis
         garbage = gc.collect()
     finally:
         gc.enable()
+    assert outcomes  # mutated runs were made and freed
     assert garbage == 0
