@@ -40,10 +40,6 @@ Injected failures for CI come from :mod:`repro.core.faults`
 identically for real and injected faults, and ``jobs=1`` vs ``jobs>1``
 produce the same tables and failure records under the same plan.
 
-The ``pipeline.population_analyzed`` gauge tracks *completed* samples
-(healthy or quarantined; a monotone count, final value == population size)
-regardless of worker completion order.
-
 ``run_dir`` adds run telemetry (DESIGN.md §12): the parent is the only
 writer of a persistent ledger + manifest (:mod:`repro.obs.ledger`) that
 ``repro tail`` / ``repro runs`` read and ``survey --progress`` renders
@@ -422,19 +418,12 @@ def analyze_population(
     emit = telemetry.emit if telemetry is not None else _no_emit
     results: List[Optional[SampleAnalysis]] = [None] * n
     failures_by_index: Dict[int, SampleFailure] = {}
-    gauge = obs.metrics.gauge(
-        "pipeline.population_analyzed", help="samples completed in this run"
-    )
-    done = 0
 
     def finish(
         index: int, analysis: SampleAnalysis, attempt: Optional[int] = None
     ) -> None:
         """Record a healthy result; ``attempt`` is ``None`` for a cache hit."""
-        nonlocal done
         results[index] = analysis
-        done += 1  # completion count: monotone even when workers finish out of order
-        gauge.set(done)
         name = programs[index].name
         if attempt is not None:
             # The stage cells the tree holds, so ledger and tree agree.
@@ -465,11 +454,7 @@ def analyze_population(
             )
 
     def quarantine(index: int, failure: SampleFailure, store_negative: bool = True) -> None:
-        nonlocal done
         failures_by_index[index] = failure
-        done += 1
-        gauge.set(done)
-        obs.metrics.counter("pipeline.sample_failures").inc()
         emit(
             "sample.failed",
             sample=failure.sample,

@@ -316,17 +316,11 @@ class AutoVac:
         finally:
             # Recorded even when a stage raises, so every stage cell
             # already written has its root.
-            seconds = time.perf_counter() - started
-            obs.prof.record(ANALYZE_PATH, seconds)
+            obs.prof.record(ANALYZE_PATH, time.perf_counter() - started)
         # Reached only on success: a stage that raised left the window open
         # for `repro explain` to print, and the next begin_sample drops it.
         analysis.journal = obs.flight.end_sample(journal_token)
         analysis.profile = obs.prof.since(prof_mark)
-        obs.metrics.counter("pipeline.samples").inc()
-        if analysis.filtered_reason:
-            obs.metrics.counter("pipeline.samples_filtered").inc()
-        obs.metrics.counter("pipeline.vaccines").inc(len(analysis.vaccines))
-        obs.metrics.histogram("pipeline.analyze_seconds").observe(seconds)
         _log.info(
             "sample analyzed",
             sample=program.name,

@@ -14,7 +14,7 @@ from typing import TYPE_CHECKING, Callable, Iterable, Optional
 from .. import obs
 from ..tracing.events import ApiCallEvent
 from ..tracing.trace import Trace
-from ..vm.cpu import CPU, ExitStatus
+from ..vm.cpu import CPU
 from ..vm.program import Program
 from ..winapi.dispatcher import Dispatcher, Interception, Interceptor
 from ..winenv.acl import IntegrityLevel
@@ -102,8 +102,6 @@ def run_sample(
     if on_cpu is not None:
         on_cpu(cpu)
     trace = cpu.run()
-    if obs.metrics.enabled and cpu.status is ExitStatus.BUDGET:
-        obs.metrics.counter("runner.budget_exhausted").inc()
     return RunResult(
         trace=trace,
         cpu=cpu,
@@ -186,9 +184,4 @@ def resume_sample(
     """
     cpu = snapshot.build_cpu(program, interceptors=interceptors, max_steps=max_steps)
     trace = cpu.run()
-    if obs.metrics.enabled:
-        obs.metrics.counter("runner.resumes").inc()
-        obs.metrics.counter("runner.instructions_skipped").inc(snapshot.steps)
-        if cpu.status is ExitStatus.BUDGET:
-            obs.metrics.counter("runner.budget_exhausted").inc()
     return RunResult(trace=trace, cpu=cpu, environment=cpu.environment)

@@ -222,8 +222,6 @@ class PolicyStage(Stage):
             exclusiveness=ctx.pipeline.exclusiveness,
         )
         analysis.policy = policy
-        if policy is not None:
-            obs.metrics.counter("pipeline.policies").inc()
 
 
 class ClinicStage(Stage):

@@ -4,11 +4,13 @@ The paper's §VI-F evaluation is entirely *measured* behaviour (per-sample
 generation time, per-identifier slicing time, daemon hook overhead <4.5%);
 this package is the instrumentation substrate those measurements come from:
 
-* :data:`metrics` — process-local registry of counters/gauges/histograms
-  with labels; JSON + Prometheus text exporters (:mod:`repro.obs.metrics`).
-  It holds per-sample and per-survey facts; per-run VM and API counts stay
-  in the trace, the journal and the timing tree (only the VM tier
-  counters perfbench reads are still flushed once per run);
+* :data:`metrics` — process-local registry of labelled counters and
+  gauges; JSON + Prometheus text exporters (:mod:`repro.obs.metrics`).
+  It keeps only counts nothing else records: the VM tier counters
+  perfbench reads (flushed once per run), snapshot capture/resume
+  failures, cache/retry/pool traffic, and daemon and campaign gauges.
+  Per-sample facts live in ``SampleAnalysis``/``PopulationResult``, the
+  journal and the timing tree;
 * :func:`get_logger` — structured key=value stdlib logging, enabled via the
   ``REPRO_LOG`` environment variable (:mod:`repro.obs.log`);
 * :data:`flight` — flight recorder journaling analysis-causal events
@@ -46,7 +48,7 @@ from .flight import FlightEvent, FlightRecorder, Journal, render_chain, summariz
 from .ledger import LedgerFold, ProgressView, RunTelemetry
 from .log import configure as configure_logging
 from .log import get_logger
-from .metrics import DEFAULT_BUCKETS, MAX_LABEL_SETS, Counter, Gauge, Histogram, MetricsRegistry
+from .metrics import Counter, Gauge, MetricsRegistry
 from .prof import Profiler, merge_profiles, render_table, render_tree, to_folded, to_tree
 
 #: The process-global registry, flight recorder, and profiler every layer
@@ -106,14 +108,11 @@ def export_json(path) -> Dict[str, object]:
 
 __all__ = [
     "Counter",
-    "DEFAULT_BUCKETS",
     "FlightEvent",
     "FlightRecorder",
     "Gauge",
-    "Histogram",
     "Journal",
     "LedgerFold",
-    "MAX_LABEL_SETS",
     "MetricsRegistry",
     "Profiler",
     "ProgressView",

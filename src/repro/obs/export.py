@@ -41,8 +41,9 @@ def write_json(
 
 def load(path) -> Dict[str, object]:
     """Parse a snapshot file; raises :class:`ValueError` naming the file
-    and the reason on truncated/corrupt JSON (``SystemExit``-friendly for
-    ``repro stats``) instead of leaking a bare ``json.JSONDecodeError``."""
+    and the reason on truncated/corrupt JSON or a malformed metric family
+    (``SystemExit``-friendly for ``repro stats``) instead of leaking a bare
+    ``json.JSONDecodeError`` or ``KeyError``."""
     text = Path(path).read_text()
     try:
         data = json.loads(text)
@@ -51,9 +52,31 @@ def load(path) -> Dict[str, object]:
         raise ValueError(
             f"{path}: corrupt or truncated metrics snapshot ({reason})"
         ) from None
-    if not isinstance(data, dict) or "metrics" not in data:
+    if not isinstance(data, dict) or not isinstance(data.get("metrics"), dict):
         raise ValueError(f"{path}: not a repro metrics snapshot")
+    for name, family in data["metrics"].items():
+        reason = _family_error(family)
+        if reason:
+            raise ValueError(f"{path}: metric family {name!r} {reason}")
     return data
+
+
+def _family_error(family: object) -> str:
+    """Why ``family`` is not a counter/gauge snapshot family ('' if it is)."""
+    kind = family.get("kind") if isinstance(family, dict) else None
+    if kind not in ("counter", "gauge"):
+        return f"has kind {kind!r}, not counter or gauge"
+    series = family.get("series")
+    if not isinstance(series, list):
+        return "has no series list"
+    for s in series:
+        if not (
+            isinstance(s, dict)
+            and isinstance(s.get("labels"), dict)
+            and isinstance(s.get("value"), (int, float))
+        ):
+            return "has a series without labels and a numeric value"
+    return ""
 
 
 # ----------------------------------------------------------------------
@@ -64,35 +87,19 @@ def load(path) -> Dict[str, object]:
 def render_stats(
     data: Dict[str, object], max_depth: int = 6, top: Optional[int] = None
 ) -> str:
-    """Human-readable summary of a snapshot: counters/gauges table,
-    histogram summaries, then the profile tree (``max_depth`` frames deep,
-    ``top`` widest nodes per level; VM tiers are its ``vm;`` nodes)."""
+    """Human-readable summary of a snapshot: counters/gauges table, then
+    the profile tree (``max_depth`` frames deep, ``top`` widest nodes per
+    level; VM tiers are its ``vm;`` nodes)."""
     metrics: Dict[str, Dict] = data.get("metrics", {})  # type: ignore[assignment]
     lines: List[str] = []
-
-    scalars: List[str] = []
-    histograms: List[str] = []
-    for name in sorted(metrics):
-        family = metrics[name]
-        for series in family["series"]:
-            label_text = _labels_text(series["labels"])
-            if family["kind"] == "histogram":
-                histograms.append(
-                    f"  {name}{label_text}  count={series['count']} "
-                    f"sum={_fmt_s(series['sum'])} mean={_fmt_s(_mean(series))} "
-                    f"max={_fmt_s(series['max'] or 0.0)}"
-                )
-            else:
-                value = series["value"]
-                scalars.append(f"  {name + label_text:<56s} {value:>12g}")
-
+    scalars = [
+        f"  {name + _labels_text(series['labels']):<56s} {series['value']:>12g}"
+        for name in sorted(metrics)
+        for series in metrics[name]["series"]
+    ]
     if scalars:
         lines.append("== counters / gauges ==")
         lines.extend(scalars)
-    if histograms:
-        lines.append("")
-        lines.append("== histograms ==")
-        lines.extend(histograms)
 
     profile = data.get("profile") or {}
     if profile:
@@ -106,8 +113,9 @@ def render_prometheus(data: Dict[str, object]) -> str:
     """Prometheus exposition text: the metric families, then the profile
     tree as two counters per recorded path, ``repro_profile_seconds_total``
     (total wall seconds, children included) and
-    ``repro_profile_calls_total``.  Per-sample latency quantiles come from
-    the ``pipeline.analyze_seconds`` histogram."""
+    ``repro_profile_calls_total``.  Per-sample analysis time is the
+    ``pipeline.analyze`` path: one call per sample, measured in the process
+    that analyzed it."""
     text = prometheus_text(data.get("metrics", {}))  # type: ignore[arg-type]
     profile: Dict[str, List] = data.get("profile") or {}  # type: ignore[assignment]
     if not profile:
@@ -128,17 +136,3 @@ def _labels_text(labels: Dict[str, str]) -> str:
     if not labels:
         return ""
     return "{" + ",".join(f"{k}={v}" for k, v in sorted(labels.items())) + "}"
-
-
-def _mean(series: Dict[str, object]) -> float:
-    count = series.get("count") or 0
-    return (series.get("sum") or 0.0) / count if count else 0.0  # type: ignore[operator]
-
-
-def _fmt_s(seconds: Optional[float]) -> str:
-    seconds = seconds or 0.0
-    if seconds >= 1.0:
-        return f"{seconds:.3f}s"
-    if seconds >= 0.001:
-        return f"{seconds * 1000:.2f}ms"
-    return f"{seconds * 1_000_000:.1f}us"

@@ -106,8 +106,8 @@ class TestInlineFailures:
         failure = result.failed()[0]
         assert failure.error_type == "InjectedCrash"
         assert failure.index == 3
-        assert obs.metrics.value("pipeline.sample_failures") == 1
-        assert obs.metrics.value("pipeline.population_analyzed") == SIZE
+        assert len(result.failures) == 1
+        assert len(result.analyses) + len(result.failures) == SIZE
 
     def test_retry_succeeds_on_attempt_two(self, programs):
         obs.reset()
@@ -118,7 +118,6 @@ class TestInlineFailures:
         assert not result.failed()
         assert len(result.succeeded()) == SIZE
         assert obs.metrics.value("pipeline.sample_retries") == 1
-        assert obs.metrics.value("pipeline.sample_failures") == 0
 
     def test_quarantine_consumes_full_retry_budget(self, programs):
         obs.reset()
@@ -279,8 +278,8 @@ class TestNegativeCache:
         assert failure_table(second) == [(programs[0].name, "crash", 1)]
         assert obs.metrics.value("pipeline.cache_negative_hits") == 1
         assert obs.metrics.value("pipeline.cache_hits") == SIZE - 1
-        assert obs.metrics.value("pipeline.samples") == 0  # nothing re-analyzed
-        assert obs.metrics.value("pipeline.population_analyzed") == SIZE
+        assert obs.metrics.total("vm.fast_steps") == 0  # no guest instruction ran
+        assert len(second.analyses) + len(second.failures) == SIZE
 
     def test_execution_knobs_do_not_change_cache_keys(self):
         base = PipelineConfig()

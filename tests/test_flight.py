@@ -3,9 +3,8 @@
 Covers the PR's acceptance surface: the per-sample journal forms a walkable
 DAG from each vaccine back to the originating API interception, journals
 merge deterministically across process-pool workers, the versioned analysis
-codec round-trips them (and still loads v1 payloads without one), the
-``repro explain`` CLI narrates a real chain, and the metrics label-set cap
-now fails loudly instead of silently.
+codec round-trips them (and still loads v1 payloads without one), and the
+``repro explain`` CLI narrates a real chain.
 """
 
 from __future__ import annotations
@@ -342,48 +341,3 @@ class TestExplainCli:
         assert tree[0].startswith("pipeline.analyze ")
         assert tree[1].startswith("  ") and not tree[1].startswith("   ")
         assert tree[2].strip().startswith("... +")
-
-
-# ---------------------------------------------------------------------------
-# metrics label-set overflow (satellite fix)
-# ---------------------------------------------------------------------------
-
-
-class TestLabelOverflow:
-    def test_overflow_counts_and_warns_once(self):
-        import logging
-
-        from repro.obs.metrics import (
-            DROPPED_LABEL_SETS_METRIC,
-            MAX_LABEL_SETS,
-            MetricsRegistry,
-        )
-
-        # The repro logger tree does not propagate to root (caplog can't see
-        # it), so hang a capture handler on the module's logger directly.
-        captured: list = []
-        handler = logging.Handler()
-        handler.emit = captured.append
-        logger = logging.getLogger("repro.obs.metrics")
-        logger.addHandler(handler)
-        try:
-            registry = MetricsRegistry()
-            for i in range(MAX_LABEL_SETS + 3):
-                registry.counter("hot.metric", shard=i).inc()
-        finally:
-            logger.removeHandler(handler)
-        assert registry.dropped_label_sets == 3
-        # The dedicated counter carries the overflowing family as a label ...
-        assert registry.value(DROPPED_LABEL_SETS_METRIC, metric="hot.metric") == 3
-        # ... and the structured warning fires once per family, not per drop.
-        warnings = [r for r in captured if "label-set cap" in r.getMessage()]
-        assert len(warnings) == 1
-        assert warnings[0].kv_fields["metric"] == "hot.metric"
-
-    def test_overflow_of_the_overflow_counter_does_not_recurse(self):
-        from repro.obs.metrics import DROPPED_LABEL_SETS_METRIC, MAX_LABEL_SETS, MetricsRegistry
-
-        registry = MetricsRegistry()
-        for i in range(MAX_LABEL_SETS + 2):
-            registry.counter(DROPPED_LABEL_SETS_METRIC, metric=f"m{i}").inc()
-        assert registry.dropped_label_sets == 2  # counted, no RecursionError

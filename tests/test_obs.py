@@ -8,7 +8,7 @@ import pytest
 
 from repro import AutoVac, obs
 from repro.corpus import build_family
-from repro.obs.metrics import MAX_LABEL_SETS, Histogram, MetricsRegistry
+from repro.obs.metrics import MetricsRegistry
 from repro.core.pipeline import STAGES
 
 
@@ -52,40 +52,13 @@ class TestCounters:
         with pytest.raises(TypeError):
             reg.gauge("dual")
 
-    def test_cardinality_cap(self):
-        reg = MetricsRegistry()
-        for i in range(MAX_LABEL_SETS + 25):
-            reg.counter("wild", key=str(i)).inc()
-        family = next(f for f in reg.families() if f.name == "wild")
-        assert len(family.children) == MAX_LABEL_SETS
-        assert reg.dropped_label_sets == 25
-        # Overflow label sets get a null instrument, not an exception.
-        reg.counter("wild", key="overflow-again").inc()
-
     def test_gauge_set_inc_dec(self):
         reg = MetricsRegistry()
         g = reg.gauge("fleet.infected")
         g.set(10)
         g.inc(3)
-        g.dec()
+        g.inc(-1)  # a gauge goes down through inc
         assert reg.value("fleet.infected") == 12
-
-
-class TestHistogram:
-    def test_bucketing(self):
-        h = Histogram(buckets=(0.01, 0.1, 1.0))
-        for v in (0.005, 0.05, 0.5, 5.0, 0.5):
-            h.observe(v)
-        assert h.bucket_counts == [1, 1, 2, 1]  # last slot = +Inf overflow
-        assert h.count == 5
-        assert h.sum == pytest.approx(6.055)
-        assert h.min == 0.005 and h.max == 5.0
-        assert h.mean == pytest.approx(6.055 / 5)
-
-    def test_boundary_lands_in_lower_bucket(self):
-        h = Histogram(buckets=(1.0, 2.0))
-        h.observe(1.0)
-        assert h.bucket_counts == [1, 0, 0]
 
 
 class TestDisabled:
@@ -94,7 +67,6 @@ class TestDisabled:
         reg.enabled = False
         reg.counter("n").inc()
         reg.gauge("n2").set(5)
-        reg.histogram("n3").observe(1)
         assert list(reg.families()) == []
 
     def test_obs_disabled_context(self):
@@ -147,7 +119,6 @@ class TestExporters:
             "daemon.calls_matched", resource="mutex", mechanism="simulate_presence"
         ).inc(7)
         obs.metrics.gauge("campaign.infected").set(3)
-        obs.metrics.histogram("pipeline.analyze_seconds").observe(0.02)
         obs.prof.record("pipeline.analyze", 0.02)
         obs.prof.record("pipeline.analyze;phase1", 0.015)
 
@@ -171,6 +142,15 @@ class TestExporters:
         with pytest.raises(ValueError):
             obs.load(bad)
 
+    def test_load_accepts_snapshot_with_help_strings(self, tmp_path):
+        # Snapshots written before the registry dropped help strings.
+        path = tmp_path / "old.json"
+        path.write_text(json.dumps({"metrics": {"pipeline.cache_hits": {
+            "kind": "counter", "help": "", "series": [{"labels": {}, "value": 4}]
+        }}}))
+        text = obs.render_prometheus(obs.load(path))
+        assert text == "# TYPE repro_pipeline_cache_hits counter\nrepro_pipeline_cache_hits_total 4\n"
+
     def test_prometheus_text(self):
         self._populate()
         text = obs.metrics.to_prometheus()
@@ -180,17 +160,6 @@ class TestExporters:
             'resource="mutex"} 7' in text
         )
         assert "repro_campaign_infected 3" in text
-        assert "repro_pipeline_analyze_seconds_count 1" in text
-        assert 'le="+Inf"' in text
-
-    def test_prometheus_histogram_is_cumulative(self):
-        h = obs.metrics.histogram("h", buckets=(1.0, 2.0))
-        h.observe(0.5)
-        h.observe(1.5)
-        text = obs.metrics.to_prometheus()
-        assert 'repro_h_bucket{le="1.0"} 1' in text
-        assert 'repro_h_bucket{le="2.0"} 2' in text
-        assert 'repro_h_bucket{le="+Inf"} 2' in text
 
     def test_render_stats_text(self):
         self._populate()
@@ -247,20 +216,41 @@ class TestPipelineIntegration:
     def test_dispatcher_and_vm_counters_populate(self):
         AutoVac().analyze(build_family("conficker"))
         assert obs.metrics.total("vm.fast_steps") > 0
-        assert obs.metrics.value("pipeline.samples") == 1
 
     def test_default_analysis_writes_only_these_families(self):
         # Per-run counts live in the trace, the journal and the timing
-        # tree; the registry holds per-sample facts and the tier counters
-        # perfbench reads.  A per-run copy creeping back shows up here.
+        # tree, per-sample facts in the SampleAnalysis; the registry holds
+        # only the tier counters perfbench reads.  A copy creeping back
+        # shows up here.
         AutoVac().analyze(build_family("conficker"))
         assert set(obs.metrics.snapshot()) == {
-            "pipeline.analyze_seconds",
-            "pipeline.policies",
-            "pipeline.samples",
-            "pipeline.vaccines",
-            "runner.instructions_skipped",
-            "runner.resumes",
+            "vm.fast_steps",
+            "vm.superblocks.compiled",
+            "vm.superblocks.entries",
+            "vm.superblocks.guard_exits",
+        }
+
+    @pytest.mark.parametrize("mode", ["jobs1", "jobs2", "warm_cache"])
+    def test_survey_writes_only_counts_nothing_else_records(self, mode, tmp_path):
+        # Survey facts live in the PopulationResult, the journal and the
+        # timing tree; only cache/pool traffic and the tier counters are
+        # left to the registry, whatever jobs or cache state.
+        from repro.core.executor import analyze_population
+        from repro.corpus import GeneratorConfig, generate_population
+
+        population = generate_population(GeneratorConfig(size=60, seed=42))  # golden
+        programs = [s.program for s in population]
+        cache = tmp_path if mode == "warm_cache" else None
+        if cache is not None:
+            analyze_population(programs, cache=cache)
+            obs.reset()
+        result = analyze_population(programs, jobs=2 if mode == "jobs2" else 1, cache=cache)
+        assert len(result.analyses) + len(result.failures) == 60
+        written = {
+            name for name in obs.metrics.snapshot()
+            if not name.startswith("pipeline.cache_") and name != "pipeline.pool_respawns"
+        }
+        assert written <= {
             "vm.fast_steps",
             "vm.superblocks.compiled",
             "vm.superblocks.entries",
@@ -356,7 +346,30 @@ class TestCliMetrics:
                      "--metrics", str(path)]) == 0
         data = obs.load(path)
         assert data["profile"]["pipeline.analyze"][0] == 6
-        assert data["metrics"]["pipeline.samples"]["series"][0]["value"] == 6
+
+    @pytest.mark.parametrize("prom", [False, True], ids=["plain", "prom"])
+    @pytest.mark.parametrize(
+        "family",
+        [
+            {"kind": "counter"},
+            {"kind": "gauge", "series": [{"labels": {}}]},
+            # A family written before the registry dropped histograms.
+            {"kind": "histogram", "help": "", "series": [
+                {"labels": {}, "count": 1, "sum": 0.5, "max": 0.5, "bucket_counts": [1]}
+            ]},
+        ],
+        ids=["no_series", "no_value", "histogram"],
+    )
+    def test_stats_rejects_malformed_family(self, tmp_path, family, prom):
+        from repro.cli import main
+
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps({"metrics": {"x.family": family}}))
+        with pytest.raises(SystemExit) as exc:
+            main(["stats", str(path)] + (["--prom"] if prom else []))
+        message = str(exc.value)
+        assert message.startswith("error: ")
+        assert str(path) in message and "'x.family'" in message
 
     def test_stats_on_garbage_path_errors(self):
         from repro.cli import main
