@@ -36,13 +36,14 @@ deny rules); ``--enforce`` clinic-certifies it against the benign suite and
 re-attacks a policy-enforcing host with the sample.  Set ``REPRO_LOG=info``
 for structured logs.
 
-``survey --run-dir DIR`` records live run telemetry (DESIGN.md §12): a
-persistent ledger of per-sample lifecycle events plus a manifest; add
-``--progress`` for a live progress line.  ``tail`` replays (or, with
-``--follow``, streams) a run directory's ledger — attachable while the
-survey is still running from another terminal (``--interval`` sets the poll
-period); ``runs`` lists the run directories under a parent directory with
-their outcomes.
+``survey --run-dir DIR`` records live run telemetry (DESIGN.md §12): one
+file, a persistent ledger of per-sample lifecycle events bracketed by
+``run.started``/``run.finished``; add ``--progress`` for a live progress
+line.  ``tail`` replays (or, with ``--follow``, streams) a run directory's
+ledger — attachable while the survey is still running from another
+terminal (``--interval`` sets the poll period); ``runs`` lists the run
+directories under a parent directory with their status and outcomes, all
+derived from each ledger.
 
 ``profile`` analyzes one sample with the hot-path profiler (``obs.prof``)
 on and prints the self-time attribution table, per pipeline stage: VM time
@@ -50,8 +51,8 @@ per tier (slow/fast; analysis compiles no superblock regions), API
 dispatch per handler with the ``read_stack_args`` cost split out, snapshot
 capture/restore, and rule matching.  ``--json`` emits the nested tree, ``--folded`` collapsed stacks
 for flamegraph tooling.  ``survey --profile`` collects the same attribution
-population-wide (merged across workers; with ``--run-dir`` the per-sample
-deltas land in ``profile.jsonl``).
+population-wide (merged across workers; each sample's own profile stays in
+its ``SampleAnalysis`` and cache entry).
 """
 
 from __future__ import annotations
@@ -171,18 +172,21 @@ def cmd_survey(args: argparse.Namespace) -> int:
         print(f"run dir: {run_dir} (watch with: repro tail {run_dir} --follow)")
 
     samples = generate_population(GeneratorConfig(size=args.size, seed=args.seed))
-    result = analyze_population(
-        [s.program for s in samples],
-        config=PipelineConfig(
-            sample_timeout=args.timeout,
-            sample_retries=args.retries,
-            profile=args.profile,
-        ),
-        jobs=args.jobs,
-        cache=args.cache,
-        run_dir=run_dir,
-        progress=progress,
-    )
+    try:
+        result = analyze_population(
+            [s.program for s in samples],
+            config=PipelineConfig(
+                sample_timeout=args.timeout,
+                sample_retries=args.retries,
+                profile=args.profile,
+            ),
+            jobs=args.jobs,
+            cache=args.cache,
+            run_dir=run_dir,
+            progress=progress,
+        )
+    except ValueError as exc:
+        raise SystemExit(f"error: {exc}")
     failed = result.failed()
     print(f"{args.size} samples ({len(result.succeeded())} analyzed, "
           f"{len(failed)} failed) -> {len(result.vaccines)} vaccines "
@@ -425,10 +429,10 @@ def cmd_tail(args: argparse.Namespace) -> int:
     from .obs import ledger
 
     try:
-        manifest = ledger.read_manifest(args.run_dir)
+        fold = ledger.read_run(args.run_dir)
     except ValueError as exc:
         raise SystemExit(f"error: {exc}")
-    started = manifest.get("started_unix")
+    started = fold.started_unix
     count = 0
     try:
         for event in ledger.iter_ledger(
@@ -448,33 +452,33 @@ def cmd_tail(args: argparse.Namespace) -> int:
             pass
         return 0
     try:
-        manifest = ledger.read_manifest(args.run_dir)
+        fold = ledger.read_run(args.run_dir)
     except ValueError:
         pass
     if not args.json:
-        print(f"-- {count} event(s) | {ledger.describe_manifest(manifest)}")
+        print(f"-- {count} event(s) | {ledger.describe_run(fold)}")
     return 0
 
 
 def cmd_runs(args: argparse.Namespace) -> int:
-    from .core import render_run_manifest
+    from .core import render_run_summary
     from .obs import ledger
 
     root = Path(args.dir)
-    if (root / ledger.MANIFEST_NAME).is_file():
-        # Pointed at a single run: render its manifest summary.
+    if (root / ledger.LEDGER_NAME).is_file():
+        # Pointed at a single run: render its summary.
         try:
-            manifest = ledger.read_manifest(root)
+            fold = ledger.read_run(root)
         except ValueError as exc:
             raise SystemExit(f"error: {exc}")
-        sys.stdout.write(render_run_manifest(manifest))
+        sys.stdout.write(render_run_summary(fold))
         return 0
     runs = ledger.list_runs(root)
     if not runs:
         print(f"no runs under {root}")
         return 1
-    for manifest in runs:
-        print(ledger.describe_manifest(manifest))
+    for fold in runs:
+        print(ledger.describe_run(fold))
     return 0
 
 
@@ -513,9 +517,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="content-addressed result cache directory "
                         "(makes interrupted surveys resumable)")
     p.add_argument("--timeout", type=float, default=None,
-                   help="per-sample wall-clock limit in seconds "
-                        "(default: off; overdue workers are killed and the "
-                        "sample retried, then quarantined)")
+                   help="per-sample wall-clock limit in seconds; needs "
+                        "--jobs > 1 (default: off; overdue workers are killed "
+                        "and the sample retried, then quarantined)")
     p.add_argument("--retries", type=int, default=1,
                    help="extra attempts for a failing sample before it is "
                         "quarantined (default 1)")
@@ -523,17 +527,15 @@ def build_parser() -> argparse.ArgumentParser:
                    help="write quarantined-sample records (JSON) here")
     p.add_argument("--metrics", help="write an observability snapshot (JSON)")
     p.add_argument("--run-dir",
-                   help="record live run telemetry (event ledger + manifest) "
-                        "into this directory; watch with `repro tail`")
+                   help="record live run telemetry (one event ledger) into "
+                        "this directory; watch with `repro tail`")
     p.add_argument("--progress", action="store_true",
                    help="render live progress (TTY status line, or periodic "
                         "log lines when stdout is not a TTY); implies a "
                         "temporary --run-dir when none is given")
     p.add_argument("--profile", action="store_true",
                    help="collect hot-path profiles (merged across workers); "
-                        "prints the population-wide attribution table and, "
-                        "with --run-dir, writes per-sample deltas to "
-                        "profile.jsonl")
+                        "prints the population-wide attribution table")
     p.set_defaults(func=cmd_survey)
 
     p = sub.add_parser("policy",

@@ -17,7 +17,7 @@ from .policy import (
     synthesize_policy,
     validate_policy,
 )
-from .report import render_failure_summary, render_report, render_run_manifest
+from .report import render_failure_summary, render_report, render_run_summary
 from .stages import (
     AnalysisContext,
     ClinicStage,
@@ -104,7 +104,7 @@ __all__ = [
     "synthesize_policy",
     "render_failure_summary",
     "render_report",
-    "render_run_manifest",
+    "render_run_summary",
     "validate_policy",
     "verify_all",
     "verify_vaccine",

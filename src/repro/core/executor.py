@@ -24,7 +24,9 @@ must never abort the survey.  Failure semantics (see DESIGN.md §10):
   :class:`~repro.core.pipeline.SampleFailure` instead of propagating;
 * ``sample_timeout`` (off by default, for determinism benches) bounds each
   attempt's wall clock — an overdue worker is killed with its pool, the
-  innocent in-flight samples are resubmitted uncharged;
+  innocent in-flight samples are resubmitted uncharged.  Only a pool worker
+  can be killed, so a timeout needs ``jobs>1`` (``jobs=1`` refuses one) and
+  then runs even a lone pending sample in the pool;
 * failed attempts retry with exponential backoff up to ``sample_retries``
   extra attempts, then the sample is **quarantined**: recorded in
   ``PopulationResult.failures`` and — when a cache is configured — written
@@ -41,7 +43,7 @@ identically for real and injected faults, and ``jobs=1`` vs ``jobs>1``
 produce the same tables and failure records under the same plan.
 
 ``run_dir`` adds run telemetry (DESIGN.md §12): the parent is the only
-writer of a persistent ledger + manifest (:mod:`repro.obs.ledger`) that
+writer of a persistent ledger (:mod:`repro.obs.ledger`) that
 ``repro tail`` / ``repro runs`` read and ``survey --progress`` renders
 live.  Workers emit nothing.  ``sample.started`` marks each attempt the
 parent starts or submits; a sample's ``sample.phase`` events are its
@@ -380,11 +382,13 @@ def analyze_population(
     uses ``autovac`` (or ``config.build()``) in-process; ``jobs>1`` ships
     ``config`` (derived from ``autovac`` if needed) to the workers.
     ``faults`` (default: parsed from ``REPRO_FAULT_PLAN``) injects
-    deterministic failures for testing the machinery.
+    deterministic failures for testing the machinery.  A
+    ``config.sample_timeout`` needs ``jobs>1``: ``jobs=1`` raises
+    :class:`ValueError` rather than run unbounded.
 
     ``run_dir`` turns on run telemetry (:mod:`repro.obs.ledger`): the
     parent writes every per-sample lifecycle event into a persistent
-    ledger + manifest under ``run_dir``, watchable live with ``repro
+    ledger under ``run_dir``, watchable live with ``repro
     tail`` and summarized by ``repro runs``.  Terminal
     ``sample.completed``/``sample.failed`` events come from the same choke
     points that fill the returned :class:`PopulationResult`, so the
@@ -405,6 +409,11 @@ def analyze_population(
     retries = max(0, int(policy.sample_retries))
     timeout = policy.sample_timeout
     backoff = max(0.0, policy.retry_backoff)
+    if timeout is not None and jobs == 1:
+        raise ValueError(
+            f"sample_timeout={timeout:g}s needs jobs > 1: only a pool worker "
+            "can be killed when a sample overruns"
+        )
 
     n = len(programs)
     telemetry: Optional[RunTelemetry] = None
@@ -443,15 +452,6 @@ def analyze_population(
             vaccines=len(analysis.vaccines),
             cached=attempt is None,
         )
-        if telemetry is not None and policy.profile:
-            telemetry.record_profile(
-                {
-                    "kind": "sample.profile",
-                    "sample": name,
-                    "index": index,
-                    "profile": analysis.profile,
-                }
-            )
 
     def quarantine(index: int, failure: SampleFailure, store_negative: bool = True) -> None:
         failures_by_index[index] = failure
@@ -511,39 +511,13 @@ def analyze_population(
             time.sleep(backoff * (2 ** (attempt - 1)))
         return True
 
-    # Every analysis carries its own journal (decoded ones through the
-    # codec), so the recorder gets only the quarantine events, outside any
-    # sample window and in *input order* — not completion order — so they
-    # are identical for any jobs/cache combination.
-    def finalize_flight() -> None:
-        for i in sorted(failures_by_index):
-            f = failures_by_index[i]
-            obs.flight.record(
-                "sample.failed",
-                sample=f.sample,
-                failure_kind=f.kind,
-                error=f.error_type,
-                attempts=f.attempts,
-            )
-
     def assemble() -> PopulationResult:
-        finalize_flight()
-        result = PopulationResult(
+        if telemetry is not None:
+            telemetry.finish()
+        return PopulationResult(
             analyses=[a for a in results if a is not None],
             failures=[failures_by_index[i] for i in sorted(failures_by_index)],
         )
-        if telemetry is not None:
-            if policy.profile:
-                telemetry.record_profile(
-                    {"kind": "run.profile", "profile": obs.prof.snapshot()}
-                )
-            telemetry.finish(
-                outcomes={
-                    "completed": len(result.analyses),
-                    "failed": len(result.failures),
-                }
-            )
-        return result
 
     pending: List[int] = []
     for i, program in enumerate(programs):
@@ -567,7 +541,9 @@ def analyze_population(
     if telemetry is not None:
         telemetry.refresh()
 
-    if jobs == 1 or len(pending) <= 1:
+    # A timeout is enforced by killing a pool worker, so with one set even
+    # a lone pending sample runs in the pool.
+    if jobs == 1 or len(pending) <= (0 if timeout is not None else 1):
         local = autovac if autovac is not None else config.build() if config else AutoVac()
         for i in pending:
             program = programs[i]
@@ -659,8 +635,8 @@ def analyze_population(
                     0.0, min(t.deadline for t in in_flight.values()) - now
                 )
             if telemetry is not None:
-                # Bound the wait so the status line and the metrics rows
-                # keep ticking while a sample runs long.
+                # Bound the wait so the status line keeps ticking while a
+                # sample runs long.
                 telemetry.refresh()
                 if wait_timeout is None or wait_timeout > 0.5:
                     wait_timeout = 0.5

@@ -10,6 +10,7 @@ from __future__ import annotations
 from typing import List, Optional
 
 from ..obs import render_chain
+from ..obs.ledger import LedgerFold
 from ..obs.prof import SEP
 from ..obs.prof import render_table as _prof_table
 from .pipeline import SampleAnalysis, SampleFailure
@@ -195,35 +196,36 @@ def render_failure_summary(failures: List[SampleFailure]) -> str:
     return "\n".join(lines)
 
 
-def render_run_manifest(manifest: dict) -> str:
-    """Markdown summary of one run directory's manifest (``repro runs``
-    pointed at a single run): identity, status, and outcome counts."""
-    from ..obs.ledger import manifest_status
+def render_run_summary(fold: LedgerFold) -> str:
+    """Markdown summary of one run directory (``repro runs`` pointed at a
+    single run): identity, status, and outcome counts, from the fold of
+    its ledger's last run."""
+    import time as _time
 
-    lines: List[str] = [f"# Run {manifest.get('run_id', '(unknown)')}", ""]
+    lines: List[str] = [f"# Run {fold.run_id or '(unknown)'}", ""]
     push = lines.append
-    push(f"* status: **{manifest_status(manifest)}**")
-    push(f"* population: {manifest.get('population', '?')} samples")
-    fingerprint = str(manifest.get("config_fingerprint", ""))
-    if fingerprint:
-        push(f"* config fingerprint: `{fingerprint[:16]}`")
-    started = manifest.get("started_unix")
-    if started is not None:
-        import time as _time
-
-        push(
-            "* started: "
-            + _time.strftime("%Y-%m-%d %H:%M:%S", _time.localtime(float(started)))
-        )
-    if "duration_seconds" in manifest:
-        push(f"* duration: {float(manifest['duration_seconds']):.1f}s")
-    outcomes = manifest.get("outcomes") or {}
-    if outcomes:
-        push("")
-        push("| outcome | count |")
-        push("|---|---|")
-        for key in sorted(outcomes):
-            push(f"| {key} | {outcomes[key]} |")
+    push(f"* status: **{fold.status}**")
+    push(f"* population: {fold.population} samples")
+    if fold.config_fingerprint:
+        push(f"* config fingerprint: `{fold.config_fingerprint[:16]}`")
+    push(
+        "* started: "
+        + _time.strftime("%Y-%m-%d %H:%M:%S", _time.localtime(fold.started_unix))
+    )
+    if fold.duration_seconds is not None:
+        push(f"* duration: {fold.duration_seconds:.1f}s")
+    push("")
+    push("| outcome | count |")
+    push("|---|---|")
+    for key, count in (
+        ("cache_hits", fold.cache_hits),
+        ("completed", fold.completed),
+        ("events", fold.events_seen),
+        ("failed", fold.failed),
+        ("retries", fold.retries),
+        ("timeouts", fold.timeouts),
+    ):
+        push(f"| {key} | {count} |")
     push("")
     return "\n".join(lines)
 

@@ -95,8 +95,12 @@ class VmSnapshot:
     env_state: EnvSnapshot
 
     @classmethod
-    def capture(cls, cpu: CPU, event: ApiCallEvent) -> "VmSnapshot":
+    def capture(
+        cls, cpu: CPU, event: ApiCallEvent, restores: List[int]
+    ) -> "VmSnapshot":
         """Checkpoint ``cpu`` as of the *start* of the API call ``event``.
+        ``restores`` is the capture run's shared restore counter
+        (:attr:`EnvSnapshot.restores`).
 
         Called from inside the dispatcher's interceptor phase, where guest
         state is untouched since the call instruction began: only ``pc``,
@@ -108,10 +112,10 @@ class VmSnapshot:
         t_start = time.perf_counter() if prof is not None else 0.0
         if prof is not None:
             t0 = time.perf_counter()
-            env_state = EnvSnapshot.capture(cpu.environment, cpu.process)
+            env_state = EnvSnapshot.capture(cpu.environment, cpu.process, restores)
             prof.add("snapshot;capture;env_snapshot", time.perf_counter() - t0)
         else:
-            env_state = EnvSnapshot.capture(cpu.environment, cpu.process)
+            env_state = EnvSnapshot.capture(cpu.environment, cpu.process, restores)
         snapshot = cls(
             program_name=cpu.program.name,
             pc=event.caller_pc,
@@ -211,6 +215,8 @@ class SnapshotRecorder:
         #: candidate.key -> VmSnapshot (None: capture failed, rerun in full).
         self.snapshots: Dict[tuple, Optional[VmSnapshot]] = {}
         self.cpu: Optional[CPU] = None
+        #: One restore counter for every snapshot of this capture run.
+        self.restores: List[int] = [0]
 
     def bind(self, cpu: CPU) -> None:
         self.cpu = cpu
@@ -225,7 +231,7 @@ class SnapshotRecorder:
             if matched:
                 snapshot: Optional[VmSnapshot]
                 try:
-                    snapshot = VmSnapshot.capture(self.cpu, event)
+                    snapshot = VmSnapshot.capture(self.cpu, event, self.restores)
                 except Exception as exc:
                     snapshot = None
                     _log.warning(

@@ -20,9 +20,9 @@ Design constraints (mirroring the rest of ``repro.obs``):
   worker process) it is analyzed; ``end_sample`` hands that journal back
   as it is;
 * an event recorded while no window is open (the daemon's
-  ``policy.violation`` on host runs, the executor's ``sample.failed``) goes
-  to a small bounded log (:data:`MAX_FLIGHT_EVENTS`) that drops the
-  *oldest* events and counts them in ``recorder.dropped``;
+  ``policy.violation`` on host runs) goes to a small bounded log
+  (:data:`MAX_FLIGHT_EVENTS`) that drops the *oldest* events and counts
+  them in ``recorder.dropped``;
 * cross-layer correlation goes through ``remember(key, id)`` /
   ``recall(key)`` with **first-wins** semantics: trace event ids restart
   per run (the phase-1 run, the snapshot-capture run, and every resumed
@@ -297,11 +297,6 @@ def summarize_event(event: FlightEvent) -> str:
         return (
             f"policy denied {a.get('api')} on {a.get('resource')} "
             f"{a.get('identifier')!r} ({a.get('operation')})"
-        )
-    if kind == "sample.failed":
-        return (
-            f"sample {a.get('sample')!r} quarantined: {a.get('failure_kind')} "
-            f"({a.get('error')}) after {a.get('attempts')} attempt(s)"
         )
     detail = ", ".join(f"{k}={v}" for k, v in sorted(a.items()))
     return f"{kind}" + (f" ({detail})" if detail else "")

@@ -1,24 +1,24 @@
 """Persistent run ledger: the parent's event writer, live fold, and
 tail/list readers.
 
-A *run directory* holds everything one survey invocation produced,
-readable while the run is still in flight:
+A *run directory* holds one file, ``ledger.jsonl``: the time-ordered event
+log, readable while the run is still in flight.  :class:`RunTelemetry`,
+owned by the executor parent, is its only writer: one JSON object per
+line, flushed per event.  Every view of a run — ``repro tail``, ``repro
+runs``, the ``--progress`` line — is a :class:`LedgerFold` over the
+ledger's last ``run.started`` segment (a reused directory appends a new
+segment per run).
 
-* ``ledger.jsonl`` — the time-ordered event log (what ``repro tail``
-  replays).  :class:`RunTelemetry`, owned by the executor parent, is its
-  only writer: one JSON object per line, flushed per event;
-* ``metrics.jsonl`` — periodic progress rows (throughput time-series);
-* ``profile.jsonl`` — per-sample hot-path profiles (``survey --profile``);
-* ``manifest.json`` — run id, config fingerprint, population size, status
-  (``running`` → ``finished``) and final outcome counts; rewritten
-  atomically so concurrent readers never see a torn file.
-
-Event grammar (DESIGN.md §12): ``run.started`` / ``run.finished`` bracket
-the run; per sample the lifecycle is ``cache.hit`` *or* one
-``sample.started`` per attempt, optionally ``sample.timeout`` /
-``sample.retry`` between attempts, and exactly one terminal
-``sample.completed`` (preceded by the sample's ``sample.phase`` events,
-one per executed stage) or ``sample.failed``.
+Event grammar (DESIGN.md §12): ``run.started`` (run id, population,
+config fingerprint, writer pid) and ``run.finished`` (completed/failed
+counts, monotonic duration) bracket the run; per sample the lifecycle is
+``cache.hit`` *or* one ``sample.started`` per attempt, optionally
+``sample.timeout`` / ``sample.retry`` between attempts, and exactly one
+terminal ``sample.completed`` (preceded by the sample's ``sample.phase``
+events, one per executed stage) or ``sample.failed``.  A run's status is
+derived, never stored: ``finished`` once ``run.finished`` is present,
+``stale`` when it is absent and the ``run.started`` pid is dead, else
+``running``.
 
 All readers tolerate a partial trailing line (a killed writer's last
 event): only bytes up to the final newline are consumed, the remainder is
@@ -35,12 +35,6 @@ from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Set, TextIO, Tuple, Union
 
 LEDGER_NAME = "ledger.jsonl"
-MANIFEST_NAME = "manifest.json"
-METRICS_NAME = "metrics.jsonl"
-PROFILE_NAME = "profile.jsonl"
-MANIFEST_VERSION = 1
-#: Minimum seconds between two ``metrics.jsonl`` rows.
-METRICS_INTERVAL = 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -84,12 +78,6 @@ def _parse_events(lines: List[bytes]) -> List[dict]:
     return events
 
 
-def _write_atomic(path: Path, payload: dict) -> None:
-    tmp = path.with_suffix(f".tmp.{os.getpid()}")
-    tmp.write_text(json.dumps(payload, indent=2, sort_keys=True))
-    tmp.replace(path)
-
-
 def pid_alive(pid: int) -> bool:
     """Does process ``pid`` exist (ours or another user's)?"""
     try:
@@ -102,71 +90,20 @@ def pid_alive(pid: int) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# manifest
-# ---------------------------------------------------------------------------
-
-
-def read_manifest(run_dir: Union[str, os.PathLike]) -> dict:
-    """The run's manifest; raises :class:`ValueError` (with file and
-    reason) when missing or corrupt — ``SystemExit``-friendly for the CLI."""
-    path = Path(run_dir) / MANIFEST_NAME
-    try:
-        text = path.read_text()
-    except OSError as exc:
-        raise ValueError(f"{path}: not a run directory ({exc})") from None
-    try:
-        data = json.loads(text)
-    except ValueError as exc:
-        raise ValueError(f"{path}: corrupt run manifest ({exc})") from None
-    if not isinstance(data, dict) or "run_id" not in data:
-        raise ValueError(f"{path}: not a repro run manifest")
-    return data
-
-
-def manifest_status(manifest: dict) -> str:
-    """``running`` / ``finished`` — plus ``stale`` when the recorded parent
-    pid is gone but the manifest never flipped (a killed survey)."""
-    status = str(manifest.get("status", "unknown"))
-    if status == "running":
-        pid = manifest.get("pid")
-        if isinstance(pid, int) and not pid_alive(pid):
-            return "stale"
-    return status
-
-
-def list_runs(root: Union[str, os.PathLike]) -> List[dict]:
-    """Manifests of every run directory directly under ``root`` (oldest
-    first).  Unreadable manifests are skipped — a listing should never die
-    on one corrupt run."""
-    root = Path(root)
-    out: List[dict] = []
-    candidates = [root] if (root / MANIFEST_NAME).exists() else sorted(root.glob("*"))
-    for entry in candidates:
-        if not (entry / MANIFEST_NAME).is_file():
-            continue
-        try:
-            manifest = read_manifest(entry)
-        except ValueError:
-            continue
-        manifest["_path"] = str(entry)
-        out.append(manifest)
-    out.sort(key=lambda m: m.get("started_unix", 0.0))
-    return out
-
-
-# ---------------------------------------------------------------------------
 # fold: running aggregates over the event stream
 # ---------------------------------------------------------------------------
 
 
 class LedgerFold:
-    """Counts and rates derived from the events seen so far — the state
-    behind the ``--progress`` view and the periodic metrics rows.
+    """A run's identity, status, counts and rates, derived from the events
+    seen so far — the state behind the ``--progress`` view, ``repro tail``
+    and ``repro runs``.
 
-    Two clocks, deliberately: ``started_unix`` is *wall* time (it labels
-    the run for humans and the manifest), but elapsed time behind
-    ``rate``/``eta_seconds`` is measured on ``clock`` — ``time.monotonic``
-    by default — so an NTP step or a manual clock change mid-run cannot
+    Two clocks, deliberately: ``started_unix`` is *wall* time (the
+    ``run.started`` event's ``t``; it labels the run for humans), but
+    elapsed time behind ``rate``/``eta_seconds`` and the writer's
+    ``duration_seconds`` is measured on ``clock`` — ``time.monotonic`` by
+    default — so an NTP step or a manual clock change mid-run cannot
     produce negative or wildly wrong throughput.  Passing an explicit
     ``now=`` to the derived views bypasses the monotonic clock and computes
     against ``started_unix`` on the caller's timeline (the deterministic
@@ -182,6 +119,13 @@ class LedgerFold:
         self.started_unix = started_unix if started_unix is not None else time.time()
         self._clock = clock
         self._started_mono = clock()
+        # From ``run.started``: who wrote the run, and with what config.
+        self.run_id = ""
+        self.config_fingerprint = ""
+        self.pid: Optional[int] = None
+        # From ``run.finished``: present once the run ended.
+        self.finished = False
+        self.duration_seconds: Optional[float] = None
         self.completed = 0
         self.failed = 0
         self.retries = 0
@@ -200,7 +144,18 @@ class LedgerFold:
         self.events_seen += 1
         kind = event.get("kind")
         key = event.get("index", event.get("sample"))
-        if kind == "sample.started":
+        if kind == "run.started":
+            self.run_id = event.get("run_id", "")
+            self.population = event.get("population", 0)
+            self.config_fingerprint = event.get("config_fingerprint", "")
+            self.started_unix = event.get("t", self.started_unix)
+            pid = event.get("pid")
+            # A hand-edited ledger must not reach os.kill with a non-int.
+            self.pid = pid if isinstance(pid, int) else None
+        elif kind == "run.finished":
+            self.finished = True
+            self.duration_seconds = event.get("duration_seconds")
+        elif kind == "sample.started":
             self.active.add(key)
             self.retrying.discard(key)
         elif kind == "sample.phase":
@@ -234,6 +189,17 @@ class LedgerFold:
     # -- derived views -----------------------------------------------------
 
     @property
+    def status(self) -> str:
+        """``finished`` once ``run.finished`` was seen; ``stale`` when it
+        was not and the ``run.started`` pid is gone (a killed survey);
+        ``running`` otherwise."""
+        if self.finished:
+            return "finished"
+        if self.pid is not None and not pid_alive(self.pid):
+            return "stale"
+        return "running"
+
+    @property
     def done(self) -> int:
         return self.completed + self.failed
 
@@ -259,25 +225,6 @@ class LedgerFold:
         if rate <= 0 or self.population <= 0:
             return None
         return max(0.0, (self.population - self.done) / rate)
-
-    def metrics_row(self, now: Optional[float] = None) -> dict:
-        # The "t" column is a wall-clock timestamp (readers correlate rows
-        # with ledger events and manifests); the rate is monotonic-based
-        # unless the caller pinned its own timeline via ``now``.
-        t = now if now is not None else time.time()
-        return {
-            "t": t,
-            "done": self.done,
-            "completed": self.completed,
-            "failed": self.failed,
-            "retries": self.retries,
-            "timeouts": self.timeouts,
-            "cache_hits": self.cache_hits,
-            "active": len(self.active),
-            "retrying": len(self.retrying),
-            "queued": self.queued,
-            "rate_per_s": round(self.rate(now), 3),
-        }
 
     def phase_summary(self, limit: int = 4) -> str:
         """Compact mean-latency digest of the hottest phases."""
@@ -361,26 +308,20 @@ class ProgressView:
 
 class RunTelemetry:
     """One run's telemetry session, owned by the executor parent: the only
-    writer of the ledger, the metrics time-series and the manifest."""
+    writer of the ledger."""
 
     def __init__(
         self,
         run_dir: Path,
-        manifest: dict,
+        run_id: str,
         fold: LedgerFold,
         progress: Optional[ProgressView] = None,
-        clock=time.monotonic,
     ) -> None:
         self.run_dir = run_dir
-        self.manifest = manifest
+        self.run_id = run_id
         self.fold = fold
         self.progress = progress
         self._ledger_fh = open(run_dir / LEDGER_NAME, "a", encoding="utf-8")
-        # Pacing and the final duration run on the monotonic clock; the
-        # manifest's started/finished timestamps stay wall-clock.
-        self._clock = clock
-        self._started_mono = clock()
-        self._metrics_last = 0.0
         self._finished = False
 
     @classmethod
@@ -394,21 +335,15 @@ class RunTelemetry:
     ) -> "RunTelemetry":
         run_dir = Path(run_dir)
         run_dir.mkdir(parents=True, exist_ok=True)
-        started = time.time()
         run_id = run_id or time.strftime("run-%Y%m%d-%H%M%S-") + str(os.getpid())
-        manifest = {
-            "version": MANIFEST_VERSION,
-            "run_id": run_id,
-            "status": "running",
-            "population": population,
-            "config_fingerprint": config_fingerprint,
-            "started_unix": started,
-            "pid": os.getpid(),
-        }
-        _write_atomic(run_dir / MANIFEST_NAME, manifest)
-        fold = LedgerFold(population=population, started_unix=started)
-        telemetry = cls(run_dir, manifest, fold, progress=progress)
-        telemetry.emit("run.started", run_id=run_id, population=population)
+        telemetry = cls(run_dir, run_id, LedgerFold(population=population), progress)
+        telemetry.emit(
+            "run.started",
+            run_id=run_id,
+            population=population,
+            config_fingerprint=config_fingerprint,
+            pid=os.getpid(),
+        )
         return telemetry
 
     def emit(self, kind: str, **attrs: object) -> None:
@@ -425,77 +360,31 @@ class RunTelemetry:
         self.fold.apply(event)
 
     def refresh(self) -> None:
-        """Append a metrics row (at most every :data:`METRICS_INTERVAL`
-        seconds) and redraw the progress view."""
-        now = self._clock()
-        if now - self._metrics_last >= METRICS_INTERVAL:
-            self._metrics_last = now
-            self._append_metrics_row()
+        """Redraw the progress view (rate-limited by the view itself)."""
         if self.progress is not None:
             self.progress.update(self.fold)
 
-    def _append_metrics_row(self) -> None:
-        try:
-            with open(self.run_dir / METRICS_NAME, "a", encoding="utf-8") as fh:
-                fh.write(json.dumps(self.fold.metrics_row()) + "\n")
-        except OSError:  # pragma: no cover - telemetry never kills the run
-            pass
-
-    def record_profile(self, payload: dict) -> None:
-        """Append one hot-path profile row (``profile.jsonl``, next to the
-        ledger): per-sample deltas as the survey progresses, one merged
-        ``run.profile`` row at the end.  Best-effort like the metrics tail —
-        telemetry never kills the run."""
-        try:
-            with open(self.run_dir / PROFILE_NAME, "a", encoding="utf-8") as fh:
-                fh.write(json.dumps(payload) + "\n")
-        except OSError:  # pragma: no cover - telemetry never kills the run
-            pass
-
-    def finish(self, outcomes: Optional[Dict[str, int]] = None) -> dict:
-        """Final event and metrics row, ledger close, manifest flip to
-        ``finished``.  Idempotent — a second call returns the finished
-        manifest."""
+    def finish(self) -> None:
+        """Append ``run.finished`` and close the ledger.  Idempotent — a
+        second call writes nothing."""
         if self._finished:
-            return self.manifest
+            return
         self._finished = True
         self.emit(
             "run.finished",
-            run_id=self.manifest["run_id"],
-            completed=self.fold.completed if outcomes is None else outcomes.get("completed"),
-            failed=self.fold.failed if outcomes is None else outcomes.get("failed"),
+            run_id=self.run_id,
+            completed=self.fold.completed,
+            failed=self.fold.failed,
+            # Monotonic-clock duration: a wall-clock step mid-run changes
+            # the events' ``t`` stamps, never the measured duration.
+            duration_seconds=round(self.fold.elapsed(), 3),
         )
-        self._append_metrics_row()
         try:
             self._ledger_fh.close()
         except OSError:  # pragma: no cover - best effort by contract
             pass
-        finished = time.time()
-        self.manifest.update(
-            status="finished",
-            finished_unix=finished,
-            # Monotonic-clock duration: a wall-clock step mid-run changes
-            # the timestamps above, never the measured duration.
-            duration_seconds=round(self._clock() - self._started_mono, 3),
-            outcomes={
-                "completed": self.fold.completed,
-                "failed": self.fold.failed,
-                "retries": self.fold.retries,
-                "timeouts": self.fold.timeouts,
-                "cache_hits": self.fold.cache_hits,
-                "events": self.fold.events_seen,
-            },
-        )
-        if outcomes:
-            # The executor's PopulationResult is the authority; disagreement
-            # would mean a lost or duplicated terminal event.
-            self.manifest["outcomes"].update(
-                {k: v for k, v in outcomes.items() if v is not None}
-            )
-        _write_atomic(self.run_dir / MANIFEST_NAME, self.manifest)
         if self.progress is not None:
             self.progress.close(self.fold)
-        return self.manifest
 
 
 # ---------------------------------------------------------------------------
@@ -516,34 +405,63 @@ def iter_ledger(
     timeout: Optional[float] = None,
 ) -> Iterator[dict]:
     """Yield ledger events in file order.  With ``follow``, keep polling for
-    new events until the manifest leaves ``running`` (or the writing
-    process dies, or ``timeout`` elapses)."""
-    run_dir = Path(run_dir)
-    path = run_dir / LEDGER_NAME
+    new events until the last run segment ends: its ``run.finished``
+    arrives, its ``run.started`` pid dies (one final sweep picks up what the
+    writer flushed before dying), or ``timeout`` elapses.  A ledger with no
+    ``run.started`` yet is not followed."""
+    path = Path(run_dir) / LEDGER_NAME
     offset = 0
     deadline = time.monotonic() + timeout if timeout is not None else None
+    finished, pid = False, None
     while True:
+        # Liveness is checked *before* the read, so a writer found dead has
+        # flushed everything this read returns.
+        writer_gone = pid is not None and not pid_alive(pid)
         lines, offset = _read_complete_lines(path, offset)
-        events = _parse_events(lines)
-        for event in events:
+        for event in _parse_events(lines):
+            kind = event.get("kind")
+            if kind == "run.started":
+                finished = False
+                pid = event.get("pid") if isinstance(event.get("pid"), int) else None
+            elif kind == "run.finished":
+                finished = True
             yield event
-        if not follow:
-            return
-        try:
-            status = manifest_status(read_manifest(run_dir))
-        except ValueError:
-            status = "unknown"
-        if status != "running":
-            # One final sweep: the writer may have flushed between our read
-            # and the manifest flip.
-            lines, offset = _read_complete_lines(path, offset)
-            events = _parse_events(lines)
-            for event in events:
-                yield event
+        if not follow or finished or writer_gone or pid is None:
             return
         if deadline is not None and time.monotonic() >= deadline:
             return
         time.sleep(poll_seconds)
+
+
+def read_run(run_dir: Union[str, os.PathLike]) -> LedgerFold:
+    """The fold of the ledger's last ``run.started`` segment; raises
+    :class:`ValueError` (with file and reason) when the ledger is missing
+    or holds no ``run.started`` — ``SystemExit``-friendly for the CLI."""
+    path = Path(run_dir) / LEDGER_NAME
+    if not path.is_file():
+        raise ValueError(f"{run_dir}: not a run directory (no {LEDGER_NAME})")
+    events = read_ledger(run_dir)
+    starts = [i for i, e in enumerate(events) if e.get("kind") == "run.started"]
+    if not starts:
+        raise ValueError(f"{path}: no run.started event")
+    fold = LedgerFold()
+    for event in events[starts[-1]:]:
+        fold.apply(event)
+    return fold
+
+
+def list_runs(root: Union[str, os.PathLike]) -> List[LedgerFold]:
+    """Folds of every run directory directly under ``root`` (oldest first).
+    A ledger with no readable ``run.started`` is skipped — a listing should
+    never die on one corrupt run."""
+    out: List[LedgerFold] = []
+    for entry in sorted(Path(root).glob("*")):
+        try:
+            out.append(read_run(entry))
+        except ValueError:
+            continue
+    out.sort(key=lambda fold: fold.started_unix)
+    return out
 
 
 def render_event(event: dict, started_unix: Optional[float] = None) -> str:
@@ -591,43 +509,33 @@ def render_event(event: dict, started_unix: Optional[float] = None) -> str:
     return f"{offset}  {kind:<17s} {detail}".rstrip()
 
 
-def describe_manifest(manifest: dict) -> str:
+def describe_run(fold: LedgerFold) -> str:
     """One status line for a run (``repro runs`` rows / ``repro tail``
     footer)."""
-    status = manifest_status(manifest)
-    outcomes = manifest.get("outcomes") or {}
-    when = time.strftime(
-        "%Y-%m-%d %H:%M:%S", time.localtime(float(manifest.get("started_unix", 0.0)))
-    )
+    when = time.strftime("%Y-%m-%d %H:%M:%S", time.localtime(fold.started_unix))
     parts = [
-        f"{manifest.get('run_id', '?'):<28s}",
-        f"{status:<9s}",
-        f"{when}",
-        f"samples={manifest.get('population', '?')}",
+        f"{fold.run_id:<28s}",
+        f"{fold.status:<9s}",
+        when,
+        f"samples={fold.population}",
+        f"ok={fold.completed}",
+        f"failed={fold.failed}",
     ]
-    if outcomes:
-        parts.append(f"ok={outcomes.get('completed', '?')}")
-        parts.append(f"failed={outcomes.get('failed', '?')}")
-    if "duration_seconds" in manifest:
-        parts.append(f"took={_fmt_duration(float(manifest['duration_seconds']))}")
+    if fold.duration_seconds is not None:
+        parts.append(f"took={_fmt_duration(fold.duration_seconds)}")
     return "  ".join(parts)
 
 
 __all__ = [
     "LEDGER_NAME",
     "LedgerFold",
-    "MANIFEST_NAME",
-    "METRICS_INTERVAL",
-    "METRICS_NAME",
-    "PROFILE_NAME",
     "ProgressView",
     "RunTelemetry",
-    "describe_manifest",
+    "describe_run",
     "iter_ledger",
     "list_runs",
-    "manifest_status",
     "pid_alive",
     "read_ledger",
-    "read_manifest",
+    "read_run",
     "render_event",
 ]

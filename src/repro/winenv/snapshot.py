@@ -39,8 +39,8 @@ open connections, traffic).
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
-from typing import Dict, Tuple
+from dataclasses import dataclass, field
+from typing import Dict, List, Optional, Tuple
 
 from .environment import RESOURCE_TABLES, MachineIdentity, SystemEnvironment
 from .network import Network
@@ -49,9 +49,10 @@ from .processes import Process, ProcessTable
 
 #: Fault injection for chaos testing: when set to N (via the environment at
 #: import time), every Nth restore raises — the survey must degrade that
-#: candidate to a legacy full rerun, never abort.
+#: candidate to a legacy full rerun, never abort.  Restores are counted per
+#: capture run (:attr:`EnvSnapshot.restores`), not per process, so the same
+#: candidate-mechanisms degrade whichever worker analyzes the sample.
 _FAULT_EVERY = int(os.environ.get("REPRO_FAULT_ENV_RESTORE", "0") or 0)
-_restore_count = 0
 
 
 class _IdMap:
@@ -98,6 +99,9 @@ class EnvSnapshot:
     processes: tuple
     orphans: tuple
     main_pid: int
+    #: Restores so far, for the ``REPRO_FAULT_ENV_RESTORE`` plan: one
+    #: counter shared by every snapshot its capture run took.
+    restores: List[int] = field(compare=False, repr=False)
     #: Per-table eager-restore flags, in ``RESOURCE_TABLES`` order
     #: (filesystem, registry, mutexes, services, windows, libraries).  A
     #: table is eager only when some guest handle references one of its
@@ -108,8 +112,13 @@ class EnvSnapshot:
 
     @classmethod
     def capture(
-        cls, environment: SystemEnvironment, process: Process
+        cls,
+        environment: SystemEnvironment,
+        process: Process,
+        restores: Optional[List[int]] = None,
     ) -> "EnvSnapshot":
+        """Capture the machine; snapshots of one capture run pass the same
+        ``restores`` counter (default: a fresh one)."""
         idmap = _IdMap()
         rid = idmap.rid
         tables = tuple(
@@ -153,14 +162,14 @@ class EnvSnapshot:
             orphans=orphans,
             main_pid=process.pid,
             eager=eager,
+            restores=[0] if restores is None else restores,
         )
 
     def restore(self) -> Tuple[SystemEnvironment, Process]:
         """Rebuild a fresh ``(environment, process)`` pair from the rows."""
         if _FAULT_EVERY:
-            global _restore_count
-            _restore_count += 1
-            if _restore_count % _FAULT_EVERY == 0:
+            self.restores[0] += 1
+            if self.restores[0] % _FAULT_EVERY == 0:
                 raise RuntimeError(
                     f"injected environment-restore fault (every {_FAULT_EVERY})"
                 )

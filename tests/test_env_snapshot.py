@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro import obs
 from repro.core.candidate import select_candidates
 from repro.core.impact import ImpactAnalyzer
 from repro.vm.memory import Memory
@@ -410,9 +411,10 @@ class TestChaosDegradation:
             o for c in candidates for o in analyzer.analyze(program, c, report.trace)
         ]
         monkeypatch.setattr(env_snapshot_mod, "_FAULT_EVERY", 1)
-        monkeypatch.setattr(env_snapshot_mod, "_restore_count", 0)
+        obs.reset()
         degraded = analyzer.analyze_candidates(program, candidates, report.trace)
-        assert env_snapshot_mod._restore_count > 0  # faults actually fired
+        # faults actually fired
+        assert obs.metrics.counter("snapshot.resume_failures").value > 0
         def verdicts(outcomes):
             return {
                 (o.candidate.key, o.mechanism): (
@@ -428,7 +430,6 @@ class TestChaosDegradation:
     def test_intermittent_faults_degrade_only_some_resumes(
         self, family_programs, monkeypatch
     ):
-        from repro import obs
         from repro.winenv import snapshot as env_snapshot_mod
 
         program = family_programs["zeus"]
@@ -436,7 +437,6 @@ class TestChaosDegradation:
         assert candidates
 
         monkeypatch.setattr(env_snapshot_mod, "_FAULT_EVERY", 2)
-        monkeypatch.setattr(env_snapshot_mod, "_restore_count", 0)
         obs.reset()
         outcomes = ImpactAnalyzer().analyze_candidates(
             program, candidates, report.trace
@@ -444,3 +444,29 @@ class TestChaosDegradation:
         assert outcomes  # survey completed despite every-other restore failing
         failures = obs.metrics.counter("snapshot.resume_failures").value
         assert failures > 0
+
+    def test_fault_plan_degrades_the_same_resumes_at_any_jobs(self, monkeypatch):
+        # Restores are counted per capture run, not per process: the plan
+        # fails the same candidate-mechanisms however samples land on
+        # workers, so every count and analysis is the same at any jobs.
+        from repro.core.executor import PipelineConfig, analyze_population
+        from repro.corpus import GeneratorConfig, generate_population
+        from repro.tracing.serialize import analysis_fingerprint
+        from repro.winenv import snapshot as env_snapshot_mod
+
+        programs = [
+            s.program for s in generate_population(GeneratorConfig(size=8, seed=5))
+        ]
+        monkeypatch.setattr(env_snapshot_mod, "_FAULT_EVERY", 3)
+        runs = {}
+        for jobs in (1, 2):
+            obs.reset()
+            result = analyze_population(programs, config=PipelineConfig(), jobs=jobs)
+            assert not result.failures
+            runs[jobs] = (
+                obs.metrics.value("snapshot.resume_failures"),
+                obs.metrics.total("vm.fast_steps"),
+                [analysis_fingerprint(a) for a in result.analyses],
+            )
+        assert runs[1][0] > 0
+        assert runs[1] == runs[2]

@@ -14,6 +14,7 @@ import json
 import pytest
 
 from repro import obs
+from repro.cli import main
 from repro.core.executor import PipelineConfig, analyze_population
 from repro.core.faults import (
     FAULT_PLAN_ENV,
@@ -136,20 +137,15 @@ class TestInlineFailures:
         assert failure_table(result) == [(programs[0].name, "timeout", 1)]
         assert result.failed()[0].error_type == "InjectedHang"
 
-    def test_failure_records_flight_events(self, programs):
-        obs.reset()
-        plan = FaultPlan.parse("crash:1")
-        analyze_population(
-            programs[:3], config=fast_config(sample_retries=0), jobs=1, faults=plan
-        )
-        events = [e for e in obs.flight.outside_window() if e.kind == "sample.failed"]
-        assert len(events) == 1
-        attrs = events[0].attrs
-        assert attrs["sample"] == programs[1].name
-        assert attrs["failure_kind"] == "crash"
-        assert attrs["attempts"] == 1
-        # and the explain renderer has a phrase for it
-        assert "quarantined" in obs.summarize_event(events[0])
+    def test_timeout_is_refused_at_jobs1(self, programs):
+        # jobs=1 cannot kill an overrunning sample: a set timeout is an
+        # error, not silently ignored.
+        with pytest.raises(ValueError, match="sample_timeout"):
+            analyze_population(
+                programs[:2], config=fast_config(sample_timeout=1.0), jobs=1
+            )
+        with pytest.raises(SystemExit, match="error: sample_timeout"):
+            main(["survey", "--size", "2", "--timeout", "5"])
 
     def test_plan_from_environment(self, programs, monkeypatch):
         monkeypatch.setenv(FAULT_PLAN_ENV, "crash:0")
@@ -201,6 +197,21 @@ class TestParallelFailures:
         assert result.failed()[0].error_type == "TimeoutError"
         assert len(result.succeeded()) == 3
         # the hung worker's pool was killed and respawned for the others
+        assert obs.metrics.value("pipeline.pool_respawns") >= 1
+
+    def test_timeout_bounds_a_lone_pending_sample(self, programs, tmp_path):
+        # A warm cache leaves exactly one sample pending; with a timeout set
+        # it still runs in the pool, where its hang can be killed.
+        config = fast_config(sample_timeout=1.0, sample_retries=0)
+        analyze_population(programs[:2], config=config, jobs=2, cache=tmp_path)
+        obs.reset()
+        plan = FaultPlan.parse("hang:2", hang_seconds=60.0)
+        result = analyze_population(
+            programs[:3], config=config, jobs=2, cache=tmp_path, faults=plan
+        )
+        assert obs.metrics.value("pipeline.cache_hits") == 2
+        assert failure_table(result) == [(programs[2].name, "timeout", 1)]
+        assert result.failed()[0].error_type == "TimeoutError"
         assert obs.metrics.value("pipeline.pool_respawns") >= 1
 
     def test_worker_death_breaks_pool_but_not_survey(self, programs):

@@ -259,11 +259,14 @@ class TestExecutorMerge:
         journals = [
             a.journal.to_dict() for a in result.analyses if a.journal is not None
         ]
-        # Analysis events live only in the returned journals; the recorder
-        # keeps the quarantine records, outside any sample window.
+        # Analysis events live only in the returned journals, quarantine
+        # records only in the result: the recorder keeps neither.
         assert obs.flight.window is None
-        outside = [(e.kind, e.attrs) for e in obs.flight.outside_window()]
-        return journals, outside
+        assert obs.flight.outside_window() == []
+        failures = [
+            (f.sample, f.kind, f.error_type, f.attempts) for f in result.failures
+        ]
+        return journals, failures
 
     def test_parallel_journals_match_sequential(self):
         seq_journals, _ = self._run(jobs=1)
@@ -275,12 +278,12 @@ class TestExecutorMerge:
         plan = FaultPlan.parse("crash:1,crash:4")
         cache = tmp_path / "cache"
         reference = self._run(jobs=1, faults=plan)
-        journals, outside = reference
+        journals, failures = reference
         assert len(journals) == self.SIZE - 2
         programs = self._programs()
-        assert [(kind, attrs["sample"]) for kind, attrs in outside] == [
-            ("sample.failed", programs[1].name),
-            ("sample.failed", programs[4].name),
+        assert failures == [
+            (programs[1].name, "crash", "InjectedCrash", 1),
+            (programs[4].name, "crash", "InjectedCrash", 1),
         ]
         assert self._run(jobs=2, faults=plan) == reference
         assert self._run(jobs=2, cache=cache, faults=plan) == reference  # cold
@@ -288,7 +291,8 @@ class TestExecutorMerge:
 
     def test_failed_analysis_leaves_no_open_window(self, monkeypatch):
         # A stage that raises mid-analysis leaves its partial journal open;
-        # the executor closes it, so the quarantine record lands outside.
+        # the executor closes and drops it, and records the quarantine in
+        # the result only.
         def boom(self, ctx):
             raise RuntimeError("impact stage exploded")
 
@@ -300,7 +304,7 @@ class TestExecutorMerge:
         )
         assert [f.sample for f in result.failures] == ["conficker"]
         assert obs.flight.window is None
-        assert [e.kind for e in obs.flight.outside_window()] == ["sample.failed"]
+        assert obs.flight.outside_window() == []
 
 
 # ---------------------------------------------------------------------------

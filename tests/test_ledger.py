@@ -5,8 +5,10 @@ exactly mirror ``PopulationResult`` — one ``sample.completed`` or
 ``sample.failed`` per sample, no losses and no duplicates, even under
 injected worker crashes and pool deaths; its ``sample.phase`` events are
 the stage cells of the timing tree, for any jobs; readers tolerate a
-partial trailing line from an in-flight (or killed) writer; and a finished
-run round-trips through ``repro tail`` / ``repro runs``.
+partial trailing line from an in-flight (or killed) writer; the run
+directory holds only the ledger, and every view of a run (status,
+identity, counts) is a fold of its last ``run.started`` segment; and a
+finished run round-trips through ``repro tail`` / ``repro runs``.
 """
 
 from __future__ import annotations
@@ -27,12 +29,11 @@ from repro.obs.ledger import (
     LedgerFold,
     ProgressView,
     RunTelemetry,
-    describe_manifest,
+    describe_run,
     iter_ledger,
     list_runs,
-    manifest_status,
     read_ledger,
-    read_manifest,
+    read_run,
     render_event,
 )
 
@@ -72,11 +73,27 @@ class TestEmit:
         assert len(telemetry.fold.active) == 1
         telemetry.finish()
         assert read_ledger(tmp_path)[-1]["kind"] == "run.finished"
-        assert sorted(p.name for p in tmp_path.iterdir()) == [
-            ledger.LEDGER_NAME,
-            ledger.MANIFEST_NAME,
-            ledger.METRICS_NAME,
-        ]
+        assert [p.name for p in tmp_path.iterdir()] == [ledger.LEDGER_NAME]
+
+    def test_run_events_carry_identity_and_outcome(self, tmp_path):
+        telemetry = RunTelemetry.begin(
+            tmp_path, population=2, config_fingerprint="abc", run_id="run-x"
+        )
+        telemetry.emit("sample.completed", sample="a", index=0)
+        telemetry.emit("sample.failed", sample="b", index=1)
+        telemetry.finish()
+        started, *_, finished = read_ledger(tmp_path)
+        assert set(started) == {
+            "t", "kind", "run_id", "population", "config_fingerprint", "pid"
+        }
+        assert (started["run_id"], started["population"]) == ("run-x", 2)
+        assert started["config_fingerprint"] == "abc"
+        assert started["pid"] == os.getpid()
+        assert set(finished) == {
+            "t", "kind", "run_id", "completed", "failed", "duration_seconds"
+        }
+        assert (finished["completed"], finished["failed"]) == (1, 1)
+        assert finished["duration_seconds"] >= 0.0
 
 
 class TestPartialLineTolerance:
@@ -109,9 +126,26 @@ class TestPartialLineTolerance:
         assert events[0]["kind"] == "run.started"
         assert events[-1]["kind"] == "run.finished"
 
+    def test_follow_stops_at_run_finished_of_a_live_writer(self, tmp_path):
+        # Our own pid is alive, so only run.finished can end the follow —
+        # well before the timeout.
+        import time as _time
+
+        telemetry = RunTelemetry.begin(tmp_path, population=0)
+        telemetry.finish()
+        began = _time.monotonic()
+        events = list(iter_ledger(tmp_path, follow=True, timeout=30.0))
+        assert _time.monotonic() - began < 5.0
+        assert [e["kind"] for e in events] == ["run.started", "run.finished"]
+
+    def test_follow_stops_when_the_writer_died(self, tmp_path):
+        write_ledger(tmp_path, {"kind": "run.started", "pid": DEAD_PID})
+        events = list(iter_ledger(tmp_path, follow=True, timeout=30.0))
+        assert [e["kind"] for e in events] == ["run.started"]
+
 
 class TestLedgerRoundTrip:
-    def test_survey_writes_ledger_manifest_and_metrics(self, tmp_path, programs):
+    def test_survey_writes_only_the_ledger(self, tmp_path, programs):
         result = analyze_population(
             programs, config=fast_config(), jobs=1, run_dir=tmp_path
         )
@@ -125,18 +159,14 @@ class TestLedgerRoundTrip:
         assert {e["sample"] for e in started} == {p.name for p in programs}
         assert any(e["kind"] == "sample.phase" for e in events)
 
-        manifest = read_manifest(tmp_path)
-        assert manifest["status"] == "finished"
-        assert manifest["population"] == SIZE
-        assert manifest["config_fingerprint"] == fast_config().fingerprint()
-        assert manifest["outcomes"]["completed"] == len(result.succeeded())
-        assert manifest["outcomes"]["failed"] == 0
-
-        rows = [
-            json.loads(line)
-            for line in (tmp_path / ledger.METRICS_NAME).read_text().splitlines()
-        ]
-        assert rows and rows[-1]["done"] == SIZE
+        run = read_run(tmp_path)
+        assert run.status == "finished"
+        assert run.population == SIZE
+        assert run.config_fingerprint == fast_config().fingerprint()
+        assert run.completed == events[-1]["completed"] == len(result.succeeded())
+        assert run.failed == events[-1]["failed"] == 0
+        assert run.done == SIZE
+        assert [p.name for p in tmp_path.iterdir()] == [ledger.LEDGER_NAME]
 
     def test_terminal_order_follows_completion(self, tmp_path, programs):
         # `repro tail` replays terminal events in the order the parent
@@ -185,9 +215,9 @@ class TestCollectorUnderFaults:
         # exactly one terminal event per sample — no duplicates
         terminal_samples = [e["sample"] for e in completed + failed]
         assert len(terminal_samples) == len(set(terminal_samples)) == SIZE
-        manifest = read_manifest(tmp_path)
-        assert manifest["outcomes"]["completed"] == SIZE - 2
-        assert manifest["outcomes"]["failed"] == 2
+        run = read_run(tmp_path)
+        assert run.completed == events[-1]["completed"] == SIZE - 2
+        assert run.failed == events[-1]["failed"] == 2
 
     def test_retry_events_recorded(self, tmp_path, programs):
         plan = FaultPlan.parse("crash:2@1")
@@ -323,38 +353,15 @@ class TestFold:
         # test path): elapsed is measured against started_unix.
         assert fold.rate(now=fold.started_unix + 20.0) == pytest.approx(0.05)
 
-    def test_metrics_row_keeps_wall_timestamp_with_monotonic_rate(self):
-        import time as _time
-
-        ticks = iter([50.0, 60.0])
-        fold = LedgerFold(population=2, clock=lambda: next(ticks))
-        fold.apply({"kind": "sample.completed", "index": 0})
-        before = _time.time()
-        row = fold.metrics_row()
-        after = _time.time()
-        # "t" is wall-clock (readers correlate it with ledger events)...
-        assert before <= row["t"] <= after
-        # ...while the rate came off the injected monotonic clock.
-        assert row["rate_per_s"] == pytest.approx(0.1)
-
     def test_telemetry_duration_uses_monotonic_clock(self, tmp_path):
-        ticks = iter([1000.0, 1017.25])  # init, finish
-        manifest = {
-            "version": ledger.MANIFEST_VERSION,
-            "run_id": "run-test-monotonic",
-            "status": "running",
-            "population": 0,
-            "started_unix": 0.0,  # wall clock an hour+ out of step
-            "pid": os.getpid(),
-        }
-        telemetry = RunTelemetry(
-            tmp_path, manifest, LedgerFold(population=0), clock=lambda: next(ticks)
-        )
-        finished = telemetry.finish()
-        # Duration is measured on the injected monotonic clock, not as
-        # finished_unix - started_unix (which would be ~the epoch offset).
+        ticks = iter([1000.0, 1017.25])  # fold created, run finished
+        fold = LedgerFold(population=0, clock=lambda: next(ticks))
+        RunTelemetry(tmp_path, "run-test-monotonic", fold).finish()
+        (finished,) = read_ledger(tmp_path)
+        # Duration is measured on the injected monotonic clock, while the
+        # event's own "t" stays wall-clock.
         assert finished["duration_seconds"] == pytest.approx(17.25)
-        assert finished["finished_unix"] > 1e9
+        assert finished["t"] > 1e9
 
     def test_progress_view_non_tty(self):
         import io
@@ -370,42 +377,76 @@ class TestFold:
         assert lines[-1].startswith("1/2 done")
 
 
-class TestManifest:
-    def test_read_manifest_errors_are_clear(self, tmp_path):
+#: Certainly not a live pid.
+DEAD_PID = 2**30
+
+
+def write_ledger(run_dir, *events):
+    run_dir.mkdir(parents=True, exist_ok=True)
+    with open(run_dir / ledger.LEDGER_NAME, "a") as fh:
+        for event in events:
+            fh.write(json.dumps({"t": 1.0, **event}) + "\n")
+
+
+class TestRunSummary:
+    """Status, identity and counts are derived from the ledger alone."""
+
+    def test_read_run_errors_are_clear(self, tmp_path):
         with pytest.raises(ValueError, match="not a run directory"):
-            read_manifest(tmp_path)
-        (tmp_path / ledger.MANIFEST_NAME).write_text("{half")
-        with pytest.raises(ValueError, match="corrupt run manifest"):
-            read_manifest(tmp_path)
-        (tmp_path / ledger.MANIFEST_NAME).write_text('{"no": "run id"}')
-        with pytest.raises(ValueError, match="not a repro run manifest"):
-            read_manifest(tmp_path)
+            read_run(tmp_path)
+        (tmp_path / ledger.LEDGER_NAME).write_text("{half\n")
+        with pytest.raises(ValueError, match="no run.started event"):
+            read_run(tmp_path)
 
     def test_stale_run_detected_by_dead_pid(self, tmp_path):
         telemetry = RunTelemetry.begin(tmp_path, population=1)
-        manifest = read_manifest(tmp_path)
-        assert manifest_status(manifest) == "running"  # we are alive
-        manifest["pid"] = 2**30  # certainly not a live pid
-        assert manifest_status(manifest) == "stale"
+        assert read_run(tmp_path).status == "running"  # we are alive
         telemetry.finish()
-        assert manifest_status(read_manifest(tmp_path)) == "finished"
+        assert read_run(tmp_path).status == "finished"
+
+        stale = tmp_path / "stale"
+        write_ledger(
+            stale,
+            {"kind": "run.started", "run_id": "r", "population": 3, "pid": DEAD_PID},
+            {"kind": "sample.completed", "index": 0},
+        )
+        run = read_run(stale)
+        assert run.status == "stale"
+        assert run.completed == 1 and run.duration_seconds is None
+        assert "stale" in describe_run(run)
 
     def test_finish_is_idempotent(self, tmp_path):
         telemetry = RunTelemetry.begin(tmp_path, population=0)
-        first = telemetry.finish()
-        assert telemetry.finish() is first
+        telemetry.finish()
+        telemetry.finish()
+        kinds = [e["kind"] for e in read_ledger(tmp_path)]
+        assert kinds == ["run.started", "run.finished"]
 
-    def test_list_runs_skips_corrupt_manifests(self, tmp_path, programs):
+    def test_reused_run_dir_is_summarised_from_its_last_run(self, tmp_path, programs):
+        plan = FaultPlan.parse("crash:1")
+        config = fast_config(sample_retries=0)
+        analyze_population(programs[:3], config=config, jobs=1, faults=plan, run_dir=tmp_path)
+        analyze_population(programs[:2], config=config, jobs=1, run_dir=tmp_path)
+        events = read_ledger(tmp_path)
+        assert [e["kind"] for e in events].count("run.started") == 2
+        run = read_run(tmp_path)
+        assert (run.population, run.completed, run.failed) == (2, 2, 0)
+        assert run.status == "finished"
+        last = max(i for i, e in enumerate(events) if e["kind"] == "run.started")
+        assert run.events_seen == len(events) - last
+        assert run.started_unix == events[last]["t"]
+
+    def test_list_runs_skips_unreadable_ledgers(self, tmp_path, programs):
         analyze_population(
             programs[:1], config=fast_config(), jobs=1, run_dir=tmp_path / "good"
         )
-        bad = tmp_path / "bad"
-        bad.mkdir()
-        (bad / ledger.MANIFEST_NAME).write_text("{nope")
+        write_ledger(tmp_path / "bad", {"kind": "sample.started", "index": 0})
+        (tmp_path / "torn").mkdir()
+        (tmp_path / "torn" / ledger.LEDGER_NAME).write_text("{nope")
         runs = list_runs(tmp_path)
         assert len(runs) == 1
-        assert runs[0]["status"] == "finished"
-        assert "finished" in describe_manifest(runs[0])
+        assert runs[0].status == "finished"
+        assert "finished" in describe_run(runs[0])
 
 
 class TestRenderEvent:
@@ -467,6 +508,19 @@ class TestCliIntegration:
         assert main(["runs", str(run_dir)]) == 0
         out = capsys.readouterr().out
         assert out.startswith("# Run ") and "| completed | 6 |" in out
+        assert "* status: **finished**" in out and "* population: 6 samples" in out
+
+    def test_runs_reports_a_stale_run(self, tmp_path, capsys):
+        write_ledger(
+            tmp_path / "killed",
+            {"kind": "run.started", "run_id": "run-killed", "population": 4,
+             "pid": DEAD_PID},
+        )
+        assert main(["runs", str(tmp_path)]) == 0
+        out = capsys.readouterr().out
+        assert "run-killed" in out and "stale" in out and "samples=4" in out
+        assert main(["tail", str(tmp_path / "killed"), "--follow"]) == 0
+        assert "stale" in capsys.readouterr().out.splitlines()[-1]
 
     def test_tail_rejects_non_run_dir(self, tmp_path):
         with pytest.raises(SystemExit, match="not a run directory"):
@@ -489,6 +543,6 @@ class TestCliIntegration:
         monkeypatch.setattr(tempfile, "mkdtemp", tracking_mkdtemp)
         assert main(["survey", "--size", "4", "--seed", "3", "--progress"]) == 0
         assert "run dir:" in capsys.readouterr().out
-        manifest = read_manifest(made["dir"])
-        assert manifest["status"] == "finished"
-        assert manifest["outcomes"]["completed"] == 4
+        run = read_run(made["dir"])
+        assert run.status == "finished"
+        assert run.completed == 4

@@ -308,21 +308,15 @@ class TestDeterminismAcrossJobs:
             n: counts(p) for n, p in par_by_name.items()
         }
 
-    def test_profile_jsonl_written(self, tmp_path):
+    def test_merged_tree_is_the_sum_of_sample_profiles(self, tmp_path):
+        # Per-sample profiles live in each SampleAnalysis; the run tree is
+        # their merge, and a profiled survey's run directory stays the ledger.
         run_dir = tmp_path / "run"
         result, profile = self._survey(jobs=1, run_dir=run_dir)
         assert profile
-        rows = [
-            json.loads(line)
-            for line in (run_dir / "profile.jsonl").read_text().splitlines()
-        ]
-        kinds = [row["kind"] for row in rows]
-        assert kinds.count("sample.profile") == len(result.analyses)
-        assert kinds[-1] == "run.profile"
-        merged = merge_profiles(
-            *(row["profile"] for row in rows if row["kind"] == "sample.profile")
-        )
-        assert counts(merged) == counts(rows[-1]["profile"])
+        merged = merge_profiles(*(a.profile for a in result.analyses))
+        assert counts(merged) == counts(profile)
+        assert [p.name for p in run_dir.iterdir()] == ["ledger.jsonl"]
 
 
 class TestCacheStateIndependence:
