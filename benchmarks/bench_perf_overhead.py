@@ -108,9 +108,9 @@ def test_perf_daemon_hook_overhead(family_analyses, benign_programs):
     """Daemon interception overhead on benign workloads (paper: <4.5% for
     119 partial-static vaccines).
 
-    The hook cost comes from the daemon's own accounting (time spent inside
-    ``intercept``, published through ``repro.obs``) rather than subtracting
-    two noisy wall-clock measurements of the whole workload."""
+    The hook cost comes from the daemon's own accounting (its attributes:
+    time spent inside ``intercept``, calls seen and matched) rather than
+    subtracting two noisy wall-clock measurements of the whole workload."""
     from repro.core import DeliveryKind
 
     vaccines = [v for _, a in family_analyses.values() for v in a.vaccines
@@ -132,22 +132,21 @@ def test_perf_daemon_hook_overhead(family_analyses, benign_programs):
     daemon.calls_seen = daemon.calls_matched = 0
     daemon.seconds_intercepting = 0.0
     wall = min(workload() for _ in range(3))
-    daemon.flush_metrics()
 
-    hook_seconds = obs.metrics.value("daemon.hook_seconds") / 3  # per pass
+    hook_seconds = daemon.seconds_intercepting / 3  # per pass
     overhead = hook_seconds / wall
     write_artifact(
         "perf_daemon.txt",
         "Daemon hook overhead (paper: <4.5% for 119 partial-static vaccines)\n"
         f"daemon vaccines: {len(vaccines)}\n"
-        f"rules active:    {obs.metrics.value('daemon.rules_active'):.0f}\n"
-        f"calls hooked:    {obs.metrics.value('daemon.calls_seen'):.0f}\n"
-        f"calls matched:   {obs.metrics.value('daemon.calls_matched_total'):.0f}\n"
+        f"rules active:    {len(daemon.engine)}\n"
+        f"calls hooked:    {daemon.calls_seen}\n"
+        f"calls matched:   {daemon.calls_matched}\n"
         f"benign workload wall: {wall * 1000:.1f} ms/pass\n"
         f"time inside hook:     {hook_seconds * 1000:.2f} ms/pass\n"
         f"hook overhead: {overhead:.1%}\n",
     )
-    assert obs.metrics.value("daemon.calls_seen") > 0
+    assert daemon.calls_seen > 0
     # The hook's share of the workload stays a small multiplier.
     assert overhead < 0.45
 

@@ -182,15 +182,6 @@ def simulate_outbreak(
     vaccination campaign at ``vaccinate_at_round`` (the paper's 'capture the
     binary at the initial infection stage, quickly generate vaccines')."""
     result = CampaignResult(machines=fleet.machines)
-
-    def _record_round(stats: RoundStats) -> None:
-        result.history.append(stats)
-        # Epidemic gauges per tick — the live view of the infection curve.
-        obs.metrics.gauge("campaign.round").set(stats.round)
-        obs.metrics.gauge("campaign.infected").set(stats.infected)
-        obs.metrics.gauge("campaign.vaccinated").set(stats.vaccinated)
-        obs.metrics.counter("campaign.new_infections").inc(stats.newly_infected)
-
     seeds = fleet.rng.sample(fleet.machines, min(initial_infections, len(fleet.machines)))
     newly = 0
     for machine in seeds:
@@ -198,7 +189,7 @@ def simulate_outbreak(
             machine.infected = True
             machine.infected_round = 0
             newly += 1
-    _record_round(RoundStats(
+    result.history.append(RoundStats(
         round=0,
         infected=sum(m.infected for m in fleet.machines),
         vaccinated=sum(m.vaccinated for m in fleet.machines),
@@ -221,7 +212,7 @@ def simulate_outbreak(
                     target.infected = True
                     target.infected_round = round_index
                     newly += 1
-        _record_round(RoundStats(
+        result.history.append(RoundStats(
             round=round_index,
             infected=sum(m.infected for m in fleet.machines),
             vaccinated=sum(m.vaccinated for m in fleet.machines),

@@ -23,18 +23,19 @@ fresh machine (optionally re-attacking it with a family sample); ``survey``
 prints the population-scale tables — ``--jobs N`` fans the analysis out to
 worker processes and ``--cache DIR`` makes an interrupted survey resumable
 (already-analyzed samples are served from the content-addressed result
-cache).  ``--metrics`` captures the run's
-observability snapshot (``repro.obs``: the timing tree rooted at
-``pipeline.analyze`` and its stages, and the per-sample counters) to a
-JSON file; ``stats`` pretty-prints such a file or re-emits it
+cache).  A survey that retried a sample, respawned its worker pool or
+fell back from a snapshot to a full rerun says so in one ``retries: R,
+pool respawns: P, snapshot fallbacks: F`` line.  ``--metrics`` captures
+the run's observability snapshot (``repro.obs``: the timing tree rooted
+at ``pipeline.analyze`` and its stages, and the counters nothing else
+records) to a JSON file; ``stats`` pretty-prints such a file or re-emits it
 as Prometheus text.  ``explain`` re-analyzes one sample with the
 flight recorder on and prints, per vaccine, the causal chain of journal
 events that led to it (mutation, divergence, verdicts, back to the original
 API interception).  ``policy`` synthesizes a sample's temporal API policy
 (init-phase vs steady-state allowlists plus benign-subtracted steady-state
 deny rules); ``--enforce`` clinic-certifies it against the benign suite and
-re-attacks a policy-enforcing host with the sample.  Set ``REPRO_LOG=info``
-for structured logs.
+re-attacks a policy-enforcing host with the sample.
 
 ``survey --run-dir DIR`` records live run telemetry (DESIGN.md §12): one
 file, a persistent ledger of per-sample lifecycle events bracketed by
@@ -199,6 +200,14 @@ def cmd_survey(args: argparse.Namespace) -> int:
         print(f"failures: {len(failed)} sample(s) quarantined ({breakdown})")
         for failure in failed:
             print(f"  FAILED {failure.describe()}")
+    retries = obs.metrics.total("pipeline.sample_retries")
+    respawns = obs.metrics.total("pipeline.pool_respawns")
+    fallbacks = obs.metrics.total("snapshot.capture_failures") + obs.metrics.total(
+        "snapshot.resume_failures"
+    )
+    if retries or respawns or fallbacks:
+        print(f"retries: {retries:.0f}, pool respawns: {respawns:.0f}, "
+              f"snapshot fallbacks: {fallbacks:.0f}")
     if args.failures_json:
         doc = {"failures": [f.to_dict() for f in failed]}
         try:
@@ -435,28 +444,31 @@ def cmd_tail(args: argparse.Namespace) -> int:
     started = fold.started_unix
     count = 0
     try:
-        for event in ledger.iter_ledger(
-            args.run_dir, follow=args.follow, poll_seconds=args.interval
-        ):
-            count += 1
-            if args.json:
-                print(_json.dumps(event))
-            else:
-                print(ledger.render_event(event, started))
-    except KeyboardInterrupt:  # pragma: no cover - interactive detach
-        pass
-    except BrokenPipeError:  # piped into `head` and the reader left
+        try:
+            for event in ledger.iter_ledger(
+                args.run_dir, follow=args.follow, poll_seconds=args.interval
+            ):
+                count += 1
+                if args.json:
+                    print(_json.dumps(event))
+                else:
+                    print(ledger.render_event(event, started))
+        except KeyboardInterrupt:  # pragma: no cover - interactive detach
+            pass
+        try:
+            fold = ledger.read_run(args.run_dir)
+        except ValueError:
+            pass
+        if not args.json:
+            print(f"-- {count} event(s) | {ledger.describe_run(fold)}")
+        # Piped stdout is block-buffered: flush while a reader that left
+        # (``| head``) is still handled below, not at interpreter exit.
+        sys.stdout.flush()
+    except BrokenPipeError:
         try:
             sys.stdout.close()
         except OSError:
             pass
-        return 0
-    try:
-        fold = ledger.read_run(args.run_dir)
-    except ValueError:
-        pass
-    if not args.json:
-        print(f"-- {count} event(s) | {ledger.describe_run(fold)}")
     return 0
 
 

@@ -57,7 +57,10 @@ from __future__ import annotations
 
 import hashlib
 import json
+import multiprocessing
+import multiprocessing.connection
 import os
+import threading
 import time
 import traceback as _tb_module
 from collections import deque
@@ -74,8 +77,6 @@ from ..vm.program import Program
 from .faults import FaultPlan, InjectedHang
 from .pipeline import AutoVac, PopulationResult, SampleAnalysis, SampleFailure
 from .runner import DEFAULT_BUDGET
-
-_log = obs.get_logger("executor")
 
 #: PipelineConfig fields that change how a survey *runs*, not what a
 #: sample's analysis contains — excluded from the cache fingerprint so
@@ -283,7 +284,6 @@ class ResultCache:
                 continue
         if removed:
             obs.metrics.counter("pipeline.cache_tmp_swept").inc(removed)
-            _log.info("cache tmp sweep", removed=removed)
         return removed
 
 
@@ -346,6 +346,25 @@ class _Task:
     deadline: Optional[float]  # monotonic; None when timeouts are off
 
 
+def _exit_with_parent() -> None:
+    """Pool worker initializer: end the worker as soon as the survey
+    process is gone, so a survey killed with SIGKILL leaves no worker
+    running (a hung sample would otherwise keep one alive)."""
+    parent = multiprocessing.parent_process()
+    if parent is None:  # pragma: no cover - always set in a pool worker
+        return
+
+    def watch() -> None:
+        multiprocessing.connection.wait([parent.sentinel])
+        os._exit(1)
+
+    threading.Thread(target=watch, name="exit-with-parent", daemon=True).start()
+
+
+def _new_pool(max_workers: int) -> ProcessPoolExecutor:
+    return ProcessPoolExecutor(max_workers=max_workers, initializer=_exit_with_parent)
+
+
 def _respawn_pool(pool: ProcessPoolExecutor, max_workers: int) -> ProcessPoolExecutor:
     """Kill a pool (hung or broken workers included) and start a fresh one."""
     for proc in list(getattr(pool, "_processes", {}).values()):
@@ -358,7 +377,7 @@ def _respawn_pool(pool: ProcessPoolExecutor, max_workers: int) -> ProcessPoolExe
     except Exception:  # pragma: no cover - best effort by contract
         pass
     obs.metrics.counter("pipeline.pool_respawns").inc()
-    return ProcessPoolExecutor(max_workers=max_workers)
+    return _new_pool(max_workers)
 
 
 def analyze_population(
@@ -464,13 +483,6 @@ def analyze_population(
             attempts=failure.attempts,
             cached=not store_negative,
         )
-        _log.warning(
-            "sample quarantined",
-            sample=failure.sample,
-            kind=failure.kind,
-            error=failure.error_type,
-            attempts=failure.attempts,
-        )
         if store_negative and store is not None:
             store.store_failure(store.key(programs[index], config), failure)
 
@@ -506,7 +518,6 @@ def analyze_population(
             failure_kind=kind,
             error=error_type,
         )
-        _log.warning("sample retry", sample=name, attempt=attempt, kind=kind, error=error_type)
         if backoff:
             time.sleep(backoff * (2 ** (attempt - 1)))
         return True
@@ -536,8 +547,6 @@ def analyze_population(
             quarantine(i, replace(entry, index=i), store_negative=False)
         else:
             pending.append(i)
-    if store is not None and pending:
-        _log.info("cache", hits=n - len(pending), misses=len(pending))
     if telemetry is not None:
         telemetry.refresh()
 
@@ -586,7 +595,7 @@ def analyze_population(
     #: a repeat breakage identifies the culprit without charging innocents.
     suspects: Set[int] = set()
     in_flight: Dict[Future, _Task] = {}
-    pool = ProcessPoolExecutor(max_workers=n_workers)
+    pool = _new_pool(n_workers)
 
     def submit_ready() -> None:
         nonlocal pool
@@ -685,10 +694,6 @@ def analyze_population(
                 else:
                     # Culprit unknown: re-run the lost samples one at a
                     # time (same attempt — nobody is charged yet).
-                    _log.warning(
-                        "process pool broke; re-running lost samples solo",
-                        lost=len(lost),
-                    )
                     for task in sorted(lost, key=lambda t: t.index, reverse=True):
                         queue.appendleft((task.index, task.attempt))
                         suspects.add(task.index)

@@ -30,8 +30,6 @@ from .runner import DEFAULT_BUDGET, resume_sample, run_sample
 from .snapshot import SnapshotRecorder, _CapturesTaken, mutation_matches
 from .vaccine import Immunization, Mechanism, normalize_identifier
 
-_log = obs.get_logger("impact")
-
 
 class ResourceMutation:
     """Interceptor mutating every API access to one candidate resource.
@@ -139,11 +137,16 @@ class ImpactAnalyzer:
         candidate: CandidateResource,
         natural: Trace,
         mechanism: Mechanism,
+        resume_error: Optional[str] = None,
     ) -> ImpactOutcome:
-        """Full-rerun path: one complete re-execution of the sample."""
+        """Full-rerun path: one complete re-execution of the sample.
+        ``resume_error`` is the exception text of the failed snapshot
+        resume this rerun replaces; it is journaled as the ``mutation``
+        event's ``error``."""
         mutation = ResourceMutation(candidate, mechanism)
         flight = obs.flight
         if flight.enabled:
+            failure = {} if resume_error is None else {"error": resume_error}
             mutation.flight_id = flight.record(
                 "mutation",
                 causes=(_candidate_flight_id(candidate),),
@@ -151,6 +154,7 @@ class ImpactAnalyzer:
                 identifier=candidate.identifier,
                 mechanism=mechanism.value,
                 resumed=False,
+                **failure,
             )
         mutated_run = run_sample(
             program,
@@ -262,15 +266,11 @@ class ImpactAnalyzer:
                 except Exception as exc:
                     # A failing restore degrades this one candidate-mechanism
                     # to the full rerun — the survey never aborts.
-                    _log.warning(
-                        "snapshot resume failed; falling back to full rerun",
-                        identifier=candidate.identifier,
-                        mechanism=mechanism.value,
-                        error=str(exc),
-                    )
                     obs.metrics.counter("snapshot.resume_failures").inc()
                     outcomes.append(
-                        self.analyze_mechanism(program, candidate, natural, mechanism)
+                        self.analyze_mechanism(
+                            program, candidate, natural, mechanism, resume_error=str(exc)
+                        )
                     )
                     continue
                 outcomes.append(

@@ -47,8 +47,6 @@ STAGES = (
     "clinic",
 )
 
-_log = obs.get_logger("pipeline")
-
 
 @dataclass
 class SampleAnalysis:
@@ -321,12 +319,6 @@ class AutoVac:
         # for `repro explain` to print, and the next begin_sample drops it.
         analysis.journal = obs.flight.end_sample(journal_token)
         analysis.profile = obs.prof.since(prof_mark)
-        _log.info(
-            "sample analyzed",
-            sample=program.name,
-            vaccines=len(analysis.vaccines),
-            filtered=analysis.filtered_reason or "",
-        )
         return analysis
 
     def _analyze(self, program: Program, analysis: SampleAnalysis) -> None:

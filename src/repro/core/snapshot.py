@@ -55,7 +55,6 @@ if TYPE_CHECKING:  # pragma: no cover - annotations only
     from ..winapi.labels import ApiDef
     from .candidate import CandidateResource
 
-_log = obs.get_logger("snapshot")
 
 def mutation_matches(candidate: "CandidateResource", event: ApiCallEvent) -> bool:
     """Does this API call touch the candidate resource?
@@ -230,15 +229,14 @@ class SnapshotRecorder:
             ]
             if matched:
                 snapshot: Optional[VmSnapshot]
+                # Only a failed capture journals an ``error``, so fault-free
+                # journals keep their bytes.
+                failure: Dict[str, str] = {}
                 try:
                     snapshot = VmSnapshot.capture(self.cpu, event, self.restores)
                 except Exception as exc:
                     snapshot = None
-                    _log.warning(
-                        "snapshot capture failed; falling back to full rerun",
-                        api=event.api,
-                        error=str(exc),
-                    )
+                    failure["error"] = str(exc)
                     obs.metrics.counter("snapshot.capture_failures").inc()
                 flight = obs.flight
                 if flight.enabled:
@@ -249,6 +247,7 @@ class SnapshotRecorder:
                         identifier=event.identifier,
                         ok=snapshot is not None,
                         candidates=len(matched),
+                        **failure,
                     )
                     for key in matched:
                         flight.remember(("snapshot",) + key, flight_id)

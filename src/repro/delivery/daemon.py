@@ -197,18 +197,6 @@ class VaccineDaemon:
                 )
         return verdict
 
-    def flush_metrics(self) -> None:
-        """Publish cumulative hook accounting into the metrics registry.
-
-        Kept out of the per-call path: two plain attribute adds per
-        intercept, one registry write when somebody wants the numbers.
-        """
-        obs.metrics.gauge("daemon.calls_seen").set(self.calls_seen)
-        obs.metrics.gauge("daemon.calls_matched_total").set(self.calls_matched)
-        obs.metrics.gauge("daemon.policy_violations").set(self.policy_violations)
-        obs.metrics.gauge("daemon.hook_seconds").set(self.seconds_intercepting)
-        obs.metrics.gauge("daemon.rules_active").set(len(self.engine))
-
     @staticmethod
     def _fingerprint(environment: SystemEnvironment) -> tuple:
         identity = environment.identity

@@ -1,18 +1,17 @@
-"""``repro.obs`` — metrics, the timing tree, and logging for the pipeline.
+"""``repro.obs`` — metrics, the timing tree, and the journal for the pipeline.
 
 The paper's §VI-F evaluation is entirely *measured* behaviour (per-sample
 generation time, per-identifier slicing time, daemon hook overhead <4.5%);
 this package is the instrumentation substrate those measurements come from:
 
-* :data:`metrics` — process-local registry of labelled counters and
-  gauges; JSON + Prometheus text exporters (:mod:`repro.obs.metrics`).
-  It keeps only counts nothing else records: the VM tier counters
-  perfbench reads (flushed once per run), snapshot capture/resume
-  failures, cache/retry/pool traffic, and daemon and campaign gauges.
-  Per-sample facts live in ``SampleAnalysis``/``PopulationResult``, the
-  journal and the timing tree;
-* :func:`get_logger` — structured key=value stdlib logging, enabled via the
-  ``REPRO_LOG`` environment variable (:mod:`repro.obs.log`);
+* :data:`metrics` — process-local registry of labelled counters; JSON +
+  Prometheus text exporters (:mod:`repro.obs.metrics`).  It keeps only
+  counts nothing else records: the VM tier counters perfbench reads
+  (flushed once per run), snapshot capture/resume failures,
+  cache/retry/pool traffic, and the daemon's and campaign's per-label
+  match and infection counts.  Per-sample facts live in
+  ``SampleAnalysis``/``PopulationResult``, the journal and the timing
+  tree; the daemon's hook accounting in its own attributes;
 * :data:`flight` — flight recorder journaling analysis-causal events
   into one provenance DAG per sample (:mod:`repro.obs.flight`), rendered
   by ``repro explain``;
@@ -46,9 +45,7 @@ from . import ledger
 from .export import load, render_prometheus, render_stats, snapshot, write_json
 from .flight import FlightEvent, FlightRecorder, Journal, render_chain, summarize_event
 from .ledger import LedgerFold, ProgressView, RunTelemetry
-from .log import configure as configure_logging
-from .log import get_logger
-from .metrics import Counter, Gauge, MetricsRegistry
+from .metrics import Counter, MetricsRegistry
 from .prof import Profiler, merge_profiles, render_table, render_tree, to_folded, to_tree
 
 #: The process-global registry, flight recorder, and profiler every layer
@@ -110,19 +107,16 @@ __all__ = [
     "Counter",
     "FlightEvent",
     "FlightRecorder",
-    "Gauge",
     "Journal",
     "LedgerFold",
     "MetricsRegistry",
     "Profiler",
     "ProgressView",
     "RunTelemetry",
-    "configure_logging",
     "disabled",
     "export_json",
     "export_snapshot",
     "flight",
-    "get_logger",
     "is_enabled",
     "ledger",
     "load",

@@ -62,10 +62,10 @@ def load(path) -> Dict[str, object]:
 
 
 def _family_error(family: object) -> str:
-    """Why ``family`` is not a counter/gauge snapshot family ('' if it is)."""
+    """Why ``family`` is not a counter snapshot family ('' if it is)."""
     kind = family.get("kind") if isinstance(family, dict) else None
-    if kind not in ("counter", "gauge"):
-        return f"has kind {kind!r}, not counter or gauge"
+    if kind != "counter":
+        return f"has kind {kind!r}, not counter"
     series = family.get("series")
     if not isinstance(series, list):
         return "has no series list"
@@ -87,7 +87,7 @@ def _family_error(family: object) -> str:
 def render_stats(
     data: Dict[str, object], max_depth: int = 6, top: Optional[int] = None
 ) -> str:
-    """Human-readable summary of a snapshot: counters/gauges table, then
+    """Human-readable summary of a snapshot: counters table, then
     the profile tree (``max_depth`` frames deep, ``top`` widest nodes per
     level; VM tiers are its ``vm;`` nodes)."""
     metrics: Dict[str, Dict] = data.get("metrics", {})  # type: ignore[assignment]
@@ -98,7 +98,7 @@ def render_stats(
         for series in metrics[name]["series"]
     ]
     if scalars:
-        lines.append("== counters / gauges ==")
+        lines.append("== counters ==")
         lines.extend(scalars)
 
     profile = data.get("profile") or {}

@@ -252,11 +252,15 @@ def summarize_event(event: FlightEvent) -> str:
         word = "exclusive" if a.get("exclusive") else "not exclusive"
         return f"exclusiveness: {word} — {a.get('reason')}"
     if kind == "snapshot.capture":
+        if not a.get("ok", True):
+            return f"guest snapshot capture at {a.get('api')} failed: {a.get('error')}"
         return f"guest snapshot captured at {a.get('api')} (identifier {a.get('identifier')!r})"
     if kind == "snapshot.resume":
         return f"mutated run resumed from snapshot ({a.get('mechanism')})"
     if kind == "mutation":
         how = "resumed from snapshot" if a.get("resumed") else "full rerun"
+        if a.get("error"):
+            how += f" after a failed resume: {a.get('error')}"
         return f"mutated {a.get('identifier')!r} via {a.get('mechanism')} ({how})"
     if kind == "align.divergence":
         text = (

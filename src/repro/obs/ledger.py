@@ -393,9 +393,18 @@ class RunTelemetry:
 
 
 def read_ledger(run_dir: Union[str, os.PathLike]) -> List[dict]:
-    """Every complete event currently in the ledger (partial trailing line
-    tolerated)."""
-    return list(iter_ledger(run_dir, follow=False))
+    """Every complete event currently in the ledger, earlier runs into the
+    same directory included (partial trailing line tolerated)."""
+    lines, _ = _read_complete_lines(Path(run_dir) / LEDGER_NAME, 0)
+    return _parse_events(lines)
+
+
+def _last_run(events: List[dict]) -> List[dict]:
+    """``events`` from the last ``run.started`` on (all of them when there
+    is none): a run directory reused by a later survey describes that
+    survey."""
+    starts = [i for i, e in enumerate(events) if e.get("kind") == "run.started"]
+    return events[starts[-1]:] if starts else events
 
 
 def iter_ledger(
@@ -404,21 +413,20 @@ def iter_ledger(
     poll_seconds: float = 0.2,
     timeout: Optional[float] = None,
 ) -> Iterator[dict]:
-    """Yield ledger events in file order.  With ``follow``, keep polling for
-    new events until the last run segment ends: its ``run.finished``
-    arrives, its ``run.started`` pid dies (one final sweep picks up what the
-    writer flushed before dying), or ``timeout`` elapses.  A ledger with no
-    ``run.started`` yet is not followed."""
+    """Yield the events of the ledger's last run segment (from its last
+    ``run.started``) in file order; earlier runs into the same directory
+    are skipped.  With ``follow``, keep polling for new events until that
+    run ends: its ``run.finished`` arrives, its ``run.started`` pid dies
+    (one final sweep picks up what the writer flushed before dying), or
+    ``timeout`` elapses.  A ledger with no ``run.started`` yet is not
+    followed."""
     path = Path(run_dir) / LEDGER_NAME
-    offset = 0
+    lines, offset = _read_complete_lines(path, 0)
+    events = _last_run(_parse_events(lines))
     deadline = time.monotonic() + timeout if timeout is not None else None
-    finished, pid = False, None
+    finished, pid, writer_gone = False, None, False
     while True:
-        # Liveness is checked *before* the read, so a writer found dead has
-        # flushed everything this read returns.
-        writer_gone = pid is not None and not pid_alive(pid)
-        lines, offset = _read_complete_lines(path, offset)
-        for event in _parse_events(lines):
+        for event in events:
             kind = event.get("kind")
             if kind == "run.started":
                 finished = False
@@ -431,6 +439,11 @@ def iter_ledger(
         if deadline is not None and time.monotonic() >= deadline:
             return
         time.sleep(poll_seconds)
+        # Liveness is checked *before* the read, so a writer found dead has
+        # flushed everything this read returns.
+        writer_gone = not pid_alive(pid)
+        lines, offset = _read_complete_lines(path, offset)
+        events = _parse_events(lines)
 
 
 def read_run(run_dir: Union[str, os.PathLike]) -> LedgerFold:
@@ -440,12 +453,11 @@ def read_run(run_dir: Union[str, os.PathLike]) -> LedgerFold:
     path = Path(run_dir) / LEDGER_NAME
     if not path.is_file():
         raise ValueError(f"{run_dir}: not a run directory (no {LEDGER_NAME})")
-    events = read_ledger(run_dir)
-    starts = [i for i, e in enumerate(events) if e.get("kind") == "run.started"]
-    if not starts:
+    events = _last_run(read_ledger(run_dir))
+    if not events or events[0].get("kind") != "run.started":
         raise ValueError(f"{path}: no run.started event")
     fold = LedgerFold()
-    for event in events[starts[-1]:]:
+    for event in events:
         fold.apply(event)
     return fold
 

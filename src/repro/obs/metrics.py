@@ -1,19 +1,21 @@
-"""Process-local metrics registry (counters and gauges).
+"""Process-local metrics registry (counters).
 
 Zero-dependency analogue of a Prometheus client: metric *families* are
-registered by name, each family holds one instrument per label set, and the
+registered by name, each family holds one counter per label set, and the
 whole registry exports as JSON or Prometheus text exposition format.
 
 The registry keeps only counts nothing else records: the VM tier counters
 perfbench reads, snapshot capture/resume failures, cache/retry/pool traffic,
-and the daemon and campaign gauges.  Per-sample facts live in the result
-(``SampleAnalysis``, ``PopulationResult``), the journal and the timing tree.
+the daemon's matches per resource and mechanism, and the campaign's
+infection attempts and what blocked them.  Per-sample facts live in the
+result (``SampleAnalysis``, ``PopulationResult``), the journal and the
+timing tree; the daemon's hook accounting lives in its own attributes.
 
-* instrument handles are plain objects with an ``inc``/``set`` method —
-  callers may cache them and skip the registry lookup entirely (the CPU
-  flushes its tier counters once per run through cached handles);
+* counter handles are plain objects with an ``inc`` method — callers may
+  cache them and skip the registry lookup entirely (the CPU flushes its
+  tier counters once per run through cached handles);
 * when the registry is disabled (``obs.disabled()``), accessors hand out
-  a shared null instrument so instrumented code pays one attribute check;
+  a shared null counter so instrumented code pays one attribute check;
 * label values come from closed enums (resource type, mechanism, rule
   origin), so a family holds a handful of series.
 
@@ -45,23 +47,8 @@ class Counter:
         self.value += amount
 
 
-class Gauge:
-    """A value that can go up and down."""
-
-    __slots__ = ("value",)
-
-    def __init__(self) -> None:
-        self.value = 0.0
-
-    def set(self, value: float) -> None:
-        self.value = float(value)
-
-    def inc(self, amount: float = 1.0) -> None:
-        self.value += amount
-
-
-class _NullInstrument:
-    """Absorbs every instrument operation; handed out when disabled."""
+class _NullCounter:
+    """Absorbs every increment; handed out when disabled."""
 
     __slots__ = ()
     value = 0.0
@@ -69,30 +56,25 @@ class _NullInstrument:
     def inc(self, amount: float = 1.0) -> None:
         pass
 
-    def set(self, value: float) -> None:
-        pass
 
-
-NULL = _NullInstrument()
+NULL = _NullCounter()
 
 
 class Family:
-    """All instruments sharing one metric name, keyed by label set."""
+    """All counters sharing one metric name, keyed by label set."""
 
-    def __init__(self, name: str, kind: str, factory) -> None:
+    def __init__(self, name: str) -> None:
         self.name = name
-        self.kind = kind
-        self._factory = factory
-        self.children: Dict[LabelKey, object] = {}
+        self.children: Dict[LabelKey, Counter] = {}
 
-    def get(self, labels: Dict[str, object], lock: threading.Lock):
+    def get(self, labels: Dict[str, object], lock: threading.Lock) -> Counter:
         key = _label_key(labels)
         child = self.children.get(key)
         if child is None:
             with lock:
                 child = self.children.get(key)
                 if child is None:
-                    child = self.children[key] = self._factory()
+                    child = self.children[key] = Counter()
         return child
 
 
@@ -112,30 +94,18 @@ class MetricsRegistry:
     def counter(self, name: str, **labels) -> Counter:
         if not self.enabled:
             return NULL  # type: ignore[return-value]
-        return self._family(name, "counter", Counter).get(labels, self._lock)
-
-    def gauge(self, name: str, **labels) -> Gauge:
-        if not self.enabled:
-            return NULL  # type: ignore[return-value]
-        return self._family(name, "gauge", Gauge).get(labels, self._lock)
-
-    def _family(self, name: str, kind: str, factory) -> Family:
         family = self._families.get(name)
         if family is None:
             with self._lock:
                 family = self._families.get(name)
                 if family is None:
-                    family = self._families[name] = Family(name, kind, factory)
-        if family.kind != kind:
-            raise TypeError(
-                f"metric {name!r} already registered as {family.kind}, not {kind}"
-            )
-        return family
+                    family = self._families[name] = Family(name)
+        return family.get(labels, self._lock)
 
     # -- reads -------------------------------------------------------------
 
     def value(self, name: str, **labels) -> float:
-        """Current value of a counter/gauge (0.0 when absent)."""
+        """Current value of a counter (0.0 when absent)."""
         family = self._families.get(name)
         if family is None:
             return 0.0
@@ -161,21 +131,13 @@ class MetricsRegistry:
 
     def merge(self, snapshot: Dict[str, object]) -> None:
         """Fold a :meth:`snapshot` dict (e.g. from a worker process) into
-        this registry.
-
-        Counters add; gauges fold *additively* as well, which makes "merged
-        totals == sum of worker snapshots" hold uniformly — the gauges whose
-        last-writer semantics matter (daemon, campaign) are set in the
-        process that owns them and never appear in worker snapshots.  No-op
-        when the registry is disabled.
-        """
+        this registry: counters add, so merged totals are the sum of the
+        worker snapshots.  No-op when the registry is disabled."""
         if not self.enabled:
             return
         for name in sorted(snapshot):
-            family = snapshot[name]
-            instrument = self.counter if family["kind"] == "counter" else self.gauge
-            for series in family["series"]:
-                instrument(name, **series["labels"]).inc(float(series["value"]))
+            for series in snapshot[name]["series"]:
+                self.counter(name, **series["labels"]).inc(float(series["value"]))
 
     # -- exporters ---------------------------------------------------------
 
@@ -183,7 +145,7 @@ class MetricsRegistry:
         """JSON-safe dump of every family."""
         return {
             family.name: {
-                "kind": family.kind,
+                "kind": "counter",
                 "series": [
                     {"labels": dict(key), "value": child.value}
                     for key, child in sorted(family.children.items())
@@ -191,10 +153,6 @@ class MetricsRegistry:
             }
             for family in self.families()
         }
-
-    def to_prometheus(self) -> str:
-        """Prometheus text exposition format (``repro_`` namespace)."""
-        return prometheus_text(self.snapshot())
 
 
 def _prom_name(name: str) -> str:
@@ -214,10 +172,8 @@ def prometheus_text(snapshot: Dict[str, object]) -> str:
     """
     lines: List[str] = []
     for name in sorted(snapshot):
-        family = snapshot[name]
         prom = _prom_name(name)
-        lines.append(f"# TYPE {prom} {family['kind']}")
-        suffix = "_total" if family["kind"] == "counter" else ""
-        for series in family["series"]:
-            lines.append(f"{prom}{suffix}{_prom_labels(series['labels'])} {series['value']}")
+        lines.append(f"# TYPE {prom} counter")
+        for series in snapshot[name]["series"]:
+            lines.append(f"{prom}_total{_prom_labels(series['labels'])} {series['value']}")
     return "\n".join(lines) + "\n"

@@ -2,8 +2,13 @@
 
 from __future__ import annotations
 
+import os
+import sys
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.corpus import all_families, benign_suite
 from repro.vm import CPU, assemble
 from repro.winapi import Dispatcher
@@ -60,3 +65,17 @@ def family_programs():
 @pytest.fixture(scope="session")
 def benign_programs():
     return benign_suite()
+
+
+@pytest.fixture
+def repro_command():
+    """``(argv prefix, environment)`` for running ``python -m repro`` in a
+    subprocess: this checkout's package, stdout block-buffered as when
+    piped, and no ``REPRO_*`` setting inherited from the caller."""
+    env = {
+        k: v
+        for k, v in os.environ.items()
+        if not k.startswith("REPRO_") and k != "PYTHONUNBUFFERED"
+    }
+    env["PYTHONPATH"] = str(Path(repro.__file__).resolve().parents[1])
+    return [sys.executable, "-m", "repro"], env

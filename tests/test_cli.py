@@ -1,5 +1,7 @@
 """CLI tests (``python -m repro``)."""
 
+import subprocess
+
 import pytest
 
 from repro.cli import main
@@ -93,6 +95,20 @@ class TestSurveyCommand:
         assert main(["survey", "--size", "12", "--seed", "3"]) == 0
         out = capsys.readouterr().out
         assert "12 samples" in out and "identifier kinds" in out
+
+    def test_retries_print_on_stdout_and_stderr_stays_empty(self, repro_command):
+        argv, env = repro_command
+        run = subprocess.run(
+            argv + ["survey", "--size", "4", "--seed", "3"],
+            env={**env, "REPRO_FAULT_PLAN": "crash:1@1"},
+            capture_output=True,
+            text=True,
+            timeout=300,
+        )
+        assert run.returncode == 0, run.stderr
+        assert "4 samples (4 analyzed, 0 failed)" in run.stdout
+        assert "retries: 1, pool respawns: 0, snapshot fallbacks: 0" in run.stdout
+        assert run.stderr == ""
 
 
 class TestExplainCommand:

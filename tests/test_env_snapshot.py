@@ -470,3 +470,42 @@ class TestChaosDegradation:
             )
         assert runs[1][0] > 0
         assert runs[1] == runs[2]
+
+    def test_fallbacks_journal_the_exception_text(self, family_programs, monkeypatch):
+        # The exception text of a failed capture or resume is the ``error``
+        # of the journal event that marks the fallback; a fault-free
+        # journal carries no ``error`` at all.
+        from repro import AutoVac
+        from repro.core.snapshot import VmSnapshot
+        from repro.obs import summarize_event
+        from repro.winenv import snapshot as env_snapshot_mod
+
+        program = family_programs["zeus"]
+        clean = AutoVac().analyze(program).journal
+        assert not any("error" in e.attrs for e in clean.events)
+
+        monkeypatch.setattr(env_snapshot_mod, "_FAULT_EVERY", 1)
+        obs.reset()
+        journal = AutoVac().analyze(program).journal
+        reruns = [e for e in journal.find("mutation", resumed=False) if "error" in e.attrs]
+        assert len(reruns) == obs.metrics.value("snapshot.resume_failures") > 0
+        assert all(
+            e.attrs["error"] == "injected environment-restore fault (every 1)"
+            for e in reruns
+        )
+        assert "after a failed resume: injected" in summarize_event(reruns[0])
+        monkeypatch.undo()
+
+        def refuse(*args, **kwargs):
+            raise RuntimeError("capture refused")
+
+        monkeypatch.setattr(VmSnapshot, "capture", refuse)
+        obs.reset()
+        journal = AutoVac().analyze(program).journal
+        captures = journal.find("snapshot.capture")
+        assert len(captures) == obs.metrics.value("snapshot.capture_failures") > 0
+        assert all(
+            e.attrs["ok"] is False and e.attrs["error"] == "capture refused"
+            for e in captures
+        )
+        assert summarize_event(captures[0]).endswith("failed: capture refused")

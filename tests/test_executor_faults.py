@@ -10,6 +10,11 @@ hot re-crashing on restart.
 from __future__ import annotations
 
 import json
+import os
+import signal
+import subprocess
+import time
+from pathlib import Path
 
 import pytest
 
@@ -253,6 +258,65 @@ class TestParallelFailures:
             p.name for p in programs[:6]
         ]
         assert len(submits) == 8  # every sample once, plus the two refused
+
+
+def _stat(pid: int):
+    """``/proc/<pid>/stat`` fields after the command name (state first),
+    or None once the process is gone."""
+    try:
+        text = Path(f"/proc/{pid}/stat").read_text()
+    except OSError:
+        return None
+    return text.rsplit(")", 1)[1].split()
+
+
+def _children(pid: int):
+    return [
+        int(entry)
+        for entry in os.listdir("/proc")
+        if entry.isdigit() and (_stat(int(entry)) or [None, None])[1] == str(pid)
+    ]
+
+
+def _running(pid: int) -> bool:
+    """Alive and not a zombie waiting for its new parent to reap it."""
+    fields = _stat(pid)
+    return fields is not None and fields[0] != "Z"
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="reads /proc")
+class TestKilledSurvey:
+    def test_workers_exit_when_the_survey_is_killed(self, tmp_path, repro_command):
+        argv, env = repro_command
+        env.update(REPRO_FAULT_PLAN="hang:0,hang:1,hang:2,hang:3",
+                   REPRO_FAULT_HANG_SECONDS="60")
+        survey = subprocess.Popen(
+            argv + ["survey", "--size", "4", "--jobs", "2"],
+            stdout=subprocess.DEVNULL,
+            stderr=subprocess.DEVNULL,
+            env=env,
+        )
+        workers = []
+        try:
+            deadline = time.monotonic() + 60
+            while len(workers) < 2 and time.monotonic() < deadline:
+                time.sleep(0.1)
+                workers = _children(survey.pid)
+            assert len(workers) == 2, workers
+            time.sleep(1.0)  # both workers are inside a 60 s hang
+            survey.kill()
+            survey.wait(timeout=30)
+            deadline = time.monotonic() + 5
+            while any(map(_running, workers)) and time.monotonic() < deadline:
+                time.sleep(0.1)
+            assert not any(map(_running, workers)), workers
+        finally:
+            if survey.poll() is None:
+                survey.kill()
+                survey.wait(timeout=30)
+            for pid in workers:
+                if _running(pid):
+                    os.kill(pid, signal.SIGKILL)
 
 
 class TestJobsParity:

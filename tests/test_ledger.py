@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 import os
+import subprocess
 
 import pytest
 
@@ -521,6 +522,45 @@ class TestCliIntegration:
         assert "run-killed" in out and "stale" in out and "samples=4" in out
         assert main(["tail", str(tmp_path / "killed"), "--follow"]) == 0
         assert "stale" in capsys.readouterr().out.splitlines()[-1]
+
+    def test_tail_replays_only_the_last_run_of_a_reused_dir(
+        self, tmp_path, programs, capsys
+    ):
+        analyze_population(programs[:2], config=fast_config(), jobs=1, run_dir=tmp_path)
+        analyze_population(programs[:3], config=fast_config(), jobs=1, run_dir=tmp_path)
+        assert main(["tail", str(tmp_path)]) == 0
+        *body, footer = capsys.readouterr().out.splitlines()
+        assert "run.started" in body[0] and "over 3 samples" in body[0]
+        assert sum("run.started" in line for line in body) == 1
+        # Offsets count from the replayed run's own start.
+        assert all(float(line[1:line.index("s")]) >= 0 for line in body)
+        assert footer.startswith(f"-- {len(body)} event(s) |")
+        assert len(body) == read_run(tmp_path).events_seen
+
+        followed = list(iter_ledger(tmp_path, follow=True, timeout=5.0))
+        assert [e["kind"] for e in followed].count("run.started") == 1
+        assert followed[0]["population"] == 3
+        assert followed[-1]["kind"] == "run.finished"
+
+    def test_tail_into_a_closed_pipe_exits_quietly(self, tmp_path, programs, repro_command):
+        # ``repro tail DIR | head -1``: piped stdout is block-buffered, so
+        # the reader's exit surfaces at the footer or the final flush.
+        analyze_population(programs[:2], config=fast_config(), jobs=1, run_dir=tmp_path)
+        argv, env = repro_command
+        read_end, write_end = os.pipe()
+        os.close(read_end)  # the reader has already left
+        try:
+            tail = subprocess.run(
+                argv + ["tail", str(tmp_path)],
+                stdout=write_end,
+                stderr=subprocess.PIPE,
+                env=env,
+                timeout=120,
+            )
+        finally:
+            os.close(write_end)
+        assert tail.stderr == b""
+        assert tail.returncode == 0
 
     def test_tail_rejects_non_run_dir(self, tmp_path):
         with pytest.raises(SystemExit, match="not a run directory"):

@@ -1,8 +1,7 @@
-"""``repro.obs`` — metrics registry, structured logging, exporters, the
-pipeline's timing tree, and the pipeline/CLI integration."""
+"""``repro.obs`` — metrics registry, exporters, the pipeline's timing
+tree, and the pipeline/CLI integration."""
 
 import json
-import logging
 
 import pytest
 
@@ -46,27 +45,12 @@ class TestCounters:
         reg.counter("c", a="1", b="2").inc()
         assert reg.value("c", b="2", a="1") == 1
 
-    def test_kind_conflict_raises(self):
-        reg = MetricsRegistry()
-        reg.counter("dual").inc()
-        with pytest.raises(TypeError):
-            reg.gauge("dual")
-
-    def test_gauge_set_inc_dec(self):
-        reg = MetricsRegistry()
-        g = reg.gauge("fleet.infected")
-        g.set(10)
-        g.inc(3)
-        g.inc(-1)  # a gauge goes down through inc
-        assert reg.value("fleet.infected") == 12
-
 
 class TestDisabled:
     def test_disabled_registry_hands_out_nulls(self):
         reg = MetricsRegistry()
         reg.enabled = False
         reg.counter("n").inc()
-        reg.gauge("n2").set(5)
         assert list(reg.families()) == []
 
     def test_obs_disabled_context(self):
@@ -80,35 +64,6 @@ class TestDisabled:
 
 
 # ----------------------------------------------------------------------
-# structured logging
-# ----------------------------------------------------------------------
-
-
-class TestLogging:
-    def test_key_value_format(self, capsys):
-        from repro.obs.log import KeyValueFormatter
-
-        record = logging.LogRecord("repro.t", logging.INFO, __file__, 1,
-                                   "did a thing", (), None)
-        record.kv_fields = {"sample": "zeus", "note": "two words"}
-        line = KeyValueFormatter().format(record)
-        assert "level=info" in line
-        assert 'msg="did a thing"' in line
-        assert "sample=zeus" in line
-        assert 'note="two words"' in line
-
-    def test_env_switch_sets_level(self, monkeypatch):
-        from repro.obs import log as obslog
-
-        monkeypatch.setenv(obslog.ENV_VAR, "debug")
-        obslog.configure()
-        assert obslog.get_logger("t").level == logging.DEBUG
-        monkeypatch.delenv(obslog.ENV_VAR)
-        obslog.configure()
-        assert obslog.get_logger("t").level == logging.WARNING
-
-
-# ----------------------------------------------------------------------
 # exporters
 # ----------------------------------------------------------------------
 
@@ -118,7 +73,7 @@ class TestExporters:
         obs.metrics.counter(
             "daemon.calls_matched", resource="mutex", mechanism="simulate_presence"
         ).inc(7)
-        obs.metrics.gauge("campaign.infected").set(3)
+        obs.metrics.counter("campaign.infections").inc(3)
         obs.prof.record("pipeline.analyze", 0.02)
         obs.prof.record("pipeline.analyze;phase1", 0.015)
 
@@ -153,13 +108,13 @@ class TestExporters:
 
     def test_prometheus_text(self):
         self._populate()
-        text = obs.metrics.to_prometheus()
+        text = obs.render_prometheus(obs.export_snapshot())
         assert "# TYPE repro_daemon_calls_matched counter" in text
         assert (
             'repro_daemon_calls_matched_total{mechanism="simulate_presence",'
             'resource="mutex"} 7' in text
         )
-        assert "repro_campaign_infected 3" in text
+        assert "repro_campaign_infections_total 3" in text
 
     def test_render_stats_text(self):
         self._populate()
@@ -286,29 +241,55 @@ class TestPipelineIntegration:
         assert "impact" in analysis.timings
         assert obs.metrics.total("vm.fast_steps") == 0
 
-    def test_campaign_gauges(self):
+    def test_campaign_and_protected_host_write_only_these_counters(self):
+        # The infection curve lives in CampaignResult.history and the
+        # daemon's hook accounting in its attributes; the registry keeps
+        # only the infection and match counts nothing else records.  A
+        # gauge or an attribute mirror creeping back shows up here.
+        from repro import SystemEnvironment, VaccinePackage
         from repro.campaign import Fleet, simulate_outbreak
+        from repro.core import run_sample
+        from repro.corpus import all_families
+        from repro.delivery.daemon import VaccineDaemon
 
-        worm = build_family("conficker")
+        families = all_families()
+        analyses = [AutoVac().analyze(p) for p in families]
+        worm = build_family("zeus")
+        package = VaccinePackage(vaccines=AutoVac().analyze(worm).vaccines)
+        obs.reset()
         result = simulate_outbreak(worm, Fleet(size=6, seed=1), rounds=2,
+                                   vaccine_package=package, vaccinate_at_round=1,
                                    max_steps=50_000)
-        assert obs.metrics.value("campaign.round") == 2
-        assert obs.metrics.value("campaign.infected") == result.history[-1].infected
-        assert obs.metrics.total("campaign.infection_attempts") > 0
-
-    def test_daemon_flush_metrics(self):
-        from repro import SystemEnvironment, VaccinePackage, deploy
-        from repro.core import DeliveryKind, run_sample
-
-        analysis = AutoVac().analyze(build_family("conficker"))
+        daemon = VaccineDaemon(
+            vaccines=[v for a in analyses for v in a.vaccines],
+            policies=[a.policy for a in analyses if a.policy is not None],
+        )
         host = SystemEnvironment()
-        deployment = deploy(VaccinePackage(vaccines=analysis.vaccines), host)
-        assert deployment.daemon is not None
-        run_sample(build_family("conficker"), environment=host,
-                   record_instructions=False)
-        deployment.daemon.flush_metrics()
-        assert obs.metrics.value("daemon.calls_seen") > 0
-        assert obs.metrics.value("daemon.hook_seconds") >= 0
+        daemon.install(host)
+        for program in families:
+            run_sample(program, environment=host, record_instructions=False)
+
+        snapshot = obs.metrics.snapshot()
+        assert set(snapshot) == {
+            "campaign.attempts_blocked",
+            "campaign.blocked_by",
+            "campaign.infection_attempts",
+            "campaign.infections",
+            "daemon.calls_matched",
+            "vm.fast_steps",
+            "vm.superblocks.compiled",
+            "vm.superblocks.entries",
+            "vm.superblocks.guard_exits",
+        }
+        assert {family["kind"] for family in snapshot.values()} == {"counter"}
+        attempts = obs.metrics.total("campaign.infection_attempts")
+        assert attempts == (
+            obs.metrics.total("campaign.infections")
+            + obs.metrics.total("campaign.attempts_blocked")
+        ) > 0
+        assert result.history[-1].round == 2
+        assert obs.metrics.total("daemon.calls_matched") == daemon.calls_matched > 0
+        assert daemon.calls_seen >= daemon.calls_matched
 
 
 # ----------------------------------------------------------------------
@@ -352,13 +333,15 @@ class TestCliMetrics:
         "family",
         [
             {"kind": "counter"},
-            {"kind": "gauge", "series": [{"labels": {}}]},
+            {"kind": "counter", "series": [{"labels": {}}]},
+            # A family written before the registry dropped gauges.
+            {"kind": "gauge", "series": [{"labels": {}, "value": 3}]},
             # A family written before the registry dropped histograms.
             {"kind": "histogram", "help": "", "series": [
                 {"labels": {}, "count": 1, "sum": 0.5, "max": 0.5, "bucket_counts": [1]}
             ]},
         ],
-        ids=["no_series", "no_value", "histogram"],
+        ids=["no_series", "no_value", "gauge", "histogram"],
     )
     def test_stats_rejects_malformed_family(self, tmp_path, family, prom):
         from repro.cli import main
