@@ -21,7 +21,7 @@ import os
 import time
 
 from repro import obs
-from repro.core.executor import PipelineConfig, analyze_population
+from repro.core.executor import PipelineConfig, ResultCache, analyze_population
 from repro.core.faults import FaultPlan
 from repro.corpus import GeneratorConfig, generate_population
 from repro.tracing.serialize import analysis_fingerprint
@@ -74,15 +74,17 @@ def test_scaling_speedup(tmp_path):
     cache_dir = tmp_path / "cache"
     obs.reset()
     started = time.perf_counter()
-    cold = analyze_population(programs, config=config, jobs=1, cache=cache_dir)
+    cache = ResultCache(cache_dir)
+    cold = analyze_population(programs, config=config, jobs=1, cache=cache)
     cold_s = time.perf_counter() - started
-    cold_misses = obs.metrics.value("pipeline.cache_misses")
+    cold_misses = cache.misses
 
     obs.reset()
     started = time.perf_counter()
-    warm = analyze_population(programs, config=config, jobs=1, cache=cache_dir)
+    cache = ResultCache(cache_dir)
+    warm = analyze_population(programs, config=config, jobs=1, cache=cache)
     warm_s = time.perf_counter() - started
-    warm_hits = obs.metrics.value("pipeline.cache_hits")
+    warm_hits = cache.hits
 
     lines = [
         f"Population-executor scaling ({SCALING_SIZE} samples, "
@@ -95,8 +97,8 @@ def test_scaling_speedup(tmp_path):
         )
     lines += [
         "",
-        f"cache cold: {cold_s:6.2f}s  ({cold_misses:.0f} misses, all analyzed + stored)",
-        f"cache warm: {warm_s:6.2f}s  ({warm_hits:.0f} hits, no analysis)",
+        f"cache cold: {cold_s:6.2f}s  ({cold_misses} misses, all analyzed + stored)",
+        f"cache warm: {warm_s:6.2f}s  ({warm_hits} hits, no analysis)",
         f"warm speedup: {cold_s / warm_s:.1f}x",
     ]
     write_artifact("scaling.txt", "\n".join(lines) + "\n")

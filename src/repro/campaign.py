@@ -18,7 +18,7 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .core.policy import TemporalApiPolicy
@@ -58,6 +58,13 @@ class RoundStats:
 class CampaignResult:
     history: List[RoundStats] = field(default_factory=list)
     machines: List[FleetMachine] = field(default_factory=list)
+    #: Every attempt is an infection or a blocked attempt.
+    infection_attempts: int = 0
+    infections: int = 0
+    attempts_blocked: int = 0
+    #: Blocked attempts on vaccinated hosts per ``(rule origin, resource
+    #: type)`` of the first rule the worm hit.
+    blocked_by: Dict[Tuple[str, str], int] = field(default_factory=dict)
 
     @property
     def final_infection_rate(self) -> float:
@@ -107,9 +114,15 @@ class Fleet:
         return count
 
 
-def attempt_infection(worm: Program, machine: FleetMachine, max_steps: int = 200_000) -> bool:
+def attempt_infection(
+    worm: Program,
+    machine: FleetMachine,
+    max_steps: int = 200_000,
+    result: Optional[CampaignResult] = None,
+) -> bool:
     """Run the worm on the machine for real; infection = the sample completes
-    its infection logic (doesn't self-terminate at a vaccine/marker check)."""
+    its infection logic (doesn't self-terminate at a vaccine/marker check).
+    The attempt, and what blocked it, is counted into ``result`` if given."""
     run = run_sample(
         worm,
         environment=machine.environment,
@@ -119,11 +132,14 @@ def attempt_infection(worm: Program, machine: FleetMachine, max_steps: int = 200
     )
     # Terminated == bailed at a check (marker present / vaccine hit).
     infected = not run.trace.terminated
-    obs.metrics.counter("campaign.infection_attempts").inc()
-    obs.metrics.counter(
-        "campaign.infections" if infected else "campaign.attempts_blocked"
-    ).inc()
-    if not infected and machine.enforcement is not None:
+    if result is None:
+        return infected
+    result.infection_attempts += 1
+    if infected:
+        result.infections += 1
+        return infected
+    result.attempts_blocked += 1
+    if machine.enforcement is not None:
         # Attribute the block through the same engine the daemon enforced:
         # the first worm access a rule matches names the artifact that
         # stopped the infection (vaccine vs policy, per resource type).
@@ -133,11 +149,8 @@ def attempt_infection(worm: Program, machine: FleetMachine, max_steps: int = 200
                 event.resource_type, event.identifier, event.operation
             )
             if rule is not None:
-                obs.metrics.counter(
-                    "campaign.blocked_by",
-                    origin=rule.origin,
-                    resource=rule.resource_type.value,
-                ).inc()
+                key = (rule.origin, rule.resource_type.value)
+                result.blocked_by[key] = result.blocked_by.get(key, 0) + 1
                 break
         if obs.prof.enabled:
             obs.prof.add("rules;campaign", time.perf_counter() - t0)
@@ -185,7 +198,7 @@ def simulate_outbreak(
     seeds = fleet.rng.sample(fleet.machines, min(initial_infections, len(fleet.machines)))
     newly = 0
     for machine in seeds:
-        if attempt_infection(worm, machine, max_steps=max_steps):
+        if attempt_infection(worm, machine, max_steps=max_steps, result=result):
             machine.infected = True
             machine.infected_round = 0
             newly += 1
@@ -208,7 +221,7 @@ def simulate_outbreak(
             for target in targets:
                 if target.infected:
                     continue
-                if attempt_infection(worm, target, max_steps=max_steps):
+                if attempt_infection(worm, target, max_steps=max_steps, result=result):
                     target.infected = True
                     target.infected_round = round_index
                     newly += 1

@@ -10,7 +10,7 @@ Subcommands::
                              [--timeout S] [--retries N] [--failures-json f.json]
                              [--metrics m.json] [--run-dir DIR] [--progress]
                              [--profile]
-    python -m repro stats    <m.json> [--prom] [--depth N] [--top N]
+    python -m repro stats    <m.json> [--depth N] [--top N]
     python -m repro profile  <family|asm-file> [--json|--folded] [--top N]
     python -m repro explain  <family|asm-file> [--vaccine SUBSTR] [--json FILE]
     python -m repro policy   <family|asm-file> [--json FILE] [--enforce]
@@ -27,9 +27,9 @@ cache).  A survey that retried a sample, respawned its worker pool or
 fell back from a snapshot to a full rerun says so in one ``retries: R,
 pool respawns: P, snapshot fallbacks: F`` line.  ``--metrics`` captures
 the run's observability snapshot (``repro.obs``: the timing tree rooted
-at ``pipeline.analyze`` and its stages, and the counters nothing else
-records) to a JSON file; ``stats`` pretty-prints such a file or re-emits it
-as Prometheus text.  ``explain`` re-analyzes one sample with the
+at ``pipeline.analyze`` and its stages, and the VM tier and snapshot
+fallback counts) to a JSON file; ``stats`` pretty-prints such a file.
+``explain`` re-analyzes one sample with the
 flight recorder on and prints, per vaccine, the causal chain of journal
 events that led to it (mutation, divergence, verdicts, back to the original
 API interception).  ``policy`` synthesizes a sample's temporal API policy
@@ -159,7 +159,7 @@ def cmd_deploy(args: argparse.Namespace) -> int:
 def cmd_survey(args: argparse.Namespace) -> int:
     import json as _json
 
-    from .core.executor import PipelineConfig, analyze_population
+    from .core.executor import PipelineConfig, ResultCache, analyze_population
 
     run_dir = args.run_dir
     progress = None
@@ -173,6 +173,7 @@ def cmd_survey(args: argparse.Namespace) -> int:
         print(f"run dir: {run_dir} (watch with: repro tail {run_dir} --follow)")
 
     samples = generate_population(GeneratorConfig(size=args.size, seed=args.seed))
+    cache = ResultCache(args.cache) if args.cache else None
     try:
         result = analyze_population(
             [s.program for s in samples],
@@ -182,7 +183,7 @@ def cmd_survey(args: argparse.Namespace) -> int:
                 profile=args.profile,
             ),
             jobs=args.jobs,
-            cache=args.cache,
+            cache=cache,
             run_dir=run_dir,
             progress=progress,
         )
@@ -200,14 +201,12 @@ def cmd_survey(args: argparse.Namespace) -> int:
         print(f"failures: {len(failed)} sample(s) quarantined ({breakdown})")
         for failure in failed:
             print(f"  FAILED {failure.describe()}")
-    retries = obs.metrics.total("pipeline.sample_retries")
-    respawns = obs.metrics.total("pipeline.pool_respawns")
     fallbacks = obs.metrics.total("snapshot.capture_failures") + obs.metrics.total(
         "snapshot.resume_failures"
     )
-    if retries or respawns or fallbacks:
-        print(f"retries: {retries:.0f}, pool respawns: {respawns:.0f}, "
-              f"snapshot fallbacks: {fallbacks:.0f}")
+    if result.retries or result.respawns or fallbacks:
+        print(f"retries: {result.retries}, pool respawns: {result.respawns}, "
+              f"snapshot fallbacks: {fallbacks}")
     if args.failures_json:
         doc = {"failures": [f.to_dict() for f in failed]}
         try:
@@ -215,9 +214,8 @@ def cmd_survey(args: argparse.Namespace) -> int:
         except OSError as exc:
             raise SystemExit(f"error: cannot write failure summary: {exc}")
         print(f"wrote failure summary {args.failures_json}")
-    if args.cache:
-        print(f"cache: {obs.metrics.value('pipeline.cache_hits'):.0f} hits, "
-              f"{obs.metrics.value('pipeline.cache_misses'):.0f} misses")
+    if cache is not None:
+        print(f"cache: {cache.hits} hits, {cache.misses} misses")
     print("by resource x immunization:")
     for rtype, row in sorted(result.count_by_resource_and_immunization().items()):
         cells = ", ".join(f"{k}={v}" for k, v in sorted(row.items()))
@@ -298,10 +296,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
         data = obs.load(args.snapshot)
     except (OSError, ValueError) as exc:
         raise SystemExit(f"error: {exc}")
-    if args.prom:
-        sys.stdout.write(obs.render_prometheus(data))
-    else:
-        sys.stdout.write(obs.render_stats(data, max_depth=args.depth, top=args.top))
+    sys.stdout.write(obs.render_stats(data, max_depth=args.depth, top=args.top))
     return 0
 
 
@@ -562,8 +557,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("stats", help="render a captured metrics snapshot")
     p.add_argument("snapshot", help="JSON file written by --metrics")
-    p.add_argument("--prom", action="store_true",
-                   help="emit Prometheus text format instead of the summary")
     p.add_argument("--depth", type=int, default=6,
                    help="max profile-tree depth in the summary (default 6)")
     p.add_argument("--top", type=int, default=None,

@@ -193,11 +193,23 @@ class ResultCache:
     Quarantined samples store a *negative entry* (the encoded
     :class:`SampleFailure`) under the same key, so a restarted survey
     reports the failure instead of hot re-crashing on the sample.
+
+    The cache counts its own traffic in the attributes below.  A pool
+    worker writes through its own instance; the parent counts that store
+    in :attr:`stores` when the worker's result arrives.
     """
 
     def __init__(self, root: Union[str, os.PathLike], sweep: bool = True) -> None:
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
+        self.hits = 0
+        #: Absent or undecodable entries (evictions included).
+        self.misses = 0
+        self.negative_hits = 0
+        self.evictions = 0
+        self.stores = 0
+        self.negative_stores = 0
+        self.tmp_swept = 0
         if sweep:
             self.sweep_stale()
 
@@ -228,13 +240,13 @@ class ResultCache:
         try:
             text = path.read_text()
         except OSError:
-            obs.metrics.counter("pipeline.cache_misses").inc()
+            self.misses += 1
             return None
         try:
             payload = json.loads(text)
             failure = serialize.failure_from_entry(payload)
             if failure is not None:
-                obs.metrics.counter("pipeline.cache_negative_hits").inc()
+                self.negative_hits += 1
                 return failure
             analysis = serialize.analysis_from_dict(payload)
         except (ValueError, KeyError, TypeError):
@@ -242,10 +254,10 @@ class ResultCache:
                 path.unlink()
             except OSError:
                 pass
-            obs.metrics.counter("pipeline.cache_evictions").inc()
-            obs.metrics.counter("pipeline.cache_misses").inc()
+            self.evictions += 1
+            self.misses += 1
             return None
-        obs.metrics.counter("pipeline.cache_hits").inc()
+        self.hits += 1
         return analysis
 
     def _write(self, path: Path, payload: dict) -> None:
@@ -256,7 +268,7 @@ class ResultCache:
 
     def store_payload(self, key: str, payload: dict) -> None:
         self._write(self._path(key), payload)
-        obs.metrics.counter("pipeline.cache_stores").inc()
+        self.stores += 1
 
     def store(self, key: str, analysis: SampleAnalysis) -> None:
         self.store_payload(key, serialize.analysis_to_dict(analysis))
@@ -264,7 +276,7 @@ class ResultCache:
     def store_failure(self, key: str, failure: SampleFailure) -> None:
         """Write a negative entry for a quarantined sample."""
         self._write(self._path(key), serialize.failure_to_entry(failure))
-        obs.metrics.counter("pipeline.cache_negative_stores").inc()
+        self.negative_stores += 1
 
     def sweep_stale(self) -> int:
         """Unlink ``<key>.tmp.<pid>`` files whose writer pid is dead (or
@@ -282,8 +294,7 @@ class ResultCache:
                 removed += 1
             except OSError:
                 continue
-        if removed:
-            obs.metrics.counter("pipeline.cache_tmp_swept").inc(removed)
+        self.tmp_swept += removed
         return removed
 
 
@@ -300,7 +311,7 @@ def _analyze_worker(
     index: int = 0,
     attempt: int = 1,
     plan: Optional[FaultPlan] = None,
-) -> Tuple[dict, Dict[str, object]]:
+) -> Tuple[dict, Dict[str, int]]:
     """Runs in a worker process: fresh obs state, fresh AutoVac, one sample.
 
     Returns the encoded analysis plus this task's metrics *delta* — the
@@ -376,7 +387,6 @@ def _respawn_pool(pool: ProcessPoolExecutor, max_workers: int) -> ProcessPoolExe
         pool.shutdown(wait=False, cancel_futures=True)
     except Exception:  # pragma: no cover - best effort by contract
         pass
-    obs.metrics.counter("pipeline.pool_respawns").inc()
     return _new_pool(max_workers)
 
 
@@ -395,7 +405,9 @@ def analyze_population(
     for any ``jobs``/cache combination (the determinism regression test
     pins this).  A failing sample is retried per ``config.sample_retries``
     and then quarantined into ``PopulationResult.failures`` — it never
-    aborts the survey.
+    aborts the survey.  The result also counts the retries and pool
+    respawns; a :class:`ResultCache` passed as ``cache`` counts its own
+    hits and misses.
 
     Exactly one of ``config``/``autovac`` drives the analysis: ``jobs=1``
     uses ``autovac`` (or ``config.build()``) in-process; ``jobs>1`` ships
@@ -446,6 +458,7 @@ def analyze_population(
     emit = telemetry.emit if telemetry is not None else _no_emit
     results: List[Optional[SampleAnalysis]] = [None] * n
     failures_by_index: Dict[int, SampleFailure] = {}
+    retried = respawned = 0
 
     def finish(
         index: int, analysis: SampleAnalysis, attempt: Optional[int] = None
@@ -492,6 +505,7 @@ def analyze_population(
         """Account one failed attempt: quarantine the sample when its retry
         budget is spent, else count the retry and back off.  True when the
         sample gets another attempt."""
+        nonlocal retried
         name = programs[index].name
         if kind == "timeout":
             emit("sample.timeout", sample=name, index=index, attempt=attempt)
@@ -509,7 +523,7 @@ def analyze_population(
                 ),
             )
             return False
-        obs.metrics.counter("pipeline.sample_retries").inc()
+        retried += 1
         emit(
             "sample.retry",
             sample=name,
@@ -528,6 +542,8 @@ def analyze_population(
         return PopulationResult(
             analyses=[a for a in results if a is not None],
             failures=[failures_by_index[i] for i in sorted(failures_by_index)],
+            retries=retried,
+            respawns=respawned,
         )
 
     pending: List[int] = []
@@ -597,8 +613,12 @@ def analyze_population(
     in_flight: Dict[Future, _Task] = {}
     pool = _new_pool(n_workers)
 
+    def respawn() -> None:
+        nonlocal pool, respawned
+        pool = _respawn_pool(pool, n_workers)
+        respawned += 1
+
     def submit_ready() -> None:
-        nonlocal pool
         limit = 1 if suspects else window
         while queue and len(in_flight) < limit:
             index, attempt = queue.popleft()
@@ -621,7 +641,7 @@ def analyze_population(
                 queue.appendleft((index, attempt))
                 if in_flight:
                     return
-                pool = _respawn_pool(pool, n_workers)
+                respawn()
                 continue
             in_flight[future] = _Task(index, attempt, deadline)
             emit("sample.started", sample=programs[index].name, index=index, attempt=attempt)
@@ -672,6 +692,8 @@ def analyze_population(
                 else:
                     analysis = serialize.analysis_from_dict(payload)
                     obs.metrics.merge(snapshot)
+                    if store is not None:
+                        store.stores += 1  # the worker wrote it
                     obs.prof.absorb(analysis.profile)
                     finish(task.index, analysis, task.attempt)
                     suspects.discard(task.index)
@@ -680,7 +702,7 @@ def analyze_population(
                 # The pool is dead; every still-in-flight future is lost too.
                 lost = broken_tasks + list(in_flight.values())
                 in_flight.clear()
-                pool = _respawn_pool(pool, n_workers)
+                respawn()
                 if len(lost) == 1:
                     # Died running alone: definitively the culprit.
                     task = lost[0]
@@ -721,7 +743,7 @@ def analyze_population(
                     for task in in_flight.values():
                         queue.appendleft((task.index, task.attempt))
                     in_flight.clear()
-                    pool = _respawn_pool(pool, n_workers)
+                    respawn()
     finally:
         pool.shutdown(wait=False, cancel_futures=True)
     return assemble()

@@ -266,7 +266,7 @@ class ImpactAnalyzer:
                 except Exception as exc:
                     # A failing restore degrades this one candidate-mechanism
                     # to the full rerun — the survey never aborts.
-                    obs.metrics.counter("snapshot.resume_failures").inc()
+                    obs.metrics.add("snapshot.resume_failures")
                     outcomes.append(
                         self.analyze_mechanism(
                             program, candidate, natural, mechanism, resume_error=str(exc)

@@ -146,10 +146,14 @@ class PopulationResult:
     holds the quarantined ones (also input order).  Every stat helper runs
     over the healthy set only, so a survey with failures reports the same
     numbers a fault-free survey of the surviving samples would.
+    ``retries`` and ``respawns`` count the executor's extra attempts and
+    worker-pool restarts.
     """
 
     analyses: List[SampleAnalysis] = field(default_factory=list)
     failures: List[SampleFailure] = field(default_factory=list)
+    retries: int = 0
+    respawns: int = 0
 
     def succeeded(self) -> List[SampleAnalysis]:
         """The healthy analyses, in input order."""
@@ -243,14 +247,20 @@ class PopulationResult:
 
         Every stat helper is a sum over per-sample contributions, so
         merge-then-count equals count-then-sum — the property the shard
-        tests pin down.  Failure lists concatenate in the same order.
+        tests pin down.  Failure lists concatenate in the same order;
+        retries and respawns add.
         """
         merged = PopulationResult(
-            analyses=list(self.analyses), failures=list(self.failures)
+            analyses=list(self.analyses),
+            failures=list(self.failures),
+            retries=self.retries,
+            respawns=self.respawns,
         )
         for other in others:
             merged.analyses.extend(other.analyses)
             merged.failures.extend(other.failures)
+            merged.retries += other.retries
+            merged.respawns += other.respawns
         return merged
 
 

@@ -237,7 +237,7 @@ class SnapshotRecorder:
                 except Exception as exc:
                     snapshot = None
                     failure["error"] = str(exc)
-                    obs.metrics.counter("snapshot.capture_failures").inc()
+                    obs.metrics.add("snapshot.capture_failures")
                 flight = obs.flight
                 if flight.enabled:
                     flight_id = flight.record(

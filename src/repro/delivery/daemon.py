@@ -60,6 +60,8 @@ class VaccineDaemon:
     #: Interception counters (perf-overhead bench, §VI-F).
     calls_seen: int = 0
     calls_matched: int = 0
+    #: ``calls_matched`` per ``(resource type, mechanism)`` value pair.
+    matches: Dict[Tuple[str, str], int] = field(default_factory=dict)
     #: Policy-rule hits within ``calls_matched`` (violation accounting).
     policy_violations: int = 0
     #: Total wall seconds spent inside :meth:`intercept` — the hook-overhead
@@ -176,12 +178,8 @@ class VaccineDaemon:
         if rule is None:
             return Interception.PASS
         self.calls_matched += 1
-        if obs.metrics.enabled:
-            obs.metrics.counter(
-                "daemon.calls_matched",
-                resource=event.resource_type.value,
-                mechanism=rule.mechanism.value,
-            ).inc()
+        key = (event.resource_type.value, rule.mechanism.value)
+        self.matches[key] = self.matches.get(key, 0) + 1
         if rule.origin == "policy":
             self.policy_violations += 1
             flight = obs.flight

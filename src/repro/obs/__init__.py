@@ -4,14 +4,14 @@ The paper's §VI-F evaluation is entirely *measured* behaviour (per-sample
 generation time, per-identifier slicing time, daemon hook overhead <4.5%);
 this package is the instrumentation substrate those measurements come from:
 
-* :data:`metrics` — process-local registry of labelled counters; JSON +
-  Prometheus text exporters (:mod:`repro.obs.metrics`).  It keeps only
-  counts nothing else records: the VM tier counters perfbench reads
-  (flushed once per run), snapshot capture/resume failures,
-  cache/retry/pool traffic, and the daemon's and campaign's per-label
-  match and infection counts.  Per-sample facts live in
-  ``SampleAnalysis``/``PopulationResult``, the journal and the timing
-  tree; the daemon's hook accounting in its own attributes;
+* :data:`metrics` — process-local named counts (:mod:`repro.obs.metrics`),
+  written with the timing tree as a flat JSON snapshot
+  (:mod:`repro.obs.export`, ``--metrics``).  It keeps five counts: the VM
+  tier counters perfbench reads (flushed once per run) and snapshot
+  capture/resume failures.  Every other count lives with its owner: cache
+  traffic on ``ResultCache``, retries and pool respawns on
+  ``PopulationResult``, matches per resource and mechanism on
+  ``VaccineDaemon``, infection attempts on ``CampaignResult``;
 * :data:`flight` — flight recorder journaling analysis-causal events
   into one provenance DAG per sample (:mod:`repro.obs.flight`), rendered
   by ``repro explain``;
@@ -30,7 +30,7 @@ this package is the instrumentation substrate those measurements come from:
 Instrumented code must stay cheap when observability is off::
 
     with obs.disabled():
-        AutoVac().analyze(program)   # null counters, no journal, no hot paths
+        AutoVac().analyze(program)   # no counts, no journal, no hot paths
 
 ``benchmarks/bench_perf_overhead.py`` holds the enabled-vs-disabled pipeline
 overhead to <=5% (artifact ``obs_overhead.txt``).
@@ -42,10 +42,10 @@ from contextlib import contextmanager
 from typing import Dict, Iterator
 
 from . import ledger
-from .export import load, render_prometheus, render_stats, snapshot, write_json
+from .export import load, render_stats, snapshot, write_json
 from .flight import FlightEvent, FlightRecorder, Journal, render_chain, summarize_event
 from .ledger import LedgerFold, ProgressView, RunTelemetry
-from .metrics import Counter, MetricsRegistry
+from .metrics import MetricsRegistry
 from .prof import Profiler, merge_profiles, render_table, render_tree, to_folded, to_tree
 
 #: The process-global registry, flight recorder, and profiler every layer
@@ -53,10 +53,6 @@ from .prof import Profiler, merge_profiles, render_table, render_tree, to_folded
 metrics = MetricsRegistry()
 flight = FlightRecorder()
 prof = Profiler()
-
-
-def is_enabled() -> bool:
-    return metrics.enabled
 
 
 @contextmanager
@@ -104,7 +100,6 @@ def export_json(path) -> Dict[str, object]:
 
 
 __all__ = [
-    "Counter",
     "FlightEvent",
     "FlightRecorder",
     "Journal",
@@ -117,7 +112,6 @@ __all__ = [
     "export_json",
     "export_snapshot",
     "flight",
-    "is_enabled",
     "ledger",
     "load",
     "merge_profiles",
@@ -125,7 +119,6 @@ __all__ = [
     "prof",
     "profiled",
     "render_chain",
-    "render_prometheus",
     "render_stats",
     "render_table",
     "render_tree",

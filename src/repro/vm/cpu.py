@@ -41,35 +41,6 @@ class CpuFault(Exception):
     """Internal faults that end the run with ``ExitStatus.FAULT``."""
 
 
-class _VmFlushCache:
-    """Counter handles reused by ``CPU._flush_obs`` across runs.
-
-    Keyed on the obs registry generation: ``obs.reset()`` bumps
-    ``metrics.generation`` and discards the counter families these handles
-    point into, so a generation mismatch drops every handle.
-    """
-
-    __slots__ = ("generation", "fast_steps", "sb_compiled", "sb_entries", "sb_guard_exits")
-
-    def __init__(self) -> None:
-        self.generation = -1
-        self.fast_steps = None
-        self.sb_compiled = None
-        self.sb_entries = None
-        self.sb_guard_exits = None
-
-    def refresh(self, metrics) -> None:
-        if self.generation != metrics.generation:
-            self.generation = metrics.generation
-            self.fast_steps = metrics.counter("vm.fast_steps")
-            self.sb_compiled = metrics.counter("vm.superblocks.compiled")
-            self.sb_entries = metrics.counter("vm.superblocks.entries")
-            self.sb_guard_exits = metrics.counter("vm.superblocks.guard_exits")
-
-
-_VM_FLUSH_CACHE = _VmFlushCache()
-
-
 class _ProfAcc:
     """Per-run tier-time accumulator, present only while ``obs.prof`` is on.
 
@@ -694,10 +665,10 @@ class CPU:
     def _flush_obs(self) -> None:
         """Report the run's tier counters into the metrics registry.
 
-        Only ``vm.fast_steps`` and ``vm.superblocks.*`` remain, and only
-        until perfbench (the repo benchmark) reads them from the timing tree;
-        every other per-run count lives in the trace, the journal or the
-        profile tree.  The per-instruction loop stays uninstrumented: the
+        Only ``vm.fast_steps`` and ``vm.superblocks.{compiled,entries}``
+        remain, and only until perfbench (the repo benchmark) reads them from
+        the timing tree; every other per-run count (guard exits included)
+        lives in the trace, the journal or the profile tree.  The per-instruction loop stays uninstrumented: the
         counts the interpreter already keeps are flushed once per run.  A
         slow step an interceptor ended by raising counts as slow, so it
         never lands in ``vm.fast_steps``.
@@ -705,15 +676,12 @@ class CPU:
         metrics = obs.metrics
         if not metrics.enabled:
             return
-        cache = _VM_FLUSH_CACHE
-        cache.refresh(metrics)
         # Steps that avoided the slow path (fast loop + superblocks).
-        cache.fast_steps.inc(self.steps - self._steps_at_start - self._slow_steps)
+        metrics.add("vm.fast_steps", self.steps - self._steps_at_start - self._slow_steps)
         sb = self._superblocks
         if sb is not None:
-            cache.sb_compiled.inc(sb.compiled - self._sb_compiled_base)
-            cache.sb_entries.inc(self._sb_entries)
-            cache.sb_guard_exits.inc(self._sb_guard_exits)
+            metrics.add("vm.superblocks.compiled", sb.compiled - self._sb_compiled_base)
+            metrics.add("vm.superblocks.entries", self._sb_entries)
 
     def terminate(self, exit_code: int = 0) -> None:
         """Called by ExitProcess-style APIs."""

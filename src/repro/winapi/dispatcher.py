@@ -68,9 +68,6 @@ class Dispatcher:
         # handler (``api;<Name>``).
         self._prof = obs.prof if obs.prof.enabled else None
 
-    def add_interceptor(self, interceptor: Interceptor) -> None:
-        self.interceptors.append(interceptor)
-
     # ------------------------------------------------------------------
 
     def invoke(self, cpu, name: str, caller_pc: int, seq: int) -> None:

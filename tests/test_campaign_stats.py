@@ -11,7 +11,7 @@ from repro.analysis.stats import (
     summarize,
     total_variation,
 )
-from repro.campaign import Fleet, attempt_infection, simulate_outbreak
+from repro.campaign import CampaignResult, Fleet, attempt_infection, simulate_outbreak
 from repro.corpus import build_family
 
 
@@ -58,6 +58,21 @@ class TestInfectionMechanics:
         fleet = Fleet(1, seed=3)
         fleet.vaccinate(package, coverage=1.0)
         assert not attempt_infection(worm, fleet.machines[0])
+
+    def test_attempts_are_counted_into_the_result(self, conficker_package):
+        worm, package = conficker_package
+        result = CampaignResult()
+        clean = Fleet(1, seed=3).machines[0]
+        assert attempt_infection(worm, clean, result=result)
+        assert not attempt_infection(worm, clean, result=result)  # marker present
+        fleet = Fleet(1, seed=3)
+        fleet.vaccinate(package, coverage=1.0)
+        assert not attempt_infection(worm, fleet.machines[0], result=result)
+        assert result.infection_attempts == 3
+        assert (result.infections, result.attempts_blocked) == (1, 2)
+        # A block by the worm's own marker has no rule to blame; only the
+        # vaccinated host's block can be attributed.
+        assert sum(result.blocked_by.values()) <= 1
 
 
 class TestOutbreak:

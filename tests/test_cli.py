@@ -110,6 +110,38 @@ class TestSurveyCommand:
         assert "retries: 1, pool respawns: 0, snapshot fallbacks: 0" in run.stdout
         assert run.stderr == ""
 
+    @pytest.mark.parametrize(
+        "fault, line",
+        [
+            (("REPRO_FAULT_PLAN", "crash:3@1"),
+             "retries: 1, pool respawns: 0, snapshot fallbacks: 0"),
+            (("REPRO_FAULT_ENV_RESTORE", "3"),
+             "retries: 0, pool respawns: 0, snapshot fallbacks: 15"),
+        ],
+        ids=["crash", "env_restore"],
+    )
+    def test_retries_line_is_the_same_at_any_jobs(self, repro_command, fault, line):
+        # Retries and respawns come from the PopulationResult, fallbacks
+        # from the merged worker counts: the whole report, summary line
+        # included, does not depend on jobs.
+        argv, env = repro_command
+        name, value = fault
+        outputs = []
+        for jobs in ("1", "2"):
+            run = subprocess.run(
+                argv + ["survey", "--size", "20", "--retries", "1", "--jobs", jobs],
+                env={**env, name: value},
+                capture_output=True,
+                text=True,
+                timeout=300,
+            )
+            assert run.returncode == 0, run.stderr
+            assert run.stderr == ""
+            assert "20 samples (20 analyzed, 0 failed)" in run.stdout
+            outputs.append(run.stdout)
+        assert line in outputs[0].splitlines()
+        assert outputs[0] == outputs[1]
+
 
 class TestExplainCommand:
     def test_explain_failed_analysis_prints_failure_record(

@@ -153,6 +153,7 @@ class TestDaemon:
         )
         assert cpu.regs["eax"] == 0
         assert daemon.calls_matched == 1
+        assert daemon.matches == {("mutex", "enforce_failure"): 1}
 
     def test_non_matching_identifier_passes(self, run_asm):
         env = SystemEnvironment()

@@ -414,7 +414,7 @@ class TestChaosDegradation:
         obs.reset()
         degraded = analyzer.analyze_candidates(program, candidates, report.trace)
         # faults actually fired
-        assert obs.metrics.counter("snapshot.resume_failures").value > 0
+        assert obs.metrics.total("snapshot.resume_failures") > 0
         def verdicts(outcomes):
             return {
                 (o.candidate.key, o.mechanism): (
@@ -442,7 +442,7 @@ class TestChaosDegradation:
             program, candidates, report.trace
         )
         assert outcomes  # survey completed despite every-other restore failing
-        failures = obs.metrics.counter("snapshot.resume_failures").value
+        failures = obs.metrics.total("snapshot.resume_failures")
         assert failures > 0
 
     def test_fault_plan_degrades_the_same_resumes_at_any_jobs(self, monkeypatch):
@@ -464,11 +464,10 @@ class TestChaosDegradation:
             result = analyze_population(programs, config=PipelineConfig(), jobs=jobs)
             assert not result.failures
             runs[jobs] = (
-                obs.metrics.value("snapshot.resume_failures"),
-                obs.metrics.total("vm.fast_steps"),
+                obs.metrics.snapshot(),
                 [analysis_fingerprint(a) for a in result.analyses],
             )
-        assert runs[1][0] > 0
+        assert runs[1][0]["snapshot.resume_failures"] > 0
         assert runs[1] == runs[2]
 
     def test_fallbacks_journal_the_exception_text(self, family_programs, monkeypatch):
@@ -488,7 +487,7 @@ class TestChaosDegradation:
         obs.reset()
         journal = AutoVac().analyze(program).journal
         reruns = [e for e in journal.find("mutation", resumed=False) if "error" in e.attrs]
-        assert len(reruns) == obs.metrics.value("snapshot.resume_failures") > 0
+        assert len(reruns) == obs.metrics.total("snapshot.resume_failures") > 0
         assert all(
             e.attrs["error"] == "injected environment-restore fault (every 1)"
             for e in reruns
@@ -503,7 +502,7 @@ class TestChaosDegradation:
         obs.reset()
         journal = AutoVac().analyze(program).journal
         captures = journal.find("snapshot.capture")
-        assert len(captures) == obs.metrics.value("snapshot.capture_failures") > 0
+        assert len(captures) == obs.metrics.total("snapshot.capture_failures") > 0
         assert all(
             e.attrs["ok"] is False and e.attrs["error"] == "capture refused"
             for e in captures

@@ -99,13 +99,17 @@ class TestParallelDeterminism:
 class TestResultCache:
     def test_cold_then_warm_is_identical_and_all_hits(self, programs, config, tmp_path):
         obs.reset()
-        cold = analyze_population(programs, config=config, jobs=1, cache=tmp_path)
-        assert obs.metrics.value("pipeline.cache_misses") == SIZE
-        assert obs.metrics.value("pipeline.cache_stores") == SIZE
+        cache = ResultCache(tmp_path)
+        cold = analyze_population(programs, config=config, jobs=1, cache=cache)
+        assert cache.misses == SIZE
+        assert cache.stores == SIZE
+        assert cache.hits == 0
 
         obs.reset()
-        warm = analyze_population(programs, config=config, jobs=1, cache=tmp_path)
-        assert obs.metrics.value("pipeline.cache_hits") == SIZE
+        cache = ResultCache(tmp_path)
+        warm = analyze_population(programs, config=config, jobs=1, cache=cache)
+        assert cache.hits == SIZE
+        assert cache.misses == cache.stores == 0
         assert obs.metrics.total("vm.fast_steps") == 0  # no guest instruction ran
         assert len(warm.analyses) + len(warm.failures) == SIZE
         assert vaccine_bytes(warm) == vaccine_bytes(cold)
@@ -117,9 +121,12 @@ class TestResultCache:
         # "Interrupted" run: only the first half made it into the cache.
         analyze_population(programs[: SIZE // 2], config=config, jobs=1, cache=tmp_path)
         obs.reset()
-        full = analyze_population(programs, config=config, jobs=2, cache=tmp_path)
-        assert obs.metrics.value("pipeline.cache_hits") == SIZE // 2
-        assert obs.metrics.value("pipeline.cache_misses") == SIZE - SIZE // 2
+        cache = ResultCache(tmp_path)
+        full = analyze_population(programs, config=config, jobs=2, cache=cache)
+        assert cache.hits == SIZE // 2
+        assert cache.misses == SIZE - SIZE // 2
+        # The workers wrote the missing half; the parent counted each store.
+        assert cache.stores == SIZE - SIZE // 2
         # Only the missing half went through the pipeline.
         fast_steps = obs.metrics.total("vm.fast_steps")
         obs.reset()
@@ -148,10 +155,10 @@ class TestResultCache:
         assert cache.load_entry(key) is None
         # The undecodable file is unlinked, not left to be re-read forever.
         assert not path.exists()
-        assert obs.metrics.value("pipeline.cache_evictions") == 1
+        assert cache.evictions == cache.misses == 1
         # A second probe is a plain miss on an absent file: no double-evict.
         assert cache.load_entry(key) is None
-        assert obs.metrics.value("pipeline.cache_evictions") == 1
+        assert cache.evictions == 1 and cache.misses == 2
 
     def test_version_skewed_entry_is_evicted(self, config, tmp_path):
         cache = ResultCache(tmp_path)
@@ -182,7 +189,7 @@ class TestResultCache:
         assert removed == 1
         assert not dead.exists()
         assert ours.exists()
-        assert obs.metrics.value("pipeline.cache_tmp_swept") == 1
+        assert cache.tmp_swept == 1
         ours.unlink()
 
     def test_sweep_runs_on_cache_open(self, config, tmp_path):
@@ -229,41 +236,45 @@ class TestPopulationResultMerge:
         assert len(a.analyses) == 2 and len(b.analyses) == 2
         assert len(merged.analyses) == 4
 
+    def test_merge_sums_retries_and_respawns(self):
+        a = PopulationResult(retries=1, respawns=2)
+        merged = a.merge(PopulationResult(retries=3), PopulationResult(respawns=1))
+        assert (merged.retries, merged.respawns) == (4, 3)
+        assert (a.retries, a.respawns) == (1, 2)
+
 
 class TestMetricsMerge:
     def test_counters_add(self):
         worker = MetricsRegistry()
-        worker.counter("c").inc(3)
-        worker.counter("c", api="X").inc(2)
+        worker.add("c", 3)
+        worker.add("d", 2)
         parent = MetricsRegistry()
-        parent.counter("c").inc(1)
+        parent.add("c")
         parent.merge(worker.snapshot())
         parent.merge(worker.snapshot())
-        assert parent.value("c") == 7  # 1 + 3 + 3
-        assert parent.value("c", api="X") == 4
-        assert parent.total("c") == 11
+        assert parent.total("c") == 7  # 1 + 3 + 3
+        assert parent.total("d") == 4
+        assert parent.snapshot() == {"c": 7, "d": 4}
 
     def test_merged_totals_equal_sum_of_worker_snapshots(self):
         workers = []
         for i in range(3):
             reg = MetricsRegistry()
-            reg.counter("vm.fast_steps").inc(i + 1)
+            reg.add("vm.fast_steps", i + 1)
             workers.append(reg.snapshot())
         parent = MetricsRegistry()
         for snap in workers:
             parent.merge(snap)
-        assert parent.value("vm.fast_steps") == sum(
-            s["vm.fast_steps"]["series"][0]["value"] for s in workers
-        )
+        assert parent.total("vm.fast_steps") == sum(s["vm.fast_steps"] for s in workers)
 
     def test_disabled_registry_ignores_merge(self):
         worker = MetricsRegistry()
-        worker.counter("c").inc()
+        worker.add("c")
         parent = MetricsRegistry()
         parent.enabled = False
         parent.merge(worker.snapshot())
         parent.enabled = True
-        assert parent.value("c") == 0.0
+        assert parent.total("c") == 0
 
 
 class TestConfigPlumbing:

@@ -20,7 +20,7 @@ import pytest
 
 from repro import obs
 from repro.cli import main
-from repro.core.executor import PipelineConfig, analyze_population
+from repro.core.executor import PipelineConfig, ResultCache, analyze_population
 from repro.core.faults import (
     FAULT_PLAN_ENV,
     FaultPlan,
@@ -123,7 +123,8 @@ class TestInlineFailures:
         )
         assert not result.failed()
         assert len(result.succeeded()) == SIZE
-        assert obs.metrics.value("pipeline.sample_retries") == 1
+        assert result.retries == 1
+        assert result.respawns == 0
 
     def test_quarantine_consumes_full_retry_budget(self, programs):
         obs.reset()
@@ -132,7 +133,7 @@ class TestInlineFailures:
             programs, config=fast_config(sample_retries=2), jobs=1, faults=plan
         )
         assert failure_table(result) == [(programs[1].name, "crash", 3)]
-        assert obs.metrics.value("pipeline.sample_retries") == 2
+        assert result.retries == 2
 
     def test_inline_hang_classified_as_timeout(self, programs):
         plan = FaultPlan.parse("hang:0")
@@ -187,7 +188,8 @@ class TestParallelFailures:
         )
         assert not result.failed()
         assert len(result.succeeded()) == SIZE
-        assert obs.metrics.value("pipeline.sample_retries") == 1
+        assert result.retries == 1
+        assert result.respawns == 0
 
     def test_timeout_fires_on_hung_worker(self, programs):
         obs.reset()
@@ -202,7 +204,7 @@ class TestParallelFailures:
         assert result.failed()[0].error_type == "TimeoutError"
         assert len(result.succeeded()) == 3
         # the hung worker's pool was killed and respawned for the others
-        assert obs.metrics.value("pipeline.pool_respawns") >= 1
+        assert result.respawns >= 1
 
     def test_timeout_bounds_a_lone_pending_sample(self, programs, tmp_path):
         # A warm cache leaves exactly one sample pending; with a timeout set
@@ -211,13 +213,15 @@ class TestParallelFailures:
         analyze_population(programs[:2], config=config, jobs=2, cache=tmp_path)
         obs.reset()
         plan = FaultPlan.parse("hang:2", hang_seconds=60.0)
+        cache = ResultCache(tmp_path)
         result = analyze_population(
-            programs[:3], config=config, jobs=2, cache=tmp_path, faults=plan
+            programs[:3], config=config, jobs=2, cache=cache, faults=plan
         )
-        assert obs.metrics.value("pipeline.cache_hits") == 2
+        assert cache.hits == 2
         assert failure_table(result) == [(programs[2].name, "timeout", 1)]
         assert result.failed()[0].error_type == "TimeoutError"
-        assert obs.metrics.value("pipeline.pool_respawns") >= 1
+        assert cache.negative_stores == 1
+        assert result.respawns >= 1
 
     def test_worker_death_breaks_pool_but_not_survey(self, programs):
         obs.reset()
@@ -228,7 +232,7 @@ class TestParallelFailures:
         assert failure_table(result) == [(programs[2].name, "pool", 1)]
         assert result.failed()[0].error_type == "BrokenProcessPool"
         assert len(result.succeeded()) == 5
-        assert obs.metrics.value("pipeline.pool_respawns") >= 1
+        assert result.respawns >= 1
 
     def test_pool_breaking_before_submit_requeues_uncharged(self, programs, monkeypatch):
         """A worker can die after ``wait()`` returns and before the next
@@ -347,12 +351,14 @@ class TestNegativeCache:
         assert failure_table(first) == [(programs[0].name, "crash", 1)]
 
         obs.reset()
+        cache = ResultCache(tmp_path)
         second = analyze_population(
-            programs, config=config, jobs=1, cache=tmp_path, faults=FaultPlan()
+            programs, config=config, jobs=1, cache=cache, faults=FaultPlan()
         )
         assert failure_table(second) == [(programs[0].name, "crash", 1)]
-        assert obs.metrics.value("pipeline.cache_negative_hits") == 1
-        assert obs.metrics.value("pipeline.cache_hits") == SIZE - 1
+        assert cache.negative_hits == 1
+        assert cache.hits == SIZE - 1
+        assert cache.negative_stores == 0  # reported again, not re-written
         assert obs.metrics.total("vm.fast_steps") == 0  # no guest instruction ran
         assert len(second.analyses) + len(second.failures) == SIZE
 
@@ -372,9 +378,10 @@ class TestNegativeCache:
         analyze_population(programs[:2], config=fast_config(), jobs=1, cache=tmp_path)
         monkeypatch.undo()
         obs.reset()
-        analyze_population(programs[:2], config=fast_config(), jobs=1, cache=tmp_path)
-        assert obs.metrics.value("pipeline.cache_hits") == 0
-        assert obs.metrics.value("pipeline.cache_misses") == 2
+        cache = ResultCache(tmp_path)
+        analyze_population(programs[:2], config=fast_config(), jobs=1, cache=cache)
+        assert cache.hits == 0
+        assert cache.misses == 2
         assert obs.prof.snapshot()["pipeline.analyze"][0] == 2
 
 

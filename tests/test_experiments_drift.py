@@ -83,3 +83,15 @@ def test_delivery_split(experiments):
         )
         assert quotes, heading
         assert all(q == expected for q in quotes), (heading, quotes, expected)
+
+
+def test_daemon_hook_overhead(experiments):
+    pct = re.search(
+        r"^hook overhead: (\d+\.\d)%$", artifact("perf_daemon.txt"), re.MULTILINE
+    ).group(1)
+    cell = measured_cell(
+        section(experiments, "§VI-F"), "daemon hook overhead on benign workload"
+    )
+    assert cell.startswith(f"{pct}% (`hook overhead: {pct}%` in `perf_daemon.txt`")
+    # At or above the paper's <4.5% the row must say it deviates.
+    assert ("deviation" in cell) == (float(pct) >= 4.5), cell

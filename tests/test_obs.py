@@ -1,5 +1,5 @@
-"""``repro.obs`` — metrics registry, exporters, the pipeline's timing
-tree, and the pipeline/CLI integration."""
+"""``repro.obs`` — the named-count registry, the snapshot file, the
+pipeline's timing tree, and the pipeline/CLI integration."""
 
 import json
 
@@ -9,6 +9,16 @@ from repro import AutoVac, obs
 from repro.corpus import build_family
 from repro.obs.metrics import MetricsRegistry
 from repro.core.pipeline import STAGES
+
+#: The counts the registry keeps (perfbench and the survey's summary line
+#: read them); every other count lives with the object that counts it.
+KEPT = {
+    "vm.fast_steps",
+    "vm.superblocks.compiled",
+    "vm.superblocks.entries",
+    "snapshot.capture_failures",
+    "snapshot.resume_failures",
+}
 
 
 @pytest.fixture(autouse=True)
@@ -28,37 +38,33 @@ def clean_obs():
 class TestCounters:
     def test_counter_inc_and_value(self):
         reg = MetricsRegistry()
-        reg.counter("x").inc()
-        reg.counter("x").inc(2.5)
-        assert reg.value("x") == 3.5
+        reg.add("x")
+        reg.add("x", 2)
+        assert reg.total("x") == 3
+        assert reg.total("never") == 0
 
-    def test_labels_create_distinct_series(self):
+    def test_snapshot_is_a_flat_dict_and_reset_clears_it(self):
         reg = MetricsRegistry()
-        reg.counter("calls", api="OpenMutexA").inc()
-        reg.counter("calls", api="CreateFileA").inc(4)
-        assert reg.value("calls", api="OpenMutexA") == 1
-        assert reg.value("calls", api="CreateFileA") == 4
-        assert reg.total("calls") == 5
-
-    def test_label_order_is_irrelevant(self):
-        reg = MetricsRegistry()
-        reg.counter("c", a="1", b="2").inc()
-        assert reg.value("c", b="2", a="1") == 1
+        reg.add("vm.fast_steps", 5)
+        reg.add("snapshot.resume_failures")
+        assert reg.snapshot() == {"vm.fast_steps": 5, "snapshot.resume_failures": 1}
+        reg.reset()
+        assert reg.snapshot() == {}
 
 
 class TestDisabled:
-    def test_disabled_registry_hands_out_nulls(self):
+    def test_disabled_registry_records_nothing(self):
         reg = MetricsRegistry()
         reg.enabled = False
-        reg.counter("n").inc()
-        assert list(reg.families()) == []
+        reg.add("n")
+        assert reg.snapshot() == {}
 
     def test_obs_disabled_context(self):
         with obs.disabled():
-            assert not obs.is_enabled()
-            obs.metrics.counter("hidden").inc()
+            assert not obs.metrics.enabled
+            obs.metrics.add("hidden")
             obs.prof.add("invisible", 1.0)
-        assert obs.is_enabled()
+        assert obs.metrics.enabled
         assert obs.metrics.total("hidden") == 0
         assert len(obs.prof) == 0
 
@@ -70,10 +76,8 @@ class TestDisabled:
 
 class TestExporters:
     def _populate(self):
-        obs.metrics.counter(
-            "daemon.calls_matched", resource="mutex", mechanism="simulate_presence"
-        ).inc(7)
-        obs.metrics.counter("campaign.infections").inc(3)
+        obs.metrics.add("vm.fast_steps", 7)
+        obs.metrics.add("snapshot.resume_failures", 3)
         obs.prof.record("pipeline.analyze", 0.02)
         obs.prof.record("pipeline.analyze;phase1", 0.015)
 
@@ -83,9 +87,8 @@ class TestExporters:
         written = obs.export_json(path)
         loaded = obs.load(path)
         assert loaded == json.loads(json.dumps(written))
-        calls = loaded["metrics"]["daemon.calls_matched"]
-        assert calls["kind"] == "counter"
-        assert calls["series"][0]["value"] == 7
+        assert loaded["version"] == 2
+        assert loaded["metrics"] == {"vm.fast_steps": 7, "snapshot.resume_failures": 3}
         assert loaded["profile"] == {
             "pipeline.analyze": [1, 0.02],
             "pipeline.analyze;phase1": [1, 0.015],
@@ -97,29 +100,20 @@ class TestExporters:
         with pytest.raises(ValueError):
             obs.load(bad)
 
-    def test_load_accepts_snapshot_with_help_strings(self, tmp_path):
-        # Snapshots written before the registry dropped help strings.
+    def test_load_refuses_a_version_1_snapshot(self, tmp_path):
+        # The labelled-family layout: no reader is kept for it.
         path = tmp_path / "old.json"
-        path.write_text(json.dumps({"metrics": {"pipeline.cache_hits": {
-            "kind": "counter", "help": "", "series": [{"labels": {}, "value": 4}]
+        path.write_text(json.dumps({"version": 1, "metrics": {"pipeline.cache_hits": {
+            "kind": "counter", "series": [{"labels": {}, "value": 4}]
         }}}))
-        text = obs.render_prometheus(obs.load(path))
-        assert text == "# TYPE repro_pipeline_cache_hits counter\nrepro_pipeline_cache_hits_total 4\n"
-
-    def test_prometheus_text(self):
-        self._populate()
-        text = obs.render_prometheus(obs.export_snapshot())
-        assert "# TYPE repro_daemon_calls_matched counter" in text
-        assert (
-            'repro_daemon_calls_matched_total{mechanism="simulate_presence",'
-            'resource="mutex"} 7' in text
-        )
-        assert "repro_campaign_infections_total 3" in text
+        with pytest.raises(ValueError, match="version 1 is not supported"):
+            obs.load(path)
 
     def test_render_stats_text(self):
         self._populate()
         text = obs.render_stats(obs.export_snapshot())
-        assert "daemon.calls_matched{mechanism=simulate_presence,resource=mutex}" in text
+        (fast,) = [line for line in text.splitlines() if "vm.fast_steps" in line]
+        assert fast.split() == ["vm.fast_steps", "7"]
         assert "== profile ==" in text
         (phase1,) = [line for line in text.splitlines() if "phase1" in line]
         assert phase1.startswith("  phase1")  # one level below the root
@@ -175,42 +169,36 @@ class TestPipelineIntegration:
     def test_default_analysis_writes_only_these_families(self):
         # Per-run counts live in the trace, the journal and the timing
         # tree, per-sample facts in the SampleAnalysis; the registry holds
-        # only the tier counters perfbench reads.  A copy creeping back
-        # shows up here.
+        # only the counts perfbench reads.  A copy creeping back shows up
+        # here.
         AutoVac().analyze(build_family("conficker"))
-        assert set(obs.metrics.snapshot()) == {
-            "vm.fast_steps",
-            "vm.superblocks.compiled",
-            "vm.superblocks.entries",
-            "vm.superblocks.guard_exits",
-        }
+        snapshot = obs.metrics.snapshot()
+        assert "vm.fast_steps" in snapshot
+        assert set(snapshot) <= KEPT
 
     @pytest.mark.parametrize("mode", ["jobs1", "jobs2", "warm_cache"])
     def test_survey_writes_only_counts_nothing_else_records(self, mode, tmp_path):
         # Survey facts live in the PopulationResult, the journal and the
-        # timing tree; only cache/pool traffic and the tier counters are
-        # left to the registry, whatever jobs or cache state.
-        from repro.core.executor import analyze_population
+        # timing tree, cache traffic on the ResultCache; the registry keeps
+        # only its five counts, whatever jobs or cache state.
+        from repro.core.executor import ResultCache, analyze_population
         from repro.corpus import GeneratorConfig, generate_population
 
         population = generate_population(GeneratorConfig(size=60, seed=42))  # golden
         programs = [s.program for s in population]
-        cache = tmp_path if mode == "warm_cache" else None
-        if cache is not None:
-            analyze_population(programs, cache=cache)
+        cache = None
+        if mode == "warm_cache":
+            analyze_population(programs, cache=tmp_path)
             obs.reset()
+            cache = ResultCache(tmp_path)
         result = analyze_population(programs, jobs=2 if mode == "jobs2" else 1, cache=cache)
         assert len(result.analyses) + len(result.failures) == 60
-        written = {
-            name for name in obs.metrics.snapshot()
-            if not name.startswith("pipeline.cache_") and name != "pipeline.pool_respawns"
-        }
-        assert written <= {
-            "vm.fast_steps",
-            "vm.superblocks.compiled",
-            "vm.superblocks.entries",
-            "vm.superblocks.guard_exits",
-        }
+        assert set(obs.metrics.snapshot()) <= KEPT
+        assert result.retries == result.respawns == 0
+        if cache is not None:
+            assert cache.hits == len(result.analyses) > 0
+            assert cache.negative_hits == len(result.failures)
+            assert cache.misses == cache.stores == 0
 
     def test_runs_ended_by_raising_are_counted(self):
         # Impact's capture run and determinism's slice re-run end when an
@@ -242,10 +230,10 @@ class TestPipelineIntegration:
         assert obs.metrics.total("vm.fast_steps") == 0
 
     def test_campaign_and_protected_host_write_only_these_counters(self):
-        # The infection curve lives in CampaignResult.history and the
-        # daemon's hook accounting in its attributes; the registry keeps
-        # only the infection and match counts nothing else records.  A
-        # gauge or an attribute mirror creeping back shows up here.
+        # The infection curve and counts live on the CampaignResult, the
+        # daemon's hook accounting and matches in its attributes; the
+        # registry keeps only the VM tier counts.  A mirror creeping back
+        # shows up here.
         from repro import SystemEnvironment, VaccinePackage
         from repro.campaign import Fleet, simulate_outbreak
         from repro.core import run_sample
@@ -270,25 +258,17 @@ class TestPipelineIntegration:
             run_sample(program, environment=host, record_instructions=False)
 
         snapshot = obs.metrics.snapshot()
-        assert set(snapshot) == {
-            "campaign.attempts_blocked",
-            "campaign.blocked_by",
-            "campaign.infection_attempts",
-            "campaign.infections",
-            "daemon.calls_matched",
-            "vm.fast_steps",
-            "vm.superblocks.compiled",
-            "vm.superblocks.entries",
-            "vm.superblocks.guard_exits",
-        }
-        assert {family["kind"] for family in snapshot.values()} == {"counter"}
-        attempts = obs.metrics.total("campaign.infection_attempts")
-        assert attempts == (
-            obs.metrics.total("campaign.infections")
-            + obs.metrics.total("campaign.attempts_blocked")
+        assert "vm.fast_steps" in snapshot
+        assert set(snapshot) <= KEPT
+        assert result.infection_attempts == (
+            result.infections + result.attempts_blocked
         ) > 0
+        assert result.attempts_blocked > 0
+        # Each attributed block names the first rule the worm hit.
+        assert 0 < sum(result.blocked_by.values()) <= result.attempts_blocked
+        assert {origin for origin, _ in result.blocked_by} <= {"vaccine", "policy"}
         assert result.history[-1].round == 2
-        assert obs.metrics.total("daemon.calls_matched") == daemon.calls_matched > 0
+        assert sum(daemon.matches.values()) == daemon.calls_matched > 0
         assert daemon.calls_seen >= daemon.calls_matched
 
 
@@ -310,14 +290,14 @@ class TestCliMetrics:
         for stage in ("phase1", "exclusiveness", "impact", "determinism", "policy"):
             assert profile[f"pipeline.analyze;{stage}"][0] == 1
         assert "pipeline.analyze;clinic" not in profile  # no clinic programs
-        assert data["metrics"]["vm.fast_steps"]["series"][0]["value"] > 0
+        assert data["metrics"]["vm.fast_steps"] > 0
+        assert set(data["metrics"]) <= KEPT
 
         capsys.readouterr()
         assert main(["stats", str(path)]) == 0
         out = capsys.readouterr().out
         assert "pipeline.analyze" in out and "phase1" in out
-        assert main(["stats", str(path), "--prom"]) == 0
-        assert "repro_vm_fast_steps_total" in capsys.readouterr().out
+        assert "vm.fast_steps" in out
 
     def test_survey_metrics(self, tmp_path, capsys):
         from repro.cli import main
@@ -328,31 +308,45 @@ class TestCliMetrics:
         data = obs.load(path)
         assert data["profile"]["pipeline.analyze"][0] == 6
 
-    @pytest.mark.parametrize("prom", [False, True], ids=["plain", "prom"])
     @pytest.mark.parametrize(
-        "family",
+        "value",
         [
+            # Labelled families of the version 1 layout inside a v2 file.
             {"kind": "counter"},
             {"kind": "counter", "series": [{"labels": {}}]},
-            # A family written before the registry dropped gauges.
             {"kind": "gauge", "series": [{"labels": {}, "value": 3}]},
-            # A family written before the registry dropped histograms.
             {"kind": "histogram", "help": "", "series": [
                 {"labels": {}, "count": 1, "sum": 0.5, "max": 0.5, "bucket_counts": [1]}
             ]},
+            "3",
+            True,
+            None,
         ],
-        ids=["no_series", "no_value", "gauge", "histogram"],
+        ids=["no_series", "no_value", "gauge", "histogram", "string", "bool", "null"],
     )
-    def test_stats_rejects_malformed_family(self, tmp_path, family, prom):
+    def test_stats_rejects_malformed_count(self, tmp_path, value):
         from repro.cli import main
 
         path = tmp_path / "m.json"
-        path.write_text(json.dumps({"metrics": {"x.family": family}}))
+        path.write_text(json.dumps({"version": 2, "metrics": {"x.count": value}}))
         with pytest.raises(SystemExit) as exc:
-            main(["stats", str(path)] + (["--prom"] if prom else []))
+            main(["stats", str(path)])
         message = str(exc.value)
         assert message.startswith("error: ")
-        assert str(path) in message and "'x.family'" in message
+        assert str(path) in message and "'x.count'" in message
+
+    @pytest.mark.parametrize("version", [None, 1, 3])
+    def test_stats_refuses_other_snapshot_versions(self, tmp_path, version):
+        from repro.cli import main
+
+        path = tmp_path / "m.json"
+        doc = {"metrics": {}} if version is None else {"version": version, "metrics": {}}
+        path.write_text(json.dumps(doc))
+        with pytest.raises(SystemExit) as exc:
+            main(["stats", str(path)])
+        message = str(exc.value)
+        assert message.startswith("error: ") and str(path) in message
+        assert f"version {version!r} is not supported" in message
 
     def test_stats_on_garbage_path_errors(self):
         from repro.cli import main

@@ -17,7 +17,7 @@ import pytest
 
 from repro import AutoVac, SystemEnvironment, obs
 from repro.cli import main as cli_main
-from repro.core.executor import PipelineConfig, analyze_population
+from repro.core.executor import PipelineConfig, ResultCache, analyze_population
 from repro.core.report import render_report
 from repro.core.stages import ImpactStage
 from repro.corpus import (
@@ -329,16 +329,17 @@ class TestCacheStateIndependence:
             s.program for s in generate_population(GeneratorConfig(size=6, seed=3))
         ]
 
-        def survey(jobs, cache):
+        def survey(jobs, root):
             obs.reset()
-            result = analyze_population(programs, jobs=jobs, cache=str(cache))
+            cache = ResultCache(root)
+            result = analyze_population(programs, jobs=jobs, cache=cache)
             assert not result.failures
-            return counts(obs.prof.snapshot())
+            return counts(obs.prof.snapshot()), cache
 
-        cold_seq = survey(1, tmp_path / "seq")
-        cold_par = survey(2, tmp_path / "par")
-        warm = survey(1, tmp_path / "seq")
-        assert obs.metrics.value("pipeline.cache_hits") == 6
+        cold_seq, _ = survey(1, tmp_path / "seq")
+        cold_par, _ = survey(2, tmp_path / "par")
+        warm, cache = survey(1, tmp_path / "seq")
+        assert cache.hits == 6
         assert cold_seq == cold_par == warm
         assert cold_seq["pipeline.analyze"] == 6
 
@@ -449,25 +450,6 @@ class TestSurfaces:
         assert {"phase1", "impact", "vm", "slow", "fast"} <= nodes
         # Analysis runs compile no superblock regions.
         assert "superblock" not in nodes
-
-    def test_prometheus_profile_tree(self, tmp_path, capsys):
-        obs.reset()
-        AutoVac().analyze(build_family("sality"))
-        AutoVac().analyze(build_family("zeus"))
-        snap = tmp_path / "m.json"
-        obs.export_json(snap)
-        assert cli_main(["stats", str(snap), "--prom"]) == 0
-        out = capsys.readouterr().out
-        assert "# TYPE repro_profile_seconds_total counter" in out
-        assert "# TYPE repro_profile_calls_total counter" in out
-        assert 'repro_profile_calls_total{path="pipeline.analyze"} 2' in out
-        assert 'repro_profile_calls_total{path="pipeline.analyze;impact"} 2' in out
-        seconds = {
-            line.split('"')[1]: float(line.rsplit(" ", 1)[1])
-            for line in out.splitlines()
-            if line.startswith("repro_profile_seconds_total{")
-        }
-        assert seconds["pipeline.analyze"] >= seconds["pipeline.analyze;impact"] > 0
 
     def test_tail_interval_in_help(self, capsys):
         with pytest.raises(SystemExit):

@@ -128,9 +128,13 @@ class TestCounters:
             superblocks=True,
             superblock_threshold=0,
         )
-        cpu.run()
+        with obs.profiled():
+            cpu.run()
         assert cpu.status is ExitStatus.BUDGET and cpu.steps == 9
-        assert obs.metrics.total("vm.superblocks.guard_exits") == 1
+        assert cpu._sb_guard_exits == 1
+        # The profile tree counts it; the registry does not.
+        assert obs.prof.snapshot()["vm;superblock;guard_exit"][0] == 1
+        assert "vm.superblocks.guard_exits" not in obs.metrics.snapshot()
 
 
 class TestFaultPc:
